@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Shared numeric defaults.  Callers can override per call; these values are
-# also what the CLI config layer starts from.
+# Shared numeric defaults.  Callers can override per call.
 TOL_POINT = 1e-9
 TOL_ISO = 1e-8
 REORTH_EVERY = 64
@@ -41,6 +40,7 @@ __all__ = [
     "distance",
     "gromov_product",
     "geodesic_point",
+    "ray_points",
     "unit_tangent",
     "boundary_action",
     "visual_angle",
@@ -221,10 +221,19 @@ class BoundaryPoint:
         """Hyperboloid coordinates of the point at ``radius`` along the ray from
         the basepoint toward this direction (the finite proxy used whenever a
         computation needs an actual point)."""
-        c = np.empty(self.dim + 1)
-        c[0] = np.cosh(radius)
-        c[1:] = np.sinh(radius) * self.direction
-        return c
+        return ray_points(self.direction, radius)
+
+
+def ray_points(directions, ts) -> np.ndarray:
+    """Points at radius ``ts`` along basepoint rays toward unit ``directions``.
+
+    Broadcasts: one direction against an array of radii, or one radius
+    per row of a direction stack.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return np.concatenate(
+        [np.cosh(ts)[..., None], np.sinh(ts)[..., None] * directions], axis=-1
+    )
 
 
 def boundary_direction(p, tol: float = TOL_POINT) -> BoundaryPoint:

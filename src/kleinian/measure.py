@@ -39,10 +39,11 @@ from .hyperbolic import (
     geodesic_point,
     gromov_product,
     radial_split,
+    ray_points,
     stable_arcosh,
 )
 from .orbit import OrbitBall, orbit_distance
-from .semigroup import FeasibilityError, SemigroupStage
+from .semigroup import SemigroupStage, TruncatedFamily, _require_matrices
 
 __all__ = [
     "W_MIN",
@@ -131,10 +132,14 @@ class PSAtomSet:
     """Finite boundary measure of a truncated family at exponent ``s``.
 
     Atom f has weight e^{-s|f|} / Z with Z the truncated series, so the
-    weights sum to one minus the recorded floor drop.  The stored matrix
-    columns are the orbit points f x0; directions normalize them.  The
-    word tables (padded indices, suffix rows, head norms) power the
-    stable Gromov-product machinery in :func:`apex_products`.
+    weights sum to one minus the recorded floor drop.  Atoms are the
+    family rows ``family_rows`` that kept a weight; their words, norms,
+    orbit columns f x0 (directions normalize them) and head norms |a f|
+    are slices of the family store, whose row arithmetic
+    (:meth:`TruncatedFamily.rows_after`) powers the stable
+    Gromov-product machinery in :func:`apex_products`.  Quotient words
+    there may fall below the weight floor, so their columns and head
+    norms are read from the whole family (``family_head``).
     """
 
     s: float
@@ -151,32 +156,26 @@ class PSAtomSet:
     scale: float
     separator_norm: float
     dim: int
-    _row: dict = field(repr=False, default_factory=dict)
-    _padded: np.ndarray | None = field(repr=False, default=None)
-    _lengths: np.ndarray | None = field(repr=False, default=None)
-    _suffix_rows: list = field(repr=False, default_factory=list)
+    family: TruncatedFamily = field(repr=False)
+    family_rows: np.ndarray = field(repr=False)
+    family_head: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = len(self.words)
-        self._row = {w: i for i, w in enumerate(self.words)}
-        self._lengths = np.array([len(w) for w in self.words], dtype=np.int64)
-        self._padded = np.full((n, self.cap), -1, dtype=np.int64)
-        for i, w in enumerate(self.words):
-            self._padded[i, : len(w)] = w
-        # row of each word's suffix starting at position j
-        self._suffix_rows = [np.arange(n, dtype=np.int64)]
-        for j in range(1, self.cap):
-            rows = np.full(n, -1, dtype=np.int64)
-            for i, w in enumerate(self.words):
-                if len(w) > j:
-                    rows[i] = self._row[w[j:]]
-            self._suffix_rows.append(rows)
+        rows = self.family_rows
+        self.letters = np.asfortranarray(self.family.letters[rows])
+        self.lengths = self.family.lengths[rows]
+        # atom row of every family row, plus a final -1 for rows past the cap
+        self._atom_row = np.full(len(self.family.words) + 1, -1, dtype=np.int64)
+        self._atom_row[rows] = np.arange(rows.shape[0])
 
     def __len__(self) -> int:
         return len(self.words)
 
     def row_of(self, word: tuple) -> int:
-        return self._row[tuple(word)]
+        row = int(self._atom_row[self.family.row_of(word)])
+        if row < 0:
+            raise KeyError(tuple(word))
+        return row
 
     def norm_of(self, word: tuple) -> float:
         return float(self.norms[self.row_of(word)])
@@ -203,8 +202,7 @@ def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtom
     computable weights and are counted separately.
     """
     pair = stage.pair
-    if pair.symbolic:
-        raise FeasibilityError("literal-mode stages carry no orbit points")
+    _require_matrices(pair)
     fam = stage.truncated_F
     delta = stage.interval[0]
     if s <= delta:
@@ -212,43 +210,32 @@ def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtom
             f"s = {s:.6g} is not above the truncated growth rate {delta:.6g}"
         )
     a = pair.separator
-    alphabet = stage.alphabet
-    dim = a.dim
-    ext = [a.matrix @ g.matrix for g in alphabet]
-    base = [g.matrix for g in alphabet]
-    cache: dict = {}
-    cols = np.empty((len(fam.words), dim + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, w in enumerate(fam.words):
-            if len(w) == 1:
-                m = base[w[0]]
-            else:
-                m = cache[w[:-1]] @ ext[w[-1]]
-            cache[w] = m
-            cols[i] = m[:, 0]
-        head = stable_arcosh(cols @ a.matrix[0])
+        head = stable_arcosh(fam.columns @ a.matrix[0])
     z = fam.poincare(s)
     finite = np.isfinite(fam.norms)
     weights = np.zeros(len(fam.words))
     weights[finite] = np.exp(-s * fam.norms[finite]) / z
     keep = finite & (weights >= w_min)
-    mass_drop = float(weights[finite & ~keep].sum())
-    kept_words = [w for w, k in zip(fam.words, keep) if k]
+    rows = np.flatnonzero(keep)
     return PSAtomSet(
         s=float(s),
-        words=kept_words,
-        norms=fam.norms[keep],
-        weights=weights[keep],
-        columns=cols[keep],
-        head_norms=head[keep],
+        words=[fam.words[i] for i in rows.tolist()],
+        norms=fam.norms[rows],
+        weights=weights[rows],
+        columns=fam.columns[rows],
+        head_norms=head[rows],
         Z=float(z),
-        mass_drop=mass_drop,
+        mass_drop=float(weights[finite & ~keep].sum()),
         dropped_floor=int(np.sum(finite & ~keep)),
         dropped_overflow=int(np.sum(~finite)),
         cap=fam.cap,
         scale=pair.scale,
         separator_norm=a.norm(),
-        dim=dim,
+        dim=a.dim,
+        family=fam,
+        family_rows=rows,
+        family_head=head,
     )
 
 
@@ -270,23 +257,27 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
     if not g:
         return np.zeros(n)
     ng = atoms.norm_of(g)
+    fam = atoms.family
     out = np.empty(n)
-    lengths = atoms._lengths
-    padded = atoms._padded
+    lengths = atoms.lengths
+    letters = atoms.letters
     match = np.ones(n, dtype=bool)
     for p in range(len(g)):
-        cont = match & (lengths > p) & (padded[:, p] == g[p])
+        cont = match & (lengths > p) & (letters[:, p] == g[p])
         stop = match & ~cont
         if stop.any():
+            g_row = fam.row_of(g[p:])
             short = stop & (lengths == p)
             if short.any():
-                quot = atoms.head_norms[atoms.row_of(g[p:])]
+                quot = atoms.family_head[g_row]
                 out[short] = 0.5 * (ng + quot - atoms.norms[short])
             branch = stop & (lengths > p)
             if branch.any():
-                gcol = atoms.columns[atoms.row_of(g[p:])]
-                rows = atoms._suffix_rows[p][branch]
-                fcols = atoms.columns[rows]
+                gcol = fam.columns[g_row]
+                if p == 0:
+                    fcols = atoms.columns[branch]
+                else:
+                    fcols = fam.columns[fam.rows_after(-1, letters[branch, p:])]
                 with np.errstate(over="ignore", invalid="ignore"):
                     cosh_d = gcol[0] * fcols[:, 0] - fcols[:, 1:] @ gcol[1:]
                 quot = stable_arcosh(cosh_d)
@@ -297,9 +288,9 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
         out[eq] = 0.0
         ext_mask = match & (lengths > len(g))
         if ext_mask.any():
-            rows = atoms._suffix_rows[len(g)][ext_mask]
+            rows = fam.rows_after(-1, letters[ext_mask, len(g) :])
             out[ext_mask] = 0.5 * (
-                ng + atoms.head_norms[rows] - atoms.norms[ext_mask]
+                ng + atoms.family_head[rows] - atoms.norms[ext_mask]
             )
     return out
 
@@ -307,9 +298,9 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
 def _is_prefix(atoms: PSAtomSet, g: tuple) -> np.ndarray:
     """True where g is an index prefix of the atom word (or equals it)."""
     L = len(g)
-    ok = atoms._lengths >= L
+    ok = atoms.lengths >= L
     for p in range(L):
-        ok &= atoms._padded[:, p] == g[p]
+        ok &= atoms.letters[:, p] == g[p]
     return ok
 
 
@@ -337,7 +328,7 @@ def shadow_principle_report(
     """
     c = pair.scale
     r = 8.0 * c
-    min_letter = float(np.min(atoms.norms[atoms._lengths == 1]))
+    min_letter = float(np.min(atoms.norms[atoms.lengths == 1]))
     viability = {
         "threshold": r,
         "min_letter_norm": min_letter,
@@ -353,8 +344,8 @@ def shadow_principle_report(
             "ratio": identity_ratio,
         }
     )
-    prefixes = [w for w in atoms.words if len(w) <= prefix_depth]
-    for g in prefixes:
+    for i in np.flatnonzero(atoms.lengths <= prefix_depth):
+        g = atoms.words[i]
         prods = apex_products(atoms, g)
         member = prods <= r
         mass = float(atoms.weights[member].sum())
@@ -414,7 +405,8 @@ def quasi_invariance_report(
     s = atoms.s
     na = atoms.separator_norm
     r = 8.0 * atoms.scale
-    letters = [w for w in atoms.words if len(w) == 1][:n_letters]
+    letters = [atoms.words[i] for i in np.flatnonzero(atoms.lengths == 1)[:n_letters]]
+    fam = atoms.family
     rng = np.random.default_rng(seed)
     checks = []
     audit_max = -math.inf
@@ -424,15 +416,11 @@ def quasi_invariance_report(
         mass_o = float(atoms.weights[member].sum())
         for h in letters:
             nh = atoms.norm_of(h)
-            moved = 0.0
-            slack = 0.0
-            for vrow in np.flatnonzero(member):
-                hv = h + atoms.words[int(vrow)]
-                if hv in atoms._row:
-                    moved += atoms.weight_of(hv)
-                else:
-                    # transported word fell off the truncation or the floor
-                    slack += float(atoms.weights[int(vrow)])
+            hv = fam.rows_after(fam.row_of(h), atoms.letters[member])
+            hv = atoms._atom_row[np.minimum(hv, len(fam.words))]
+            moved = float(atoms.weights[hv[hv >= 0]].sum())
+            # transported words that fell off the truncation or the floor
+            slack = float(atoms.weights[member][hv < 0].sum())
             lhs = moved * math.exp(s * (nh + na))
             checks.append(
                 {
@@ -536,6 +524,16 @@ class ConicalProfile:
         return list(zip(self.ts.tolist(), self.values.tolist()))
 
 
+def _check_horizon(ref_ball: OrbitBall, t_max: float) -> None:
+    """Raise :class:`HorizonError` past ``radius - prune_margin``."""
+    margin = ref_ball.prune_margin if ref_ball.prune_margin else 0.0
+    horizon = ref_ball.radius - margin
+    if t_max > horizon + 1e-9:
+        raise HorizonError(
+            f"window {t_max:.3g} exceeds the reliable radius {horizon:.3g}"
+        )
+
+
 def conical_profile(
     xi: BoundaryPoint,
     ref_ball: OrbitBall,
@@ -553,20 +551,11 @@ def conical_profile(
     then distances below ``prune_margin`` are uncensored everywhere in
     the window.
     """
-    margin = ref_ball.prune_margin if ref_ball.prune_margin else 0.0
-    horizon = ref_ball.radius - margin
-    if t_max > horizon + 1e-9:
-        raise HorizonError(
-            f"window {t_max:.3g} exceeds the reliable radius {horizon:.3g}"
-        )
+    _check_horizon(ref_ball, t_max)
     if h_t <= 0.0:
         raise ValueError("sample step must be positive")
-    u = np.asarray(xi.direction, dtype=float)
     ts = np.arange(0.0, t_max + 0.5 * h_t, h_t)
-    pts = np.concatenate(
-        [np.cosh(ts)[:, None], np.sinh(ts)[:, None] * u[None, :]], axis=1
-    )
-    values, censored, _ = orbit_distance(ref_ball, pts)
+    values, censored, _ = orbit_distance(ref_ball, ray_points(xi.direction, ts))
     tail_start = tail_fraction * t_max
     tail = ts >= tail_start
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -605,12 +594,7 @@ def myrberg_witness(
     ``HorizonError``), the horizon inside which distances below
     ``prune_margin`` are uncensored everywhere in the window.
     """
-    margin = ref_ball.prune_margin if ref_ball.prune_margin else 0.0
-    horizon = ref_ball.radius - margin
-    if t_max > horizon + 1e-9:
-        raise HorizonError(
-            f"window {t_max:.3g} exceeds the reliable radius {horizon:.3g}"
-        )
+    _check_horizon(ref_ball, t_max)
     dim = ref_ball.spec.dim
     x0 = basepoint(dim)
     far = xi.ray_point(t_max)
@@ -665,27 +649,33 @@ def shadow_tail_report(
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must sit strictly between 0 and 1")
     r = 8.0 * atoms.scale
-    n = len(atoms.words)
-    # mass of each word's extension cone, leaves first
-    ext_mass = atoms.weights.copy()
-    order = np.argsort(atoms._lengths, kind="stable")[::-1]
-    for i in order:
-        w = atoms.words[int(i)]
-        if len(w) > 1:
-            parent = atoms.row_of(w[:-1])
-            ext_mass[parent] += ext_mass[int(i)]
-    shells: dict = {}
-    for i in range(n):
-        w = atoms.words[i]
-        for j in range(1, len(w)):
-            ng = atoms.norm_of(w[:j])
-            nh = atoms.norm_of(w[j:])
-            if nh > eta * ng:
-                shells.setdefault(int(math.floor(ng)), set()).add(i)
+    fam = atoms.family
+    # mass of each word's extension cone, leaves first: the n children of
+    # family row q are the consecutive rows n (q + 1) + j
+    cone = np.zeros(len(fam.words))
+    cone[atoms.family_rows] = atoms.weights
+    for length in range(fam.cap, 1, -1):
+        child = np.flatnonzero(fam.lengths == length)
+        parent = np.flatnonzero(fam.lengths == length - 1)
+        cone[parent] += cone[child].reshape(-1, fam.n_letters).sum(axis=1)
+    ext_mass = cone[atoms.family_rows]
+    # distinct (shell, atom) pairs, keyed shell * n + row, over every
+    # split w = g h after position j
+    n = len(atoms)
+    keys = [np.empty(0, dtype=np.int64)]
+    for j in range(1, atoms.cap):
+        rows = np.flatnonzero(atoms.lengths > j)
+        ng = fam.norms[fam.rows_after(-1, atoms.letters[rows, :j])]
+        nh = fam.norms[fam.rows_after(-1, atoms.letters[rows, j:])]
+        hit = nh > eta * ng
+        keys.append(np.floor(ng[hit]).astype(np.int64) * n + rows[hit])
+    shell_of, rows = np.divmod(np.unique(np.concatenate(keys)), n)
+    radii, starts = np.unique(shell_of, return_index=True)
+    shells = dict(zip(radii.tolist(), np.split(rows, starts[1:])))
     rng = np.random.default_rng(seed)
     audit_rows: list = []
     if shells:
-        candidates = sorted({i for rows in shells.values() for i in rows})
+        candidates = np.unique(rows).tolist()
         pick = rng.choice(
             len(candidates), size=min(audit, len(candidates)), replace=False
         )
@@ -701,7 +691,7 @@ def shadow_tail_report(
     shell_rows = []
     max_ratio = 0.0
     for R in sorted(shells):
-        total = float(sum(ext_mass[i] for i in shells[R]))
+        total = float(ext_mass[shells[R]].sum())
         bound = 1.1 * math.exp(-0.5 * delta_F * eta * R)
         ratio = total / bound
         max_ratio = max(max_ratio, ratio)

@@ -4,8 +4,8 @@ The central object is :func:`enumerate_ball`: a breadth-first walk over
 words in the generators that keeps every element whose basepoint
 displacement is at most ``radius`` (plus a pruning margin so that words
 passing slightly outside the ball are still explored).  The result is a
-column store (norms, matrices, parent/letter links) that the growth,
-measure, and dimension layers all consume.
+column store (norms, matrices, parent/letter links) that the growth and
+measure layers consume.
 
 Deduplication strategies, chosen per group:
 

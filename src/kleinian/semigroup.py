@@ -58,6 +58,7 @@ from .hyperbolic import (
     boost,
     gromov_product,
     radial_split,
+    ray_points,
     stable_arcosh,
 )
 from .orbit import (
@@ -150,6 +151,15 @@ class StageConditionError(SemigroupError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
+
+
+def _require_matrices(pair, *elements) -> None:
+    """Refuse literal-mode work: symbolic elements carry no matrices."""
+    if pair.symbolic or any(g.symbolic for g in elements):
+        raise FeasibilityError(
+            "literal-mode elements have no matrices to compute with; use "
+            "synthetic mode"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +463,7 @@ def check_property_A(
     the two-flank chain; the separator's inverse fails by construction
     (its marks double back through the basepoint).
     """
-    if pair.symbolic:
-        raise FeasibilityError(
-            "literal-mode pair elements have no matrices to certify against"
-        )
-    if element.symbolic:
-        raise FeasibilityError("cannot certify a symbolic element")
+    _require_matrices(pair, element)
     use = params if params is not None else pair.chain_params()
     steps = _canonical_steps(element, pair.separator, use.gap_bound)
     cert = check_chain(steps, use)
@@ -484,12 +489,7 @@ def phi_map(element: Isometry, pair: PingPongPair):
     raises :class:`FactCounterexampleError` carrying all four failed
     certificates.
     """
-    if pair.symbolic:
-        raise FeasibilityError(
-            "literal-mode pair elements have no matrices to certify against"
-        )
-    if element.symbolic:
-        raise FeasibilityError("cannot straighten a symbolic element")
+    _require_matrices(pair, element)
     a, b = pair.separator, pair.adjuster
     if element.norm() < a.norm():
         image = b @ a @ b
@@ -528,8 +528,7 @@ def concat_F(parts, pair: PingPongPair) -> Isometry:
         raise ValueError("need at least one part")
     if len(parts) == 1:
         return parts[0]
-    if pair.symbolic or any(p.symbolic for p in parts):
-        raise FeasibilityError("interleaved products need explicit matrices")
+    _require_matrices(pair, *parts)
     a = pair.separator
     product = parts[0]
     for part in parts[1:]:
@@ -604,7 +603,6 @@ def build_seed_alphabet(
     spec: GroupSpec,
     pair: PingPongPair,
     eps: float,
-    mode: str | None = None,
     *,
     n_min: int = 4,
     n_cap: int = 12,
@@ -633,8 +631,7 @@ def build_seed_alphabet(
     screened by Minkowski pairing of orbit columns, which is decisively
     accurate at unit scale; smaller ones use exact word reduction.
     """
-    mode = mode or pair.mode
-    if mode == "literal" or pair.symbolic:
+    if pair.mode == "literal" or pair.symbolic:
         probe = enumerate_ball(spec, 1.8 * spec.max_generator_norm() + 4.0)
         delta = max(estimate_critical_exponent(probe).value, 1e-3)
         r0 = spec.max_generator_norm()
@@ -712,7 +709,7 @@ def build_seed_alphabet(
                 width=w,
                 separation=sep_eff,
                 eps=eps,
-                mode=mode,
+                mode=pair.mode,
                 capped=len(kept) == n_cap,
                 candidates=last_candidates,
                 certificates=kept_certs,
@@ -748,37 +745,23 @@ def family_separation(
     reduction; the reported minima are re-measured from reduced words,
     never from far coordinates.
     """
-    if pair.symbolic:
-        raise FeasibilityError("symbolic pairs have no orbit points")
+    _require_matrices(pair)
     if not alphabet:
         raise ValueError("empty alphabet")
     letter_map = _letter_matrices(spec)
     dim = spec.dim
     a = pair.separator
-    n = len(alphabet)
-
-    words = []
-    mats = []
-    labels = []
-    frontier = [((j,), alphabet[j].matrix, alphabet[j].word) for j in range(n)]
-    with np.errstate(over="ignore"):
-        for level in range(1, depth + 1):
-            for wrd, mat, lab in frontier:
-                words.append(wrd)
-                mats.append(mat)
-                labels.append(lab)
-            if level == depth:
-                break
-            frontier = [
-                (
-                    wrd + (j,),
-                    mat @ a.matrix @ alphabet[j].matrix,
-                    lab + a.word + alphabet[j].word,
-                )
-                for wrd, mat, lab in frontier
-                for j in range(n)
-            ]
+    fam = _enumerate_family(alphabet, a, depth, math.inf)
+    if fam.cap < depth:
+        raise FeasibilityError(f"depth-{depth} words overflow float matrices")
+    words = fam.words
     n_words = len(words)
+    # label words in row order, for free reduction
+    level = [g.word for g in alphabet]
+    labels = list(level)
+    for _ in range(1, depth):
+        level = [lab + a.word + g.word for lab in level for g in alphabet]
+        labels += level
 
     # exact coincidence screen on reduced normal forms
     seen: dict = {}
@@ -804,9 +787,9 @@ def family_separation(
             "prefix_identity": prefix_identity,
         }
 
-    cols = np.stack([m[:, 0] for m in mats])
-    first = np.array([wrd[0] for wrd in words])
-    lengths = np.array([len(wrd) for wrd in words])
+    cols = fam.columns
+    first = fam.letters[:, 0]
+    lengths = fam.lengths
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.outer(cols[:, 0], cols[:, 0]) - cols[:, 1:] @ cols[:, 1:].T
     branch = first[:, None] != first[None, :]
@@ -923,14 +906,6 @@ def _certify_far(bins, nbins, bin_width, rs, phis, threshold):
     return ok
 
 
-def _ray_points(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Points along the basepoint ray toward unit direction ``u``."""
-    ts = np.asarray(ts, dtype=float)
-    return np.concatenate(
-        [np.cosh(ts)[:, None], np.sinh(ts)[:, None] * u[None, :]], axis=1
-    )
-
-
 def _floor_depth(ball: OrbitBall, point: np.ndarray):
     """Certified lower bound for d(point, orbit) plus the nearest row."""
     value, _, row = orbit_distance(ball, point)
@@ -1007,7 +982,7 @@ def find_deep_element(
         for start in range(0, int(cand.size), batch):
             block = np.arange(start, min(start + batch, int(cand.size)))
             rows = [
-                _ray_points_batch(cand_dirs[block], f * cand_norms[block])
+                ray_points(cand_dirs[block], f * cand_norms[block])
                 for f in fractions
             ]
             samples = np.concatenate(rows)
@@ -1026,7 +1001,7 @@ def find_deep_element(
     length = float(cand_norms[chosen])
     u_dir = cand_dirs[chosen]
     ts = np.linspace(0.0, length, max(int(math.ceil(length / h)) + 1, 8))
-    vals, _, _ = orbit_distance(ball, _ray_points(u_dir, ts))
+    vals, _, _ = orbit_distance(ball, ray_points(u_dir, ts))
     floor = np.minimum(vals, ball.radius - ts)
     peak = int(np.argmax(floor))
     diag.update(
@@ -1040,7 +1015,7 @@ def find_deep_element(
         return DeepElementQuery(M=M, result=None, diagnostics=diag)
 
     def depth_at(t: float):
-        return _floor_depth(ball, _ray_points(u_dir, np.array([t]))[0])
+        return _floor_depth(ball, ray_points(u_dir, t))
 
     def crossing(i_out, i_in):
         lo, hi = ts[i_out], ts[i_in]
@@ -1057,14 +1032,14 @@ def find_deep_element(
     t_p = crossing(int(below[-1]), int(below[-1]) + 1)
     after = np.flatnonzero(floor[peak:] <= M) + peak
     t_q = crossing(int(after[0]), int(after[0]) - 1)
-    p_point = _ray_points(u_dir, np.array([t_p]))[0]
-    q_point = _ray_points(u_dir, np.array([t_q]))[0]
+    p_point = ray_points(u_dir, t_p)
+    q_point = ray_points(u_dir, t_q)
     _, row_p = _floor_depth(ball, p_point)
     _, row_q = _floor_depth(ball, q_point)
     anchor_inv = ball.element(int(row_p)).inverse()
     witness = anchor_inv @ ball.element(int(row_q))
     inner = np.linspace(t_p, t_q, max(int(math.ceil((t_q - t_p) / h)) + 1, 2))
-    seg_vals, _, _ = orbit_distance(ball, _ray_points(u_dir, inner))
+    seg_vals, _, _ = orbit_distance(ball, ray_points(u_dir, inner))
     seg_floor = np.minimum(seg_vals, ball.radius - inner)
     measured = float(seg_floor.min())
     diag.update(
@@ -1086,32 +1061,64 @@ def find_deep_element(
     )
 
 
-def _ray_points_batch(dirs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Points at radius ts[i] along the ray toward dirs[i]."""
-    ts = np.asarray(ts, dtype=float)
-    return np.concatenate([np.cosh(ts)[:, None], np.sinh(ts)[:, None] * dirs], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Staged construction.
 
 
 @dataclass
 class TruncatedFamily:
-    """Interleaved words up to a length cap, with their norms.
+    """Every interleaved word up to a length cap, as one word tree.
 
-    ``words`` are tuples of alphabet indices.  Norms whose matrices
-    overflow become inf and drop out of every series sum (undercounting,
-    the conservative direction), with the count recorded.
+    Rows run by length, then lexicographically, so the tree is complete
+    and row lookups are arithmetic: appending alphabet index j to the
+    word at row r gives row ``n (r + 1) + j`` (n letters), and the empty
+    word sits at row -1.  ``letters`` holds each word's indices padded
+    with -1, column-major so that per-position passes read contiguous
+    memory; ``columns`` holds the orbit points f x0.  ``words`` and
+    ``lengths`` are read off ``letters``.  Norms whose matrices overflow
+    become inf and drop out of every series sum (undercounting, the
+    conservative direction), with the count recorded.
     """
 
-    words: list
+    letters: np.ndarray
     norms: np.ndarray
-    lengths: np.ndarray
+    columns: np.ndarray
     cap: int
     requested_cap: int
     overflow: int
     budget_hit: bool
+    words: list = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+    n_letters: int = field(init=False)
+
+    def __post_init__(self):
+        self.letters = np.asfortranarray(self.letters, dtype=np.int64)
+        self.lengths = np.count_nonzero(self.letters >= 0, axis=1)
+        self.words = [
+            tuple(row[:n])
+            for row, n in zip(self.letters.tolist(), self.lengths.tolist())
+        ]
+        self.n_letters = int(np.count_nonzero(self.lengths == 1))
+
+    def rows_after(self, start: int, letters: np.ndarray) -> np.ndarray:
+        """Rows of the word at row ``start`` (-1: the empty word) extended by
+        each line of the padded index table ``letters``.  Rows at or past
+        ``len(self.words)`` name words beyond the cap."""
+        rows = np.full(letters.shape[0], start, dtype=np.int64)
+        for col in letters.T:
+            rows = np.where(col >= 0, self.n_letters * (rows + 1) + col, rows)
+        return rows
+
+    def row_of(self, word) -> int:
+        """Row of a nonempty word of alphabet indices (KeyError outside)."""
+        row = -1
+        for j in word:
+            if not 0 <= j < self.n_letters:
+                raise KeyError(tuple(word))
+            row = self.n_letters * (row + 1) + int(j)
+        if not 0 <= row < len(self.words):
+            raise KeyError(tuple(word))
+        return row
 
     def poincare(self, s: float, cap: int | None = None) -> float:
         """Truncated series over nonempty words: sum of exp(-s |w|)."""
@@ -1154,49 +1161,46 @@ def _enumerate_family(
     cap: int,
     max_words: int,
 ) -> TruncatedFamily:
-    letter_mats = [g.matrix for g in alphabet]
-    ext_mats = [separator.matrix @ m for m in letter_mats]
+    letter_mats = np.stack([g.matrix for g in alphabet])
+    ext_mats = separator.matrix @ letter_mats
     max_step = max(g.norm() for g in alphabet) + separator.norm()
     # words longer than this overflow cosh; inf norms would only be
     # discarded later, so the cap is lowered up front
     cap_eff = max(1, min(cap, int(700.0 // max_step)))
-    total = 0
-    n_letters = len(letter_mats)
-    for n in range(1, cap_eff + 1):
-        total += n_letters**n
-        if total > max_words:
-            cap_eff = n - 1 if n > 1 else 1
-            break
+    n_letters = len(alphabet)
+    sizes = [n_letters**n for n in range(1, cap_eff + 1)]
+    # the longest levels whose word count fits the budget, at least one
+    cap_eff = max(1, int(np.count_nonzero(np.cumsum(sizes) <= max_words)))
+    sizes = sizes[:cap_eff]
     budget_hit = cap_eff < cap
-    words = []
-    norms = []
-    lengths = []
-    overflow = 0
-    frontier = [((j,), letter_mats[j]) for j in range(n_letters)]
-    with np.errstate(over="ignore"):
-        for n in range(1, cap_eff + 1):
-            for word, mat in frontier:
-                words.append(word)
-                lengths.append(n)
-                norm = float(stable_arcosh(mat[0, 0]))
-                if not math.isfinite(norm):
-                    norm = math.inf
-                    overflow += 1
-                norms.append(norm)
-            if n == cap_eff:
-                break
-            frontier = [
-                (word + (j,), mat @ ext_mats[j])
-                for word, mat in frontier
-                for j in range(n_letters)
-            ]
+    # one stacked product per level; level n is word-major, letter-minor,
+    # which is the lexicographic order of its words
+    letters = np.full((sum(sizes), cap_eff), -1, dtype=np.int64, order="F")
+    columns = np.empty((sum(sizes), letter_mats.shape[1]))
+    mats = letter_mats
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, size in enumerate(sizes, start=1):
+            block = slice(start, start + size)
+            for p in range(n):
+                digit = np.arange(size) // n_letters ** (n - 1 - p)
+                letters[block, p] = digit % n_letters
+            columns[block] = mats[:, :, 0]
+            start += size
+            if n < cap_eff:
+                mats = np.matmul(mats[:, None], ext_mats[None]).reshape(
+                    -1, *mats.shape[1:]
+                )
+        norms = stable_arcosh(columns[:, 0])
+    overflow = ~np.isfinite(norms)
+    norms[overflow] = math.inf
     return TruncatedFamily(
-        words=words,
-        norms=np.asarray(norms),
-        lengths=np.asarray(lengths, dtype=np.int64),
+        letters=letters,
+        norms=norms,
+        columns=columns,
         cap=cap_eff,
         requested_cap=cap,
-        overflow=overflow,
+        overflow=int(overflow.sum()),
         budget_hit=budget_hit,
     )
 
@@ -1243,7 +1247,6 @@ def build_stage(
     spec: GroupSpec,
     pair: PingPongPair,
     ball: OrbitBall,
-    mode: str | None = None,
     *,
     eps: float = 0.4,
     rho_R: float = 4.0,
@@ -1270,11 +1273,7 @@ def build_stage(
     :class:`StageConditionError` with a diagnostic separating
     truncation shortfall from genuine violation.
     """
-    mode = mode or pair.mode
-    if mode == "literal" or pair.symbolic:
-        raise FeasibilityError(
-            "literal mode cannot build stages: its elements have no matrices"
-        )
+    _require_matrices(pair)
     gamma_est = estimate_critical_exponent(ball)
 
     substitute = None
@@ -1329,7 +1328,7 @@ def build_stage(
 
     report: dict = {
         "k": k,
-        "mode": mode,
+        "mode": pair.mode,
         "alphabet_size": len(alphabet),
         "alphabet_norms": [float(g.norm()) for g in alphabet],
         "R_k": float(r_k),

@@ -41,7 +41,7 @@ from kleinian.hyperbolic import (
     radial_split,
     stable_arcosh,
 )
-from kleinian.measure import TOL_SERIES, W_MIN
+from kleinian.measure import TOL_SERIES, W_MIN, _is_prefix
 from kleinian.semigroup import SemigroupStage, TruncatedFamily
 
 
@@ -72,6 +72,11 @@ def stage3(spec3, pair3, seed3):
 @pytest.fixture(scope="module")
 def atoms3(stage3):
     return ps_atoms(stage3, stage3.interval[0] + 0.1)
+
+
+@pytest.fixture(scope="module")
+def light3(stage3):
+    return ps_atoms(stage3, stage3.interval[0] + 0.1, w_min=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +146,9 @@ def _stub_stage(norms, pair):
         for i, t in enumerate(norms)
     ]
     fam = TruncatedFamily(
-        words=[(i,) for i in range(len(norms))],
+        letters=np.arange(len(norms))[:, None],
         norms=np.asarray(norms, dtype=float),
-        lengths=np.ones(len(norms), dtype=int),
+        columns=np.stack([g.matrix[:, 0] for g in elements]),
         cap=1,
         requested_cap=1,
         overflow=0,
@@ -234,6 +239,68 @@ def test_weight_floor_drop_is_accounted(stage3):
 def test_weight_floor_default():
     assert W_MIN == 1e-12
     assert TOL_SERIES == 1e-6
+
+
+# -- word-tree lookups ------------------------------------------------------
+
+
+def _transport_oracle(atoms, n_letters=4):
+    """Transported mass and slack per (apex, h) through a word -> row dict."""
+    row = {w: i for i, w in enumerate(atoms.words)}
+    letters = [w for w in atoms.words if len(w) == 1][:n_letters]
+    out = []
+    for k in letters:
+        member = np.flatnonzero(apex_products(atoms, k) <= 8.0 * atoms.scale)
+        for h in letters:
+            moved = slack = 0.0
+            for v in member:
+                hv = h + atoms.words[v]
+                if hv in row:
+                    moved += atoms.weights[row[hv]]
+                else:
+                    slack += atoms.weights[v]
+            out.append((moved, slack))
+    return out
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3"])
+def test_word_tree_lookups_match_tuple_slicing(request, name, pair3):
+    atoms = request.getfixturevalue(name)
+    fam = atoms.family
+    if name == "light3":
+        assert (len(atoms), atoms.dropped_floor) == (1884, 20736)
+    family_row = {w: i for i, w in enumerate(fam.words)}
+    assert [atoms.row_of(w) for w in atoms.words] == list(range(len(atoms)))
+    assert [family_row[w] for w in atoms.words] == atoms.family_rows.tolist()
+    for j in range(1, atoms.cap):
+        longer = np.flatnonzero(atoms.lengths > j)
+        suffix = fam.rows_after(-1, atoms.letters[longer, j:])
+        prefix = fam.rows_after(-1, atoms.letters[longer, :j])
+        assert suffix.tolist() == [family_row[atoms.words[i][j:]] for i in longer]
+        assert prefix.tolist() == [family_row[atoms.words[i][:j]] for i in longer]
+    for g in atoms.words[:: len(atoms) // 40]:
+        expect = [w[: len(g)] == g for w in atoms.words]
+        assert _is_prefix(atoms, g).tolist() == expect
+    checks = quasi_invariance_report(atoms, pair3)["checks"]
+    oracle = _transport_oracle(atoms)
+    assert len(checks) == len(oracle) == 16
+    for check, (moved, slack) in zip(checks, oracle):
+        assert np.isclose(check["transported"], moved, rtol=1e-12, atol=0.0)
+        assert np.isclose(check["slack"], slack, rtol=1e-12, atol=0.0)
+    if name == "light3":
+        # words prepended past the floor land in the slack
+        assert any(check["slack"] > 0.0 for check in checks)
+
+
+def test_row_of_rejects_dropped_and_foreign_words(atoms3, light3):
+    n = light3.family.n_letters
+    dropped = light3.family.words[-1]
+    assert dropped in atoms3.words and dropped not in light3.words
+    for word in (dropped, (n,), (0, n), (-1,), (), (0,) * (light3.cap + 1)):
+        with pytest.raises(KeyError):
+            light3.row_of(word)
+    with pytest.raises(KeyError):
+        atoms3.row_of((0, n))
 
 
 # -- shadows ----------------------------------------------------------------

@@ -33,7 +33,7 @@ from kleinian import (
     phi_map,
 )
 from kleinian.chains import ChainParams, check_chain
-from kleinian.hyperbolic import Point, basepoint
+from kleinian.hyperbolic import Point, basepoint, stable_arcosh
 from kleinian.semigroup import EXTENSION_TOL
 
 
@@ -388,10 +388,73 @@ def test_family_prefix_collision_detected(spec3, pair3, seed3):
     assert report["prefix_identity"] == (0,)
 
 
+def test_family_refuses_depths_past_float_matrices(spec3, pair3, seed3):
+    # each interleave step adds |a^16| + |a| = 255: three pass cosh's range
+    huge = pair3.separator.power(16)
+    assert huge.norm() == pytest.approx(16 * pair3.separator.norm())
+    with pytest.raises(FeasibilityError):
+        family_separation(spec3, [huge, seed3.elements[0]], pair3, depth=3)
+
+
 def test_family_rejects_symbolic_pair(spec3, seed3):
     literal = find_ping_pong_pair(spec3, mode="literal")
     with pytest.raises(FeasibilityError):
         family_separation(spec3, seed3.elements, literal)
+
+
+# ---------------------------------------------------------------------------
+# The interleaved family as one word tree.
+
+
+def _frontier_family(alphabet, separator, cap):
+    """Per-word frontier enumeration: word tuples and one matrix per word."""
+    ext = [separator.matrix @ g.matrix for g in alphabet]
+    words, mats = [], []
+    frontier = [((j,), g.matrix) for j, g in enumerate(alphabet)]
+    for level in range(1, cap + 1):
+        words += [w for w, _ in frontier]
+        mats += [m for _, m in frontier]
+        if level < cap:
+            frontier = [
+                (w + (j,), m @ ext[j]) for w, m in frontier for j in range(len(ext))
+            ]
+    return words, np.array(mats)
+
+
+def test_word_tree_matches_frontier_enumeration(spec3, pair3, seed3, ball3):
+    fam = build_stage(seed3, spec3, pair3, ball3, eps=0.45).truncated_F
+    words, mats = _frontier_family(seed3.elements, pair3.separator, fam.cap)
+    assert fam.cap == 4
+    assert fam.words == words
+    assert fam.lengths.tolist() == [len(w) for w in words]
+    padded = [list(w) + [-1] * (fam.cap - len(w)) for w in words]
+    assert fam.letters.tolist() == padded
+    assert fam.letters.flags["F_CONTIGUOUS"]
+    norms = stable_arcosh(mats[:, 0, 0])
+    assert np.allclose(fam.norms, norms, rtol=1e-12, atol=0.0)
+    cols = mats[:, :, 0]
+    assert np.max(np.abs(fam.columns - cols) / cols[:, :1]) <= 1e-12
+    assert [fam.row_of(w) for w in words] == list(range(len(words)))
+    # appending letter j to row r lands on row n (r + 1) + j
+    n = len(seed3.elements)
+    for r in (0, 7, 150, 1800):
+        for j in (0, n - 1):
+            assert fam.row_of(words[r] + (j,)) == n * (r + 1) + j
+
+
+def test_family_separation_reads_the_word_tree(spec3, pair3, seed3):
+    report = family_separation(spec3, seed3.elements, pair3, depth=3)
+    words, mats = _frontier_family(seed3.elements, pair3.separator, 3)
+    cols = mats[:, :, 0]
+    gram = np.outer(cols[:, 0], cols[:, 0]) - cols[:, 1:] @ cols[:, 1:].T
+    first = np.array([w[0] for w in words])
+    upper = np.triu(np.ones(gram.shape, dtype=bool), k=1)
+    mask = (first[:, None] != first[None, :]) & upper
+    bi, bj = divmod(int(np.argmin(np.where(mask, gram, np.inf))), len(words))
+    assert report["branch_pair"] == (words[bi], words[bj])
+    short = [i for i, w in enumerate(words) if len(w) <= 2]
+    vals = cols[short] @ pair3.separator.matrix[0]
+    assert report["prefix_word"] == words[short[int(np.argmin(vals))]]
 
 
 # ---------------------------------------------------------------------------
