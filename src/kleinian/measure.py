@@ -412,7 +412,8 @@ def quasi_invariance_report(
     audit_max = -math.inf
     audit_members = 0
     for k in letters:
-        member = apex_products(atoms, k) <= r
+        products = apex_products(atoms, k)
+        member = products <= r
         mass_o = float(atoms.weights[member].sum())
         for h in letters:
             nh = atoms.norm_of(h)
@@ -442,7 +443,7 @@ def quasi_invariance_report(
             replace=False,
         )
         if sample.size:
-            audit_max = max(audit_max, float(apex_products(atoms, k)[sample].max()))
+            audit_max = max(audit_max, float(products[sample].max()))
     return {
         "s": s,
         "n_checks": len(checks),

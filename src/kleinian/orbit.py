@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -271,8 +272,9 @@ class OrbitBall:
             i = int(self.parent[i])
         return tuple(reversed(out))
 
-    @property
+    @cached_property
     def letter_labels(self):
+        """Signed label of each letter index, read once per ball."""
         return [lab for lab, _, _ in self.spec.letters()]
 
     def element(self, i: int) -> Isometry:

@@ -37,6 +37,15 @@ accurate at any norm.  In dimension 3 and up the frame is determined
 only up to a twist about the travel axis, which moves no gap and no
 product, so certificates are unaffected.
 
+Straightening never walks those steps to reach a verdict.  The interior
+gaps of a canonical chain are all |g| / n and its interior products are
+all 0, so the verdict depends only on |a|, |g| / n and the two flank
+products, which have closed forms in the travel directions of ``g``.
+:func:`phi_map` and :func:`build_seed_alphabet` judge every decoration
+of every element by those closed forms in one array pass, and build the
+step-form certificate only for the images they return; each returned
+certificate must reproduce the closed-form verdict, or the call raises.
+
 Equality and nearness of far elements are likewise never judged from
 coordinates: quotient words are freely reduced first, which decides
 coincidence exactly for free generator systems and leaves only
@@ -56,9 +65,9 @@ from .hyperbolic import (
     Point,
     basepoint,
     boost,
-    gromov_product,
     radial_split,
     ray_points,
+    split_distance,
     stable_arcosh,
 )
 from .orbit import (
@@ -257,20 +266,16 @@ def _branch_products(ball: OrbitBall, window: int) -> float:
     """Largest basepoint Gromov product over first-letter-branching pairs."""
     members = [int(i) for i in ball.by_norm() if ball.word_length[i] > 0]
     members = members[:window]
-    pts = ball.orbit_points(np.asarray(members, dtype=np.int64))
-    first = [ball.word(i)[0] for i in members]
-    x0 = basepoint(ball.spec.dim)
-    best = 0.0
-    found = False
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if first[i] == first[j]:
-                continue
-            found = True
-            best = max(best, float(gromov_product(pts[i], pts[j], x0)))
-    if not found:
+    first = np.array([ball.word(i)[0] for i in members])
+    branch = first[:, None] != first[None, :]
+    if not branch.any():
         raise PairNotFoundError("orbit window never branches; group looks cyclic")
-    return best
+    r, u = radial_split(ball.orbit_points(np.asarray(members, dtype=np.int64)))
+    r0, u0 = radial_split(basepoint(ball.spec.dim))
+    to_base = split_distance(r, u, r0, u0)
+    apart = split_distance(r[:, None], u[:, None], r[None, :], u[None, :])
+    products = 0.5 * (to_base[:, None] + to_base[None, :] - apart)
+    return max(0.0, float(products[branch].max()))
 
 
 def find_ping_pong_pair(
@@ -417,37 +422,92 @@ def _embed_rotation(rot: np.ndarray) -> np.ndarray:
     return m
 
 
+def _travel_directions(mats: np.ndarray):
+    """Directions of g x0 and g^{-1} x0 for a matrix or a stack of them.
+
+    g^{-1} x0 is read off the top row: the inverse is J g^T J.
+    """
+    _, u_out = radial_split(mats[..., :, 0])
+    back = np.concatenate([mats[..., :1, 0], -mats[..., 0, 1:]], axis=-1)
+    _, u_in = radial_split(back)
+    return u_out, u_in
+
+
+def _mark_count(length, spacing: float):
+    """Steps marking a geodesic of ``length`` every ``spacing``.
+
+    The count shrinks by one when the division lands on the gap bound,
+    so roundoff cannot dip a step below it.  Broadcasts over ``length``.
+    """
+    n = np.maximum(np.floor(length / spacing), 1.0)
+    return np.where((n > 1.0) & (length / n - spacing < 1e-9), n - 1.0, n)
+
+
 def _canonical_steps(g: Isometry, a: Isometry, spacing: float) -> list:
     """Steps of the basepoint-translate of the canonical chain of ``g``.
 
-    The chain marks the geodesic [x0, g x0] every ``spacing`` (interior
-    count shrunk by one when the division lands on the gap bound, so
-    roundoff cannot dip below it) and flanks it with a^{-1} x0 and
-    g a x0.  Steps: the flank ``a``, conjugated axis boosts, and the
-    rotation residue times ``a``.  The residue comes from orthogonal
-    factors only; recovering it from far matrix products instead would
-    cancel catastrophically.
+    The chain marks the geodesic [x0, g x0] every ``spacing`` (see
+    :func:`_mark_count`) and flanks it with a^{-1} x0 and g a x0.
+    Steps: the flank ``a``, conjugated axis boosts, and the rotation
+    residue times ``a``.  The residue comes from orthogonal factors
+    only; recovering it from far matrix products instead would cancel
+    catastrophically.
     """
     dim = a.dim
     L = g.norm()
     if L <= 1e-12:
         return [a, Isometry(g.matrix @ a.matrix)]
-    gm = g.matrix
-    _, u_out = radial_split(gm[:, 0])
-    # g^{-1} x0 read off the top row: the inverse is J g^T J
-    back = np.concatenate([[gm[0, 0]], -gm[0, 1:]])
-    _, u_in = radial_split(back)
+    u_out, u_in = _travel_directions(g.matrix)
     k1 = _embed_rotation(_rotation_to_e1(u_out))
     w = _embed_rotation(_rotation_to_e1(u_in))
     m_pi = np.eye(dim + 1)
     m_pi[1, 1] = -1.0
     m_pi[2, 2] = -1.0
     k2 = m_pi @ w.T
-    n = max(1, int(math.floor(L / spacing)))
-    if n > 1 and L / n - spacing < 1e-9:
-        n -= 1
+    n = int(_mark_count(L, spacing))
     step = Isometry(k1 @ boost(dim, 1, L / n).matrix @ k1.T)
     return [a] + [step] * n + [Isometry(k1 @ k2 @ a.matrix)]
+
+
+def _chain_verdicts(mats: np.ndarray, pair: PingPongPair):
+    """Closed-form verdicts on the canonical chains of a stack of elements.
+
+    ``mats`` has shape (m, d+1, d+1) and every row must move the
+    basepoint (|g| > 1e-12; straightening only asks about elements at
+    least as long as the separator).  The chain of :func:`_canonical_steps`
+    has flank gaps |a|, n interior gaps stable_arcosh(cosh h) with
+    h = |g| / n, and interior products 0, since consecutive interior
+    steps boost along one axis.  Only the two flank products depend on
+    the direction of ``g``.  The first step ``a`` meets a boost toward
+    u_out, so the first skip has cosh a00 cosh h + sinh h u_out . a[0, 1:].
+    The last step is the rotation residue k1 k2 times ``a``, and k1 k2
+    maps u_in to -u_out, so the last skip has cosh
+    a00 cosh h - sinh h u_in . a[1:, 0].
+
+    Returns (ok, gap, first, last) per row: the verdict, the interior
+    gap and the two flank products.  ``ok`` judges as
+    :func:`~kleinian.chains.check_chain` does, gaps at least D and
+    products at most C, so a NaN gap or product fails.
+    """
+    params = pair.chain_params()
+    am = pair.separator.matrix
+    a_norm = stable_arcosh(am[0, 0])
+    length = stable_arcosh(mats[:, 0, 0])
+    u_out, u_in = _travel_directions(mats)
+    h = length / _mark_count(length, params.gap_bound)
+    ch, sh = np.cosh(h), np.sinh(h)
+    gap = stable_arcosh(ch)
+    first_skip = stable_arcosh(am[0, 0] * ch + sh * (u_out @ am[0, 1:]))
+    last_skip = stable_arcosh(am[0, 0] * ch - sh * (u_in @ am[1:, 0]))
+    first = 0.5 * (a_norm + gap - first_skip)
+    last = 0.5 * (gap + a_norm - last_skip)
+    ok = (
+        (a_norm >= params.gap_bound)
+        & (gap >= params.gap_bound)
+        & (first <= params.product_bound)
+        & (last <= params.product_bound)
+    )
+    return ok, gap, first, last
 
 
 def check_property_A(
@@ -461,7 +521,10 @@ def check_property_A(
     A sufficient-condition verifier: passing certifies the element,
     failing only says this particular marking failed.  The identity gets
     the two-flank chain; the separator's inverse fails by construction
-    (its marks double back through the basepoint).
+    (its marks double back through the basepoint).  This builds and
+    checks the step list; :func:`phi_map` and :func:`build_seed_alphabet`
+    take their verdicts from the closed form of :func:`_chain_verdicts`
+    and call this only for the certificates they return.
     """
     _require_matrices(pair, element)
     use = params if params is not None else pair.chain_params()
@@ -479,13 +542,62 @@ def check_property_A(
     )
 
 
+def _step_certificate(image: Isometry, pair: PingPongPair, ok: bool):
+    """Step-form certificate of ``image``, held to its closed-form verdict."""
+    cert = check_property_A(image, pair)
+    if cert.ok != ok:
+        raise SemigroupError(
+            f"closed-form verdict {ok} disagrees with the step-form chain of "
+            f"|g|={image.norm():.6g} (first violation: {cert.violation})"
+        )
+    return cert
+
+
+def _decorate(element: Isometry, b: Isometry, k: int) -> Isometry:
+    """Decoration ``k`` of ``element``: g, bg, gb, bgb for k = 0, 1, 2, 3."""
+    if k in (1, 3):
+        element = b @ element
+    if k in (2, 3):
+        element = element @ b
+    return element
+
+
+def _first_certified(mats: np.ndarray, pair: PingPongPair):
+    """Per row of ``mats``, the first decoration (index into g, bg, gb,
+    bgb) whose canonical chain certifies, or -1 when none does; plus the
+    decorated stack, shape (4, m, d+1, d+1)."""
+    b = pair.adjuster.matrix
+    bg = b @ mats
+    decorated = np.stack([mats, bg, mats @ b, bg @ b])
+    ok = _chain_verdicts(decorated.reshape(-1, *mats.shape[1:]), pair)[0]
+    ok = ok.reshape(4, -1)
+    return np.where(ok.any(axis=0), ok.argmax(axis=0), -1), decorated
+
+
+def _uncertified(element: Isometry, pair: PingPongPair):
+    """The error for an element that no decoration certifies, carrying
+    the four step-form certificates."""
+    failed = [
+        _step_certificate(_decorate(element, pair.adjuster, k), pair, False)
+        for k in range(4)
+    ]
+    return FactCounterexampleError(
+        f"no decoration of |g|={element.norm():.6g} certified; this "
+        "contradicts the straightening argument",
+        failed,
+    )
+
+
 def phi_map(element: Isometry, pair: PingPongPair):
     """Straighten ``element``: decorate with the adjuster until certified.
 
     Elements below the separator norm all map to the fixed product
-    b a b.  Above it, candidates g, bg, gb, bgb are tried in that fixed
-    order and the first certified one is returned with its certificate.
-    No candidate passing contradicts the straightening argument, so that
+    b a b.  Above it, the first of g, bg, gb, bgb (in that fixed order)
+    whose chain certifies is returned with its certificate.  Verdicts
+    come from the closed form of :func:`_chain_verdicts`, one row of the
+    kernel :func:`build_seed_alphabet` runs over a whole annulus; the
+    step-form certificate is built for the returned image only.  No
+    candidate passing contradicts the straightening argument, so that
     raises :class:`FactCounterexampleError` carrying all four failed
     certificates.
     """
@@ -493,25 +605,20 @@ def phi_map(element: Isometry, pair: PingPongPair):
     a, b = pair.separator, pair.adjuster
     if element.norm() < a.norm():
         image = b @ a @ b
-        cert = check_property_A(image, pair)
-        if not cert.ok:
+        ok = bool(_chain_verdicts(image.matrix[None], pair)[0][0])
+        cert = _step_certificate(image, pair, ok)
+        if not ok:
             raise FactCounterexampleError(
                 "the short-element image b a b failed its own chain; the "
                 "pair calibration is inconsistent",
                 [cert],
             )
         return image, cert
-    failed = []
-    for candidate in (element, b @ element, element @ b, b @ element @ b):
-        cert = check_property_A(candidate, pair)
-        if cert.ok:
-            return candidate, cert
-        failed.append(cert)
-    raise FactCounterexampleError(
-        f"no decoration of |g|={element.norm():.6g} certified; this "
-        "contradicts the straightening argument",
-        failed,
-    )
+    choice = int(_first_certified(element.matrix[None], pair)[0][0])
+    if choice < 0:
+        raise _uncertified(element, pair)
+    image = _decorate(element, b, choice)
+    return image, _step_certificate(image, pair, True)
 
 
 def concat_F(parts, pair: PingPongPair) -> Isometry:
@@ -616,9 +723,12 @@ def build_seed_alphabet(
 
     Walks the ball radius up from just past the separator norm until the
     net has ``n_min`` elements: straightens every member of the outermost
-    width-``width`` annulus, keeps images whose norms stay inside the
-    annulus, and greedily nets them at separation ``0.004 eps R0`` in
-    ascending norm order, capped at ``n_cap``.  Distinctness and
+    width-``width`` annulus as :func:`phi_map` does, keeps images whose
+    norms stay inside the annulus, and greedily nets them at separation
+    ``0.004 eps R0`` in ascending norm order, capped at ``n_cap``.  The
+    four decorations of the whole annulus are judged in one pass of the
+    closed-form kernel; words and step-form certificates are built only
+    for landing images and kept letters respectively.  Distinctness and
     separation are judged on freely reduced quotient words.  Literal
     mode reports the radius its constants would require instead of
     enumerating it.
@@ -657,20 +767,26 @@ def build_seed_alphabet(
         lo = radius - w
         sel = members[(norms >= lo) & (norms <= radius)]
         last_candidates = int(sel.size)
-        images = []
-        for i in sel:
-            img, cert = phi_map(ball.element(int(i)), pair)
-            if lo <= img.norm() <= radius + 1e-9:
-                images.append((img, cert))
-        images.sort(key=lambda ic: (ic[0].norm(), ic[0].word))
+        # annulus members clear the separator norm (lo > |a|), so each
+        # takes the decorated branch of phi_map
+        choice, decorated = _first_certified(ball.mats[sel], pair)
+        missing = np.flatnonzero(choice < 0)
+        if missing.size:
+            raise _uncertified(ball.element(int(sel[missing[0]])), pair)
+        image_norms = stable_arcosh(decorated[choice, np.arange(sel.size), 0, 0])
+        landed = (image_norms >= lo) & (image_norms <= radius + 1e-9)
+        images = [
+            _decorate(ball.element(int(sel[i])), pair.adjuster, int(choice[i]))
+            for i in np.flatnonzero(landed)
+        ]
+        images.sort(key=lambda img: (img.norm(), img.word))
         if separation is None:
             sep_eff = max(0.004 * eps * radius, 1e-9)
         else:
             sep_eff = float(separation)
         kept = []
-        kept_certs = []
         if sep_eff >= 1.0 and images:
-            cols = np.array([img.matrix[:, 0] for img, _ in images])
+            cols = np.array([img.matrix[:, 0] for img in images])
             kept_rows: list = []
             for i in range(len(images)):
                 if kept_rows:
@@ -681,11 +797,10 @@ def build_seed_alphabet(
                 kept_rows.append(i)
                 if len(kept_rows) == n_cap:
                     break
-            kept = [images[i][0] for i in kept_rows]
-            kept_certs = [images[i][1] for i in kept_rows]
+            kept = [images[i] for i in kept_rows]
         else:
             kept_words = []
-            for img, cert in images:
+            for img in images:
                 red = _free_reduce(img.word)
                 admit = True
                 for prev in kept_words:
@@ -699,7 +814,6 @@ def build_seed_alphabet(
                 if admit:
                     kept.append(img)
                     kept_words.append(red)
-                    kept_certs.append(cert)
                 if len(kept) == n_cap:
                     break
         if len(kept) >= n_min:
@@ -712,7 +826,7 @@ def build_seed_alphabet(
                 mode=pair.mode,
                 capped=len(kept) == n_cap,
                 candidates=last_candidates,
-                certificates=kept_certs,
+                certificates=[_step_certificate(g, pair, True) for g in kept],
             )
         radius += 1
     raise EnumerationBudgetError(
@@ -726,6 +840,40 @@ def build_seed_alphabet(
 
 # ---------------------------------------------------------------------------
 # Separation audit of the interleaved family.
+
+
+# entries of one row block of the pairing matrix in family_separation
+PAIRING_BLOCK = 4_000_000
+
+
+def _closest_branching_pair(cols: np.ndarray, first: np.ndarray):
+    """(i, j), i < j, of the smallest pairing -<c_i, c_j> = cosh d over
+    pairs with distinct first letters: the closest branching pair.
+
+    Row blocks of at most :data:`PAIRING_BLOCK` entries keep memory
+    bounded; block [s, e) pairs its rows with the columns from s on.
+    Each block keeps its np.argmin (first minimum, or first NaN, in
+    row-major order), so np.argmin over the block minima picks the same
+    entry as one argmin over the whole masked n x n matrix.
+    """
+    n = cols.shape[0]
+    rows = max(1, PAIRING_BLOCK // n)
+    index = np.arange(n)
+    pairs = []
+    minima = []
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.outer(cols[block, 0], cols[start:, 0])
+            gram -= cols[block, 1:] @ cols[start:, 1:].T
+        mask = (first[block, None] != first[None, start:]) & (
+            index[None, start:] > index[block, None]
+        )
+        gram = np.where(mask, gram, np.inf)
+        i, j = divmod(int(np.argmin(gram)), n - start)
+        pairs.append((start + i, start + j))
+        minima.append(gram[i, j])
+    return pairs[int(np.argmin(minima))]
 
 
 def family_separation(
@@ -790,14 +938,8 @@ def family_separation(
     cols = fam.columns
     first = fam.letters[:, 0]
     lengths = fam.lengths
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.outer(cols[:, 0], cols[:, 0]) - cols[:, 1:] @ cols[:, 1:].T
-    branch = first[:, None] != first[None, :]
-    upper = np.triu(np.ones((n_words, n_words), dtype=bool), k=1)
-    mask = branch & upper
-    if mask.any():
-        flat = int(np.argmin(np.where(mask, gram, np.inf)))
-        bi, bj = divmod(flat, n_words)
+    if (first != first[0]).any():
+        bi, bj = _closest_branching_pair(cols, first)
         branch_quotient = _free_reduce(_inverse_word(labels[bi]) + labels[bj])
         min_branch = _word_norm(branch_quotient, letter_map, dim)
         branch_pair = (words[bi], words[bj])

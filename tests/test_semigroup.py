@@ -32,9 +32,17 @@ from kleinian import (
     identity_isometry,
     phi_map,
 )
+from kleinian import semigroup
 from kleinian.chains import ChainParams, check_chain
 from kleinian.hyperbolic import Point, basepoint, stable_arcosh
-from kleinian.semigroup import EXTENSION_TOL
+from kleinian.semigroup import (
+    EXTENSION_TOL,
+    SemigroupError,
+    _canonical_steps,
+    _chain_verdicts,
+    _closest_branching_pair,
+    _first_certified,
+)
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +367,165 @@ def test_seed_alphabet_torus_budget(torus, torus_pair):
 
 
 # ---------------------------------------------------------------------------
+# Closed-form straightening against per-element step chains.
+
+
+def _annulus(spec, ratio, radius):
+    """Pair, ball and the width-C annulus the seed walk straightens."""
+    pair = find_ping_pong_pair(spec, ratio=ratio)
+    ball = enumerate_ball(spec, radius, prune_margin=2.0)
+    members = ball.by_norm()
+    norms = ball.norms[members]
+    sel = members[(norms >= radius - pair.scale) & (norms <= radius)]
+    return spec, pair, ball, sel
+
+
+@pytest.fixture(scope="module")
+def chain_annulus():
+    return _annulus(build_group("schottky", length=1.8), 1.28, 10.0)
+
+
+@pytest.fixture(scope="module")
+def torus_annulus(torus):
+    return _annulus(torus, 1.0, 9.0)
+
+
+@pytest.mark.parametrize(
+    "name, size", [("chain_annulus", 2936), ("torus_annulus", 1644)]
+)
+def test_closed_form_verdicts_match_step_chains(request, name, size):
+    # every decoration g, bg, gb, bgb of every annulus member, judged
+    # by check_chain on the step list of its canonical chain
+    spec, pair, ball, sel = request.getfixturevalue(name)
+    assert sel.size == size
+    choice, decorated = _first_certified(ball.mats[sel], pair)
+    stack = decorated.reshape(-1, spec.dim + 1, spec.dim + 1)
+    ok, gap, first, last = _chain_verdicts(stack, pair)
+    params = pair.chain_params()
+    a_norm = pair.separator.norm()
+    step_ok = []
+    for i, m in enumerate(stack):
+        steps = _canonical_steps(Isometry(m), pair.separator, pair.gap_bound)
+        cert = check_chain(steps, params)
+        step_ok.append(cert.ok)
+        assert cert.gaps[0] == cert.gaps[-1] == pytest.approx(a_norm, abs=1e-12)
+        assert np.all(cert.gaps[1:-1] == gap[i])
+        assert abs(cert.products[0] - first[i]) <= 1e-12
+        assert abs(cert.products[-1] - last[i]) <= 1e-12
+        assert np.all(np.abs(cert.products[1:-1]) <= 1e-12)
+    step_ok = np.array(step_ok).reshape(4, -1)
+    assert np.array_equal(ok.reshape(4, -1), step_ok)
+    # both verdicts and every decoration occur, so each branch is checked
+    assert 0 < ok.sum() < ok.size
+    assert set(choice.tolist()) == {0, 1, 2, 3}
+    expected = np.where(step_ok.any(axis=0), step_ok.argmax(axis=0), -1)
+    assert np.array_equal(choice, expected)
+
+
+def _reference_phi(element, pair):
+    """Straightening as a per-element loop over step-form chain checks."""
+    a, b = pair.separator, pair.adjuster
+    if element.norm() < a.norm():
+        candidates = [b @ a @ b]
+    else:
+        candidates = [element, b @ element, element @ b, b @ element @ b]
+    for candidate in candidates:
+        cert = check_property_A(candidate, pair)
+        if cert.ok:
+            return candidate, cert
+    raise FactCounterexampleError("no decoration certified", [])
+
+
+def _reference_seed(spec, pair, eps, *, n_min=4, n_cap=12, max_radius=40.0,
+                    separation=None):
+    """The seed walk with one reference straightening per annulus member;
+    returns (radius, candidates, [(image, certificate)])."""
+    w = pair.scale
+    radius = int(math.ceil(pair.separator.norm() + w + 1e-9))
+    while radius <= max_radius:
+        ball = enumerate_ball(spec, float(radius), prune_margin=2.0)
+        members = ball.by_norm()
+        norms = ball.norms[members]
+        sel = members[(norms >= radius - w) & (norms <= radius)]
+        images = [_reference_phi(ball.element(int(i)), pair) for i in sel]
+        images = [ic for ic in images if radius - w <= ic[0].norm() <= radius + 1e-9]
+        images.sort(key=lambda ic: (ic[0].norm(), ic[0].word))
+        sep = max(0.004 * eps * radius, 1e-9) if separation is None else separation
+        kept = []
+        for img, cert in images:
+            if len(kept) == n_cap:
+                break
+            if sep >= 1.0:
+                gaps = [distance(img.orbit_point(), g.orbit_point()) for g, _ in kept]
+            else:
+                gaps = [
+                    stable_arcosh(
+                        word_matrix(reduce_word(g.inverse().word + img.word), spec)[0, 0]
+                    )
+                    for g, _ in kept
+                ]
+            if all(gap >= sep for gap in gaps):
+                kept.append((img, cert))
+        if len(kept) >= n_min:
+            return float(radius), int(sel.size), kept
+        radius += 1
+    raise AssertionError("reference walk found no seed")
+
+
+@pytest.mark.parametrize("name", ["chain", "torus", "seed3"])
+def test_seed_matches_per_element_straightening(request, name):
+    if name == "seed3":
+        spec, pair = request.getfixturevalue("spec3"), request.getfixturevalue("pair3")
+        kwargs = {}
+    else:
+        spec, pair, _, _ = request.getfixturevalue(f"{name}_annulus")
+        kwargs = {
+            "chain": dict(n_min=5, n_cap=200, max_radius=13.0,
+                          separation=18.0 * pair.scale + 4.15),
+            "torus": dict(n_min=38, n_cap=38, max_radius=12.0,
+                          separation=18.0 * pair.scale + 0.5),
+        }[name]
+    seed = build_seed_alphabet(spec, pair, 0.45, **kwargs)
+    radius, candidates, kept = _reference_seed(spec, pair, 0.45, **kwargs)
+    assert (seed.radius, seed.candidates) == (radius, candidates)
+    assert [g.word for g in seed.elements] == [g.word for g, _ in kept]
+    for g, (ref, ref_cert), cert in zip(seed.elements, kept, seed.certificates):
+        assert np.array_equal(g.matrix, ref.matrix)
+        assert cert.ok
+        assert np.array_equal(cert.products, ref_cert.products)
+    assert len(seed.certificates) == len(kept)
+
+
+def test_seed_walk_raises_fact_counterexample(spec3, pair3):
+    # the doomed pair of test_impossible_params_raise_fact_counterexample:
+    # no decoration of any annulus member certifies
+    doomed = dataclasses.replace(pair3, gap_bound=pair3.separator.norm() + 5.0)
+    with pytest.raises(FactCounterexampleError) as info:
+        build_seed_alphabet(spec3, doomed, 0.45)
+    certs = info.value.certificates
+    assert len(certs) == 4
+    assert all(not c.ok for c in certs)
+    g, b = certs[0].element.word, pair3.adjuster.word
+    assert [c.element.word for c in certs] == [g, b + g, g + b, b + g + b]
+
+
+def test_verdict_disagreement_raises(monkeypatch, spec3, pair3, letters3):
+    # a kernel that passes every chain must be caught by the step form
+    doomed = dataclasses.replace(pair3, gap_bound=pair3.separator.norm() + 5.0)
+    closed_form = semigroup._chain_verdicts
+
+    def lenient(mats, pair):
+        ok, *rest = closed_form(mats, pair)
+        return (np.ones_like(ok), *rest)
+
+    monkeypatch.setattr(semigroup, "_chain_verdicts", lenient)
+    with pytest.raises(SemigroupError, match="disagrees"):
+        phi_map(letters3[1].power(6), doomed)
+    with pytest.raises(SemigroupError, match="disagrees"):
+        build_seed_alphabet(spec3, doomed, 0.45)
+
+
+# ---------------------------------------------------------------------------
 # Family separation audit.
 
 
@@ -455,6 +622,35 @@ def test_family_separation_reads_the_word_tree(spec3, pair3, seed3):
     short = [i for i, w in enumerate(words) if len(w) <= 2]
     vals = cols[short] @ pair3.separator.matrix[0]
     assert report["prefix_word"] == words[short[int(np.argmin(vals))]]
+
+
+def _dense_branching_pair(cols, first):
+    """One argmin over the whole masked n x n pairing matrix."""
+    gram = np.outer(cols[:, 0], cols[:, 0]) - cols[:, 1:] @ cols[:, 1:].T
+    upper = np.triu(np.ones(gram.shape, dtype=bool), k=1)
+    mask = (first[:, None] != first[None, :]) & upper
+    return divmod(int(np.argmin(np.where(mask, gram, np.inf))), len(cols))
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("block", [1, 1000, 50_000, semigroup.PAIRING_BLOCK])
+def test_branching_pair_blocks_match_dense_pairing(
+    monkeypatch, spec3, pair3, seed3, depth, block
+):
+    monkeypatch.setattr(semigroup, "PAIRING_BLOCK", block)
+    report = family_separation(spec3, seed3.elements, pair3, depth=depth)
+    words, mats = _frontier_family(seed3.elements, pair3.separator, depth)
+    cols = mats[:, :, 0]
+    first = np.array([w[0] for w in words])
+    bi, bj = _dense_branching_pair(cols, first)
+    assert report["branch_pair"] == (words[bi], words[bj])
+    # reversed rows move the closest pair into the last block; copies of
+    # its two rows tie it, and the first pair in row-major order wins
+    for c, f in (
+        (cols[::-1], first[::-1]),
+        (np.concatenate([cols, cols[[bi, bj]]]), np.concatenate([first, first[[bi, bj]]])),
+    ):
+        assert _closest_branching_pair(c, f) == _dense_branching_pair(c, f)
 
 
 # ---------------------------------------------------------------------------
