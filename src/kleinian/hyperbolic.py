@@ -95,15 +95,30 @@ def minkowski_inner(x, y) -> np.ndarray | float:
     return spatial - x[..., 0] * y[..., 0]
 
 
+def _arcosh_1p(u):
+    """arcosh(1 + u) for u >= 0, finite for every finite u.
+
+    log1p(u + sqrt(u (u + 2))) keeps full precision near u = 0, but
+    u (u + 2) overflows once u passes about 1.3e154; from u = 1e150 on the
+    asymptote log 2 + log1p(u), off by less than 1 / u^2, takes over.
+    """
+    far = u > 1e150
+    # the cheapest tests: a numpy scalar directly, an array by count_nonzero
+    if np.count_nonzero(far) if far.ndim else far:
+        near = _arcosh_1p(np.where(far, 0.0, u))
+        return np.where(far, np.log(2.0) + np.log1p(u), near)[()]
+    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+
+
 def stable_arcosh(w):
-    """arcosh clamped below at 1, accurate near 1.
+    """arcosh clamped below at 1, accurate near 1 and finite up to the
+    largest float.
 
     Uses log1p(u + sqrt(u (u + 2))) with u = w - 1 so that arguments within
     roundoff of 1 give ~sqrt(2u) instead of catastrophic cancellation.
     """
     w = np.asarray(w, dtype=float)
-    u = np.maximum(w - 1.0, 0.0)
-    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+    return _arcosh_1p(np.maximum(w - 1.0, 0.0))
 
 
 def radial_split(points):
@@ -133,8 +148,9 @@ def split_distance(r1, u1, r2, u2):
 
     Uses cosh d = cosh(r1 - r2) + sinh r1 sinh r2 |u1 - u2|^2 / 2, a sum of
     nonnegative terms, so the relative error stays near machine precision
-    even when the direct inner product would cancel to garbage.  Overflows
-    to inf (a correct ordering) once r1 + r2 exceeds ~700.
+    even when the direct inner product would cancel to garbage.  Finite
+    while sinh r1 sinh r2 is, so it overflows to inf (a correct ordering)
+    once r1 + r2 exceeds about 710.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -143,7 +159,7 @@ def split_distance(r1, u1, r2, u2):
     sh = np.sinh(half)
     with np.errstate(over="ignore"):
         u = 2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap
-        return np.log1p(u + np.sqrt(u * (u + 2.0)))
+    return _arcosh_1p(u)
 
 
 def distance(x, y):
@@ -497,11 +513,13 @@ def pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 2_000_000):
     return out
 
 
-def min_distance_to_set(points: np.ndarray, cloud: np.ndarray, chunk: int = 4_000_000):
+def min_distance_to_set(points: np.ndarray, cloud: np.ndarray, chunk: int = 65_536):
     """For each row of ``points``, the min hyperbolic distance to ``cloud``.
 
-    Returns (values, argmins).  Memory-bounded like pairwise_distance but
-    keeps only the running minimum column.
+    Returns (values, argmins); ties go to the first cloud row.  Works in
+    blocks of at most ``chunk`` point-cloud pairs, each handed whole to
+    pairwise_distance, so each temporary holds at most ``chunk * d``
+    floats whatever the sizes of the two sets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cloud = np.asarray(cloud, dtype=float)
@@ -511,12 +529,14 @@ def min_distance_to_set(points: np.ndarray, cloud: np.ndarray, chunk: int = 4_00
     if cloud.shape[0] == 0:
         return best, arg
     cols = max(1, int(chunk // max(m, 1)))
-    for lo in range(0, cloud.shape[0], cols):
-        hi = min(cloud.shape[0], lo + cols)
-        block = pairwise_distance(points, cloud[lo:hi])
-        j = np.argmin(block, axis=1)
-        v = block[np.arange(m), j]
-        take = v < best
-        best[take] = v[take]
-        arg[take] = lo + j[take]
+    rows = max(1, int(chunk // cols))
+    for top in range(0, m, rows):
+        sel = slice(top, min(m, top + rows))
+        for lo in range(0, cloud.shape[0], cols):
+            block = pairwise_distance(points[sel], cloud[lo : lo + cols], chunk)
+            j = np.argmin(block, axis=1)
+            v = block[np.arange(block.shape[0]), j]
+            take = v < best[sel]
+            best[sel][take] = v[take]
+            arg[sel][take] = lo + j[take]
     return best, arg

@@ -14,13 +14,18 @@ Deduplication strategies, chosen per group:
 * ``"exact"``   -- the group carries exact 2x2 integer lifts (subgroups of
                    SL(2,Z)); elements are compared by normalized integer
                    tuples, immune to rounding;
-* ``"binned"``  -- generic float path: candidates whose displacement is
+* ``"binned"``  -- generic float path: candidates whose orbit point is
                    within ``dedup_tol`` of an existing element (in the
                    stable distance kernel) are merged.
 
 Direct float comparison of far elements is hopeless (coordinates live at
 scale e^r), which is why the binned path works on sorted norms plus the
-split distance kernel rather than raw coordinates.
+split distance kernel rather than raw coordinates.  Each BFS level is two
+array passes: candidate pairs against earlier levels come from sorted-norm
+bands, pairs within the level from stable norm order, and one split
+distance call confirms each set.  A greedy rule over the confirmed pairs,
+in norm order, keeps a candidate unless an earlier one it is close to was
+kept.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .hyperbolic import (
     form_matrix,
     form_residual,
     identity_isometry,
+    min_distance_to_set,
     radial_split,
     split_distance,
     stable_arcosh,
@@ -320,44 +326,56 @@ def _resolve_dedup(spec: GroupSpec, dedup: str) -> str:
     return "binned"
 
 
-class _NormWindowIndex:
-    """Candidate merge detector on sorted norms plus the split kernel.
+def _band_pairs(lo, hi):
+    """Every (row, col) with lo[row] <= col < hi[row], in row-major order."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.shape[0]), counts)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, shift + np.arange(rows.shape[0])
 
-    Any two elements within hyperbolic distance ``tol`` have norms within
-    ``tol`` of each other, so scanning a sorted-norm window generates every
-    candidate pair; candidates are then confirmed with the stable distance.
+
+def _binned_level(window, norms, points, tol):
+    """Binned dedup of one BFS level: (fresh mask, window grown by the fresh).
+
+    ``window`` is the norm-sorted (norms, radii, directions) of every element
+    kept at earlier levels.  Points within ``tol`` have norms within ``tol``,
+    so sorted-norm bands generate every candidate pair and one split_distance
+    call per pass confirms them.  A candidate merges when it is within
+    ``tol`` of a window element, or, taking the level in stable norm order,
+    of an earlier candidate that is still fresh and whose norm it exceeds by
+    at most ``tol``.
     """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.norms = np.empty(0)
-        self.radii = np.empty(0)
-        self.dirs = None
-
-    def add(self, norms, points):
-        r, u = radial_split(points)
-        if self.dirs is None:
-            self.dirs = u
-            self.radii = r
-            self.norms = norms
-        else:
-            self.dirs = np.concatenate([self.dirs, u])
-            self.radii = np.concatenate([self.radii, r])
-            self.norms = np.concatenate([self.norms, norms])
-        self.order = np.argsort(self.norms, kind="stable")
-        self.sorted_norms = self.norms[self.order]
-
-    def matches(self, norm, point) -> bool:
-        if self.dirs is None or self.norms.shape[0] == 0:
-            return False
-        lo = np.searchsorted(self.sorted_norms, norm - self.tol, side="left")
-        hi = np.searchsorted(self.sorted_norms, norm + self.tol, side="right")
-        if lo == hi:
-            return False
-        cand = self.order[lo:hi]
-        r, u = radial_split(point)
-        d = split_distance(r, u, self.radii[cand], self.dirs[cand])
-        return bool(np.any(d < self.tol))
+    w_norms, w_radii, w_dirs = window
+    r, u = radial_split(points)
+    i, j = _band_pairs(
+        np.searchsorted(w_norms, norms - tol, side="left"),
+        np.searchsorted(w_norms, norms + tol, side="right"),
+    )
+    fresh = np.ones(norms.shape[0], dtype=bool)
+    fresh[i[split_distance(r[i], u[i], w_radii[j], w_dirs[j]) < tol]] = False
+    order = np.argsort(norms, kind="stable")
+    ranked = norms[order]
+    # the 2 tol band holds every earlier rank the exact norm test admits
+    a, b = _band_pairs(
+        np.searchsorted(ranked, ranked - 2.0 * tol, side="left"),
+        np.arange(ranked.shape[0]),
+    )
+    admitted = ~(ranked[a] - ranked[b] > tol)
+    a, b = order[a[admitted]], order[b[admitted]]
+    close = split_distance(r[a], u[a], r[b], u[b]) < tol
+    # greedy in rank order: pairs arrive sorted by the later rank, so each
+    # earlier candidate's verdict is final before it is read
+    for later, earlier in zip(a[close].tolist(), b[close].tolist()):
+        if fresh[earlier]:
+            fresh[later] = False
+    kept = np.concatenate([w_norms, norms[fresh]])
+    by_norm = np.argsort(kept, kind="stable")
+    window = (
+        kept[by_norm],
+        np.concatenate([w_radii, r[fresh]])[by_norm],
+        np.concatenate([w_dirs, u[fresh]])[by_norm],
+    )
+    return fresh, window
 
 
 def _reorthogonalize_batch(mats: np.ndarray, iterations: int = 3) -> np.ndarray:
@@ -428,8 +446,7 @@ def enumerate_ball(
     if use_int:
         seen = set(_psl_keys(int_levels[0]))
     elif mode == "binned":
-        window = _NormWindowIndex(dedup_tol)
-        window.add(norms_levels[0], mats_levels[0][:, :, 0])
+        window = (norms_levels[0], *radial_split(mats_levels[0][:, :, 0]))
 
     total = 1
     merged = 0
@@ -494,36 +511,12 @@ def enumerate_ball(
             cand_letter = cand_letter[fresh]
             cand_int = cand_int[fresh]
         elif mode == "binned":
-            points = cand[:, :, 0]
-            fresh = np.ones(cand.shape[0], dtype=bool)
-            batch_r, batch_u = radial_split(points)
-            # norm-sorted pass so the intra-batch back-scan can stop early
-            order = np.argsort(norms, kind="stable")
-            taken: list[int] = []
-            for pos in order:
-                if window.matches(norms[pos], points[pos]):
-                    fresh[pos] = False
-                    continue
-                dup = False
-                for jprev in reversed(taken):
-                    if norms[pos] - norms[jprev] > dedup_tol:
-                        break
-                    d = split_distance(
-                        batch_r[pos], batch_u[pos], batch_r[jprev], batch_u[jprev]
-                    )
-                    if d < dedup_tol:
-                        dup = True
-                        break
-                if dup:
-                    fresh[pos] = False
-                else:
-                    taken.append(pos)
+            fresh, window = _binned_level(window, norms, cand[:, :, 0], dedup_tol)
             merged += int(np.count_nonzero(~fresh))
             cand = cand[fresh]
             norms = norms[fresh]
             cand_parent = cand_parent[fresh]
             cand_letter = cand_letter[fresh]
-            window.add(norms, cand[:, :, 0])
         if not use_int and reorth_every and level % reorth_every == 0:
             cand = _reorthogonalize_batch(cand)
             norms = stable_arcosh(cand[:, 0, 0])
@@ -676,23 +669,18 @@ def separated_net(
 def orbit_distance(ball: OrbitBall, points):
     """Distance from query points to the enumerated orbit, with censoring.
 
-    Returns (values, censored, argmin_rows).  A value is censored when it
-    reaches ``radius - d(x0, p)``: orbit points outside the ball could then
-    be closer, so the minimum is only a lower-bound witness.
+    Returns (values, censored, argmin_rows); ties go to the first member
+    row.  One :func:`~kleinian.hyperbolic.min_distance_to_set` pass over
+    the member cloud, so memory stays bounded by its block size however
+    many points are queried.  A value is censored when it reaches
+    ``radius - d(x0, p)``: orbit points outside the ball could then be
+    closer, so the minimum is only a lower-bound witness.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     members = ball.members
-    cloud = ball.orbit_points(members)
-    rc, uc = radial_split(cloud)
-    rp, up = radial_split(pts)
-    vals = np.empty(pts.shape[0])
-    args = np.empty(pts.shape[0], dtype=np.int64)
-    for i in range(pts.shape[0]):
-        d = split_distance(rp[i], up[i], rc, uc)
-        j = int(np.argmin(d))
-        vals[i] = d[j]
-        args[i] = members[j]
-    censored = vals >= ball.radius - rp
+    vals, nearest = min_distance_to_set(pts, ball.orbit_points(members))
+    args = members[nearest]
+    censored = vals >= ball.radius - stable_arcosh(pts[:, 0])
     if np.ndim(points) == 1:
         return float(vals[0]), bool(censored[0]), int(args[0])
     return vals, censored, args

@@ -1064,14 +1064,16 @@ def find_deep_element(
     fractions=(0.35, 0.5, 0.65),
     h: float = H_GEO,
     bin_width: float = 0.25,
-    batch: int = 512,
 ) -> DeepElementQuery:
     """Search the ball for a geodesic segment at depth ``M`` from the orbit.
 
     Scans members long enough to reach peak depth ``2M + peak_slack``,
-    certifies candidate ray samples by conservative sphere exclusion (an
-    exact batched scan in dimension 3 and up), then walks the first
-    certified geodesic to its depth-``M`` crossings P and Q.  The
+    certifies candidate ray samples by conservative sphere exclusion (in
+    dimension 3 and up, by one exact ``orbit_distance`` call over all
+    samples, whose memory stays bounded), then walks the first
+    certified geodesic to its depth-``M`` crossings P and Q.
+    ``diagnostics["certified"]`` counts the candidates with a certified
+    sample in every dimension.  The
     witness translates the crossing data back to the basepoint: with
     ``u`` the nearest member at P and ``v`` the nearest at Q, it is
     x = u^{-1} P, y = u^{-1} Q carried by g = u^{-1} v.  Returns an
@@ -1108,34 +1110,19 @@ def find_deep_element(
     cand_norms = ball.norms[cand]
     _, cand_dirs = radial_split(ball.orbit_points(cand))
 
-    chosen = None
+    rs = np.concatenate([f * cand_norms for f in fractions])
     if spec.dim == 2:
         bins, nbins = _angular_bins(ball, bin_width)
-        rs = np.concatenate([f * cand_norms for f in fractions])
         phis = np.tile(np.arctan2(cand_dirs[:, 1], cand_dirs[:, 0]), len(fractions))
         deep = _certify_far(bins, nbins, bin_width, rs, phis, target)
-        deep &= ball.radius - rs >= target
-        per_candidate = deep.reshape(len(fractions), -1).any(axis=0)
-        diag["certified"] = int(per_candidate.sum())
-        hits = np.flatnonzero(per_candidate)
-        if hits.size:
-            chosen = int(hits[0])
     else:
-        for start in range(0, int(cand.size), batch):
-            block = np.arange(start, min(start + batch, int(cand.size)))
-            rows = [
-                ray_points(cand_dirs[block], f * cand_norms[block])
-                for f in fractions
-            ]
-            samples = np.concatenate(rows)
-            vals, _, _ = orbit_distance(ball, samples)
-            rs = np.concatenate([f * cand_norms[block] for f in fractions])
-            floor = np.minimum(vals, ball.radius - rs)
-            per = (floor >= target).reshape(len(fractions), -1).any(axis=0)
-            if per.any():
-                chosen = int(block[np.flatnonzero(per)[0]])
-                break
-        diag["certified"] = 0 if chosen is None else 1
+        samples = ray_points(np.tile(cand_dirs, (len(fractions), 1)), rs)
+        deep = orbit_distance(ball, samples)[0] >= target
+    deep &= ball.radius - rs >= target
+    per_candidate = deep.reshape(len(fractions), -1).any(axis=0)
+    diag["certified"] = int(per_candidate.sum())
+    hits = np.flatnonzero(per_candidate)
+    chosen = int(hits[0]) if hits.size else None
     if chosen is None:
         return DeepElementQuery(M=M, result=None, diagnostics=diag)
 

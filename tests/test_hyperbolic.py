@@ -28,12 +28,14 @@ from kleinian.hyperbolic import (
     pairwise_distance,
     reorthogonalize,
     rotation,
+    split_distance,
     stable_arcosh,
     unit_tangent,
     validate_isometry,
     visual_angle,
 )
 
+from kleinian import hyperbolic
 from conftest import random_isometry, random_point
 
 X0_2 = basepoint(2)
@@ -284,6 +286,64 @@ def test_min_distance_to_set(rng):
     full = pairwise_distance(pts, cloud)
     assert np.allclose(vals, full.min(axis=1))
     assert np.array_equal(args, full.argmin(axis=1))
+
+
+def test_min_distance_blocks_stay_within_chunk(rng, monkeypatch):
+    """Every block handed to pairwise_distance holds at most ``chunk``
+    pairs, whichever of the two sets is the larger; values and first-row
+    argmins equal the one-shot pairwise minimum."""
+    pts = np.stack([random_point(rng, 3) for _ in range(12)])
+    cloud = np.stack([random_point(rng, 3) for _ in range(90)])
+    full = pairwise_distance(pts, cloud)
+    sizes = []
+    kernel = hyperbolic.pairwise_distance
+
+    def recording(a, b, chunk=2_000_000):
+        sizes.append(a.shape[0] * b.shape[0])
+        return kernel(a, b, chunk)
+
+    monkeypatch.setattr(hyperbolic, "pairwise_distance", recording)
+    for chunk in (1, 5, 12, 64, 1000, 100_000):
+        sizes.clear()
+        vals, args = min_distance_to_set(pts, cloud, chunk=chunk)
+        assert 0 < max(sizes) <= chunk
+        assert sum(sizes) == full.size
+        assert np.array_equal(vals, full.min(axis=1))
+        assert np.array_equal(args, full.argmin(axis=1))
+    # exact ties across blocks go to the first cloud row
+    twice = np.concatenate([cloud, cloud])
+    for chunk in (1, 13, 1000):
+        _, args = min_distance_to_set(pts, twice, chunk=chunk)
+        assert np.array_equal(args, full.argmin(axis=1))
+
+
+@pytest.mark.parametrize("t", [400.0, 600.0, 700.0])
+def test_arcosh_and_split_distance_stay_finite_past_355(t):
+    """u (u + 2) overflows once u passes about 1.3e154 (a distance near
+    355); both kernels switch to log 2 + log1p(u) before that."""
+    assert stable_arcosh(np.cosh(t)) == pytest.approx(t, rel=1e-14)
+    assert boost(2, 1, t).norm() == pytest.approx(t, rel=1e-14)
+    e1 = np.array([1.0, 0.0])
+    assert split_distance(0.5 * t, e1, 0.5 * t, -e1) == pytest.approx(t, rel=1e-14)
+    assert split_distance(t, e1, 0.0, e1) == pytest.approx(t, rel=1e-14)
+
+
+def test_arcosh_unchanged_below_the_switch(rng):
+    """Below u = 1e150 both kernels keep the near-one form bit for bit, so
+    no count pinned on distances under about 345 can flip."""
+
+    def near(u):
+        return np.log1p(u + np.sqrt(u * (u + 2.0)))
+
+    w = 1.0 + np.concatenate([[0.0], np.logspace(-17.0, 150.0, 2000)])
+    assert np.array_equal(stable_arcosh(w), near(np.maximum(w - 1.0, 0.0)))
+    r1, r2 = rng.uniform(0.0, 170.0, size=(2, 500))
+    v = rng.normal(size=(2, 500, 3))
+    u1, u2 = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    sh = np.sinh(0.5 * (r1 - r2))
+    gap = np.sum((u1 - u2) ** 2, axis=-1)
+    want = near(2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap)
+    assert np.array_equal(split_distance(r1, u1, r2, u2), want)
 
 
 def test_distance_far_points():

@@ -2,19 +2,25 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from kleinian import orbit
 from kleinian.groups import cyclic, punctured_torus, schottky
 from kleinian.hyperbolic import (
     boost,
     form_residual,
     pairwise_distance,
+    radial_split,
+    ray_points,
     rotation,
+    split_distance,
     stable_arcosh,
 )
 from kleinian.orbit import (
+    DiscretenessWarning,
     EnumerationBudgetError,
     GroupSpec,
     enumerate_ball,
@@ -287,3 +293,197 @@ def test_write_csv(tmp_path):
     assert lines[0] == "word,norm,x0,x1,x2"
     assert len(lines) == 6
     assert lines[1].startswith("e,0.0")
+
+
+# ---------------------------------------------------------------------------
+# Array passes against per-element reference loops.
+
+
+class _NormWindowIndex:
+    """Reference merge detector: sorted norms of earlier levels scanned per
+    candidate, pairs confirmed one candidate at a time."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.norms = np.empty(0)
+        self.radii = np.empty(0)
+        self.dirs = None
+
+    def add(self, norms, points):
+        r, u = radial_split(points)
+        if self.dirs is None:
+            self.dirs, self.radii, self.norms = u, r, norms
+        else:
+            self.dirs = np.concatenate([self.dirs, u])
+            self.radii = np.concatenate([self.radii, r])
+            self.norms = np.concatenate([self.norms, norms])
+        self.order = np.argsort(self.norms, kind="stable")
+        self.sorted_norms = self.norms[self.order]
+
+    def matches(self, norm, point):
+        lo = np.searchsorted(self.sorted_norms, norm - self.tol, side="left")
+        hi = np.searchsorted(self.sorted_norms, norm + self.tol, side="right")
+        if lo == hi:
+            return False
+        cand = self.order[lo:hi]
+        r, u = radial_split(point)
+        d = split_distance(r, u, self.radii[cand], self.dirs[cand])
+        return bool(np.any(d < self.tol))
+
+
+class _PerCandidateDedup:
+    """Stands in for ``orbit._binned_level``: one candidate at a time in
+    stable norm order, each checked against the window of earlier levels,
+    then back-scanned over the fresh candidates of its own level until the
+    norm gap exceeds the tolerance."""
+
+    def __init__(self):
+        self.index = None
+
+    def __call__(self, window, norms, points, tol):
+        if self.index is None:
+            self.index = _NormWindowIndex(tol)
+            self.index.add(window[0], np.eye(points.shape[1])[:1])
+        fresh = np.ones(points.shape[0], dtype=bool)
+        batch_r, batch_u = radial_split(points)
+        taken = []
+        for pos in np.argsort(norms, kind="stable"):
+            if self.index.matches(norms[pos], points[pos]):
+                fresh[pos] = False
+                continue
+            for jprev in reversed(taken):
+                if norms[pos] - norms[jprev] > tol:
+                    break
+                d = split_distance(
+                    batch_r[pos], batch_u[pos], batch_r[jprev], batch_u[jprev]
+                )
+                if d < tol:
+                    fresh[pos] = False
+                    break
+            if fresh[pos]:
+                taken.append(pos)
+        self.index.add(norms[fresh], points[fresh])
+        return fresh, window
+
+
+def _psl2z(conjugator=None):
+    """PSL(2,Z) on S and T; S fixes the basepoint unless conjugated away."""
+    s = np.array([[0, -1], [1, 0]])
+    t = np.array([[1, 1], [0, 1]])
+    if conjugator is None:
+        return GroupSpec([sl2_to_so21(s), sl2_to_so21(t)], 2, int_rep=[s, t])
+    c, c_inv = conjugator.matrix, conjugator.inverse().matrix
+    return GroupSpec([c @ sl2_to_so21(g) @ c_inv for g in (s, t)], 2)
+
+
+GENERIC_BASEPOINT = boost(2, 1, 0.37) @ rotation(2, 1, 2, 0.61)
+
+DEDUP_CASES = {
+    "torus-7": (punctured_torus, 7.0, 23_941, 0),
+    "psl2z-6": (_psl2z, 6.0, 105, 210),
+    "psl2z-8": (_psl2z, 8.0, 285, 570),
+    "psl2z-generic-6": (lambda: _psl2z(GENERIC_BASEPOINT), 6.0, 13_156, 17_116),
+    "psl2z-generic-6.5": (lambda: _psl2z(GENERIC_BASEPOINT), 6.5, 21_824, 28_440),
+    "schottky3-6": (lambda: schottky(2.0, dim=3), 6.0, 1_461, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(DEDUP_CASES))
+def test_binned_dedup_matches_per_candidate_walk(case, monkeypatch):
+    build, radius, rows, merged = DEDUP_CASES[case]
+    spec = build()
+    with warnings.catch_warnings():
+        # the S-fixed basepoint trips the discreteness check in both runs
+        warnings.simplefilter("ignore", DiscretenessWarning)
+        ball = enumerate_ball(spec, radius, dedup="binned")
+        monkeypatch.setattr(orbit, "_binned_level", _PerCandidateDedup())
+        want = enumerate_ball(spec, radius, dedup="binned")
+    assert (len(ball), ball.merged) == (rows, merged)
+    assert ball.merged == want.merged
+    for name in ("norms", "mats", "parent", "letter"):
+        assert np.array_equal(getattr(ball, name), getattr(want, name)), name
+
+
+def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
+    """Boosts along one axis by 1, 1 + 0.6 tol and 1 + 1.2 tol: the middle
+    image merges into the first, and the last, within tol of the merged
+    middle one only, stays."""
+    tol = 1e-3
+    spec = GroupSpec(
+        [boost(2, 1, 1.0 + k * 0.6 * tol) for k in range(3)], 2, semigroup=True
+    )
+    ball = enumerate_ball(spec, 2.1, prune_margin=0.0, dedup_tol=tol)
+    want = [0.0, 1.0, 1.0 + 1.2 * tol, 2.0, 2.0 + 1.2 * tol, 2.0 + 2.4 * tol]
+    assert ball.norms.shape == (len(want),)
+    assert np.allclose(ball.norms, want, rtol=0.0, atol=1e-12)
+    assert ball.merged == 4
+    monkeypatch.setattr(orbit, "_binned_level", _PerCandidateDedup())
+    ref = enumerate_ball(spec, 2.1, prune_margin=0.0, dedup_tol=tol)
+    assert np.array_equal(ball.norms, ref.norms) and ball.merged == ref.merged
+
+
+def _per_query_orbit_distance(ball, points):
+    """Reference: one split_distance row per query point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    members = ball.members
+    rc, uc = radial_split(ball.orbit_points(members))
+    rp, up = radial_split(pts)
+    vals = np.empty(pts.shape[0])
+    args = np.empty(pts.shape[0], dtype=np.int64)
+    for i in range(pts.shape[0]):
+        d = split_distance(rp[i], up[i], rc, uc)
+        j = int(np.argmin(d))
+        vals[i] = d[j]
+        args[i] = members[j]
+    return vals, vals >= ball.radius - rp, args
+
+
+def _torus_rays():
+    ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
+    dirs = [np.array([np.cos(a), np.sin(a)]) for a in (0.3, 1.9, 4.4)]
+    ts = np.linspace(0.0, 8.0, 161)
+    return ball, np.concatenate([ray_points(u, ts) for u in dirs])
+
+
+def _schottky3_cloud():
+    ball = enumerate_ball(schottky(2.0, dim=3), 8.0, prune_margin=2.0)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(400, 3))
+    u = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return ball, ray_points(u, rng.uniform(0.0, 7.0, size=400))
+
+
+def _cyclic_ties():
+    """Points halfway between consecutive orbit points of a translation,
+    and at orbit points: every nearest member is an exact tie or exact."""
+    ball = enumerate_ball(cyclic(1.0), 5.5)
+    return ball, ray_points(np.array([1.0, 0.0]), np.arange(-4.5, 5.0, 0.5))
+
+
+@pytest.mark.parametrize("build", [_torus_rays, _schottky3_cloud, _cyclic_ties])
+def test_orbit_distance_matches_per_query_loop(build):
+    ball, points = build()
+    vals, censored, args = orbit_distance(ball, points)
+    want_vals, want_censored, want_args = _per_query_orbit_distance(ball, points)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(censored, want_censored)
+    assert np.array_equal(args, want_args)
+    # single points come back as scalars with the same answers
+    for i in (0, points.shape[0] // 2, points.shape[0] - 1):
+        assert orbit_distance(ball, points[i]) == (
+            float(want_vals[i]),
+            bool(want_censored[i]),
+            int(want_args[i]),
+        )
+
+
+def test_orbit_distance_ties_go_to_the_first_member():
+    ball, points = _cyclic_ties()
+    vals, _, args = orbit_distance(ball, points)
+    members = ball.members
+    rp, up = radial_split(points)
+    rc, uc = radial_split(ball.orbit_points(members))
+    at_min = split_distance(rp[:, None], up[:, None, :], rc, uc) == vals[:, None]
+    assert np.array_equal(args, members[np.argmax(at_min, axis=1)])
+    # the halfway points do tie: two members at the minimum
+    assert np.any(np.count_nonzero(at_min, axis=1) == 2)

@@ -34,7 +34,16 @@ from kleinian import (
 )
 from kleinian import semigroup
 from kleinian.chains import ChainParams, check_chain
-from kleinian.hyperbolic import Point, basepoint, stable_arcosh
+from kleinian.hyperbolic import (
+    Point,
+    basepoint,
+    boost,
+    radial_split,
+    ray_points,
+    split_distance,
+    stable_arcosh,
+)
+from kleinian.orbit import GroupSpec
 from kleinian.semigroup import (
     EXTENSION_TOL,
     SemigroupError,
@@ -684,6 +693,65 @@ def test_schottky_stays_shallow():
     query = find_deep_element(spec, 2.0, ball)
     assert query.result is None
     assert query.diagnostics["certified"] == 0
+
+
+def _batched_deep_choice(ball, M, batch, fractions=(0.35, 0.5, 0.65), slack=0.25):
+    """Reference for dimension 3 and up: candidates scanned in batches of
+    ray samples, one split_distance row per sample.  Returns the candidate
+    rows, the first certified position and the certified count."""
+    target = 2.0 * M + slack
+    members = ball.by_norm()
+    cand = members[ball.norms[members] >= 2.0 * target]
+    norms = ball.norms[cand]
+    _, dirs = radial_split(ball.orbit_points(cand))
+    rc, uc = radial_split(ball.orbit_points(ball.members))
+    chosen, certified = None, 0
+    for start in range(0, cand.size, batch):
+        block = np.arange(start, min(start + batch, cand.size))
+        rs = np.concatenate([f * norms[block] for f in fractions])
+        samples = [ray_points(dirs[block], f * norms[block]) for f in fractions]
+        rp, up = radial_split(np.concatenate(samples))
+        vals = np.array([split_distance(r, u, rc, uc).min() for r, u in zip(rp, up)])
+        per = (np.minimum(vals, ball.radius - rs) >= target).reshape(len(fractions), -1)
+        per = per.any(axis=0)
+        certified += int(per.sum())
+        if chosen is None and per.any():
+            chosen = int(block[np.flatnonzero(per)[0]])
+    return cand, chosen, certified
+
+
+def test_deep_element_3d_matches_batched_scan():
+    """Boosts a, b of lengths 2.5 and 5.5 along orthogonal axes of H^3: the
+    first two candidates, a^2 and a^-2 of norm 5, stay shallow and b is
+    the first deep one; the witness is b, entered and left at depth 1."""
+    spec = GroupSpec([boost(3, 1, 2.5), boost(3, 2, 5.5)], 3, free=True)
+    ball = enumerate_ball(spec, 12.0, prune_margin=2.0)
+    query = find_deep_element(spec, 1.0, ball)
+    cand, chosen, certified = _batched_deep_choice(ball, 1.0, batch=7)
+    assert (chosen, certified) == (2, 34)
+    assert query.diagnostics["candidates"] == cand.size
+    assert query.diagnostics["certified"] == certified
+    assert query.diagnostics["chosen_norm"] == ball.norms[cand[chosen]]
+    witness = query.result
+    assert witness.element.word == ball.word(cand[chosen]) == (2,)
+    e2 = np.array([0.0, 1.0, 0.0])
+    assert np.allclose(witness.x.coords, ray_points(e2, 1.0), rtol=1e-12, atol=1e-12)
+    assert np.allclose(witness.y.coords, ray_points(e2, 4.5), rtol=1e-12, atol=1e-12)
+    assert witness.measured_depth == pytest.approx(1.0, abs=1e-9)
+
+
+def test_deep_element_3d_benchmark_case_stays_uncertified():
+    spec = build_group("schottky", length=2.0, dim=3)
+    ball = enumerate_ball(spec, 10.0, prune_margin=2.0)
+    query = find_deep_element(spec, 1.0, ball)
+    cand, chosen, certified = _batched_deep_choice(ball, 1.0, batch=512)
+    assert (chosen, certified) == (None, 0)
+    assert query.result is None
+    assert query.diagnostics == {
+        "candidates": cand.size,
+        "threshold": 2.25,
+        "certified": 0,
+    }
 
 
 def test_deep_element_edge_cases(torus, torus_ball):
