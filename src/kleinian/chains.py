@@ -131,10 +131,7 @@ def _step_matrices(chain) -> list | None:
         return None
     seq = list(chain)
     if seq and all(isinstance(s, Isometry) for s in seq):
-        mats = [s.matrix for s in seq]
-        if any(m is None for m in mats):
-            raise ValueError("step chains need explicit matrices")
-        return mats
+        return [s.matrix for s in seq]
     return None
 
 

@@ -143,22 +143,50 @@ def radial_split(points):
     return r, u
 
 
+def _log_sinh(x):
+    """log sinh x for x >= 0, finite past sinh's overflow near 710."""
+    return x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x))
+
+
+def _far_split_distance(r1, r2, half, sh, gap, u):
+    """split_distance where u = 2 sh^2 + sinh r1 sinh r2 gap / 2 is not
+    finite: the sinh product overflowed, or met a zero factor.
+
+    Both terms go to the log domain.  A representable true u is rebuilt
+    for the usual arcosh(1 + u); a larger one gives log 2 + log u, off by
+    less than 1 / u.  Entries of ``u`` that are finite keep their value.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        log_t2 = _log_sinh(r1) + _log_sinh(r2) + np.log(0.5 * gap)
+        u = np.where(np.isfinite(u), u, 2.0 * sh * sh + np.exp(log_t2))
+        log_u = np.logaddexp(np.log(2.0) + 2.0 * _log_sinh(np.abs(half)), log_t2)
+    finite = np.isfinite(u)
+    near = _arcosh_1p(np.where(finite, u, 0.0))
+    return np.where(finite, near, np.log(2.0) + log_u)[()]
+
+
 def split_distance(r1, u1, r2, u2):
     """Distance from (radius, direction) pairs, stable at all radii.
 
     Uses cosh d = cosh(r1 - r2) + sinh r1 sinh r2 |u1 - u2|^2 / 2, a sum of
     nonnegative terms, so the relative error stays near machine precision
-    even when the direct inner product would cancel to garbage.  Finite
-    while sinh r1 sinh r2 is, so it overflows to inf (a correct ordering)
-    once r1 + r2 exceeds about 710.
+    even when the direct inner product would cancel to garbage.  Once
+    r1 + r2 passes about 710 the sinh product overflows; only then does
+    the log-domain :func:`_far_split_distance` take over, so the result
+    stays finite for all finite radii.  |u1 - u2|^2 is summed over the
+    components left to right, the order np.sum takes on axes this short.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    gap = np.sum((u1 - u2) ** 2, axis=-1)
+    gap = sum((u1[..., k] - u2[..., k]) ** 2 for k in range(u1.shape[-1]))
     half = 0.5 * (r1 - r2)
     sh = np.sinh(half)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u = 2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap
+    # one cheap test of all entries, as in _arcosh_1p
+    finite = np.isfinite(u)
+    if np.count_nonzero(finite) < finite.size:
+        return _far_split_distance(r1, r2, half, sh, gap, u)
     return _arcosh_1p(u)
 
 
@@ -378,45 +406,27 @@ class Isometry:
 
     ``word`` is a tuple of signed 1-based generator indices (-k means the
     inverse of generator k).  For elements produced arithmetically rather
-    than from generators the word may be empty.
-
-    ``matrix`` may be None for symbolic elements whose coordinates overflow
-    floats (huge powers produced in literal-constants mode); those carry a
-    ``norm_hint`` instead and refuse matrix operations.
+    than from generators the word may be empty.  ``matrix`` is always the
+    (d+1)x(d+1) float array.
     """
 
-    matrix: np.ndarray | None
+    matrix: np.ndarray
     word: tuple[int, ...] = ()
-    norm_hint: float | None = None
 
     def __post_init__(self):
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "word", tuple(int(w) for w in self.word))
 
     @property
     def dim(self) -> int:
-        if self.matrix is None:
-            raise IsometryDriftError("symbolic isometry has no matrix")
         return self.matrix.shape[0] - 1
-
-    @property
-    def symbolic(self) -> bool:
-        return self.matrix is None
 
     def norm(self) -> float:
         """Displacement of the basepoint, d(x0, g x0) = arcosh(M_00)."""
-        if self.matrix is None:
-            if self.norm_hint is None:
-                raise IsometryDriftError("symbolic isometry without a norm hint")
-            return float(self.norm_hint)
         return float(stable_arcosh(self.matrix[0, 0]))
 
     def apply(self, p, tol: float = TOL_POINT) -> Point:
         """Image of a point; validates the result stays on the sheet."""
-        if self.matrix is None:
-            raise IsometryDriftError("cannot apply a symbolic isometry to points")
         c = self.matrix @ np.asarray(_coords(p), dtype=float)
         try:
             return Point(c)
@@ -426,8 +436,6 @@ class Isometry:
             ) from exc
 
     def compose(self, other: "Isometry", validate: bool = False) -> "Isometry":
-        if self.matrix is None or other.matrix is None:
-            raise IsometryDriftError("cannot compose symbolic isometries")
         m = self.matrix @ other.matrix
         if validate and not validate_isometry(m):
             m = reorthogonalize(m)
@@ -436,15 +444,11 @@ class Isometry:
         return Isometry(m, self.word + other.word)
 
     def inverse(self) -> "Isometry":
-        if self.matrix is None:
-            raise IsometryDriftError("cannot invert a symbolic isometry")
         j = form_matrix(self.dim)
         return Isometry(j @ self.matrix.T @ j, _word_inverse(self.word))
 
     def orbit_point(self) -> Point:
         """Image of the basepoint (first matrix column)."""
-        if self.matrix is None:
-            raise IsometryDriftError("symbolic isometry has no orbit point")
         return Point(self.matrix[:, 0].copy())
 
     def __matmul__(self, other: "Isometry") -> "Isometry":

@@ -43,7 +43,7 @@ from .hyperbolic import (
     stable_arcosh,
 )
 from .orbit import OrbitBall, orbit_distance
-from .semigroup import SemigroupStage, TruncatedFamily, _require_matrices
+from .semigroup import SemigroupStage, TruncatedFamily
 
 __all__ = [
     "W_MIN",
@@ -180,14 +180,6 @@ class PSAtomSet:
     def norm_of(self, word: tuple) -> float:
         return float(self.norms[self.row_of(word)])
 
-    def weight_of(self, word: tuple) -> float:
-        return float(self.weights[self.row_of(word)])
-
-    def direction_of(self, word: tuple) -> BoundaryPoint:
-        col = self.columns[self.row_of(word)]
-        _, u = radial_split(col)
-        return BoundaryPoint(u)
-
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
@@ -202,7 +194,6 @@ def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtom
     computable weights and are counted separately.
     """
     pair = stage.pair
-    _require_matrices(pair)
     fam = stage.truncated_F
     delta = stage.interval[0]
     if s <= delta:

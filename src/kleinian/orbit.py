@@ -42,7 +42,6 @@ from .hyperbolic import (
     Isometry,
     form_matrix,
     form_residual,
-    identity_isometry,
     min_distance_to_set,
     radial_split,
     split_distance,
@@ -207,9 +206,6 @@ class CriticalExponentEstimate:
     residual: float
     radii: np.ndarray
     log_counts: np.ndarray
-
-    def fitted(self) -> np.ndarray:
-        return self.value * self.radii + self.intercept
 
 
 def _psl_keys(int_mats):

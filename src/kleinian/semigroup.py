@@ -16,15 +16,14 @@ sphere-like annulus into a starting alphabet, and :func:`build_stage`
 grows the alphabet stage by stage while monitoring the interval and
 series conditions that pin the growth exponent from below.
 
-Two constants modes exist.  ``synthetic`` scales everything to the pair
-actually found (chain scale ``|a| / 10``, norm ratio ``|a| / |b|`` of a
-few) so that the whole pipeline runs inside floating point; this is the
-default and the only mode whose certificates are numeric.  ``literal``
-keeps the bookkeeping ratios of the underlying argument (``|b|`` beyond
-1e6 times the branching estimate, ``|a|`` beyond 1e3 |b|); elements that
-large have no representable matrices, so the pair is built symbolically
-around norm hints and every certifying operation raises
-:class:`FeasibilityError` rather than pretending to check.
+The constants are scaled to the pair actually found (chain scale
+``|a| / 10``, norm ratio ``|a| / |b|`` of a few) so that the whole
+pipeline runs inside floating point and every certificate is numeric.
+The bookkeeping ratios of the underlying argument (``|b|`` beyond 1e6
+times the branching estimate, ``|a|`` beyond 1e3 |b|) would put every
+element far outside float range; they survive only as numbers in the
+reports (``literal_bound`` and ``literal_pass`` of stage condition 1,
+``literal_lower_constant_log10`` of the shadow principle report).
 
 Certificate chains are stored in step form (see :mod:`kleinian.chains`):
 raw coordinates stop resolving transverse angles near radius ~27, far
@@ -108,13 +107,9 @@ __all__ = [
 # slack allowed in the norm superadditivity assertion of concat_F
 EXTENSION_TOL = 1e-8
 
-# synthetic-mode defaults: norm ratio |a| / |b| and chain scale |a| / 10
-RATIO_SYNTHETIC = 8.0
+# default norm ratio |a| / |b| and chain scale |a| / 10
+RATIO_DEFAULT = 8.0
 SCALE_DIVISOR = 10.0
-
-# literal-mode bookkeeping ratios of the underlying argument
-RATIO_LITERAL = 1e3
-MARGIN_LITERAL = 1e6
 
 
 class SemigroupError(RuntimeError):
@@ -126,7 +121,7 @@ class PairNotFoundError(SemigroupError):
 
 
 class FeasibilityError(SemigroupError):
-    """The operation needs matrices the active mode cannot represent."""
+    """Float matrices overflow at the requested word depth."""
 
 
 class FactCounterexampleError(SemigroupError):
@@ -160,15 +155,6 @@ class StageConditionError(SemigroupError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
-
-
-def _require_matrices(pair, *elements) -> None:
-    """Refuse literal-mode work: symbolic elements carry no matrices."""
-    if pair.symbolic or any(g.symbolic for g in elements):
-        raise FeasibilityError(
-            "literal-mode elements have no matrices to compute with; use "
-            "synthetic mode"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +216,6 @@ class PingPongPair:
     scale: float
     product_bound: float
     gap_bound: float
-    mode: str
     ratio_required: float
     ratio: float
     separator_base: tuple
@@ -238,10 +223,6 @@ class PingPongPair:
 
     def chain_params(self) -> ChainParams:
         return ChainParams(self.product_bound, self.gap_bound)
-
-    @property
-    def symbolic(self) -> bool:
-        return self.separator.symbolic or self.adjuster.symbolic
 
 
 def _translation_length(iso: Isometry) -> float:
@@ -281,7 +262,6 @@ def _branch_products(ball: OrbitBall, window: int) -> float:
 def find_ping_pong_pair(
     spec: GroupSpec,
     *,
-    mode: str = "synthetic",
     ratio: float | None = None,
     window: int = 20,
     power_cap: int = 64,
@@ -289,25 +269,21 @@ def find_ping_pong_pair(
     """Search generator powers for a separated (separator, adjuster) pair.
 
     The adjuster is the smallest power of the second loxodromic letter
-    clearing the branching margin ``3 + gromov_sup`` (times 1e6 in
-    literal mode); the separator is the smallest power of the first
-    letter reaching ``ratio`` times the adjuster norm.  Literal-mode
-    powers overflow floating point, so those elements are symbolic with
-    norm hints and downstream certification refuses them loudly.
+    clearing the branching margin ``3 + gromov_sup``; the separator is
+    the smallest power of the first letter reaching ``ratio`` (default
+    8) times the adjuster norm.  The chain scale, product bound and gap
+    bound are all ``|a| / 10``.
     """
-    if mode not in ("synthetic", "literal"):
-        raise ValueError(f"unknown constants mode {mode!r}")
     letters = [Isometry(m, (lab,)) for lab, m, _ in spec.letters() if lab > 0]
-    loxo = [(g, _translation_length(g)) for g in letters]
-    loxo = [(g, ell) for g, ell in loxo if ell > 1e-9]
+    loxo = [g for g in letters if _translation_length(g) > 1e-9]
     if not loxo:
         raise PairNotFoundError("no loxodromic generator")
-    u, ell_u = loxo[0]
-    v = ell_v = None
-    for cand, ell in loxo[1:]:
+    u = loxo[0]
+    v = None
+    for cand in loxo[1:]:
         comm = u @ cand @ u.inverse() @ cand.inverse()
         if comm.norm() > 1e-8:
-            v, ell_v = cand, ell
+            v = cand
             break
     if v is None:
         raise PairNotFoundError("needs two loxodromic generators with distinct axes")
@@ -324,29 +300,10 @@ def find_ping_pong_pair(
     window_margin = max(0.0, c0_full - c0_half)
     gromov_sup = c0_full + window_margin
 
-    if mode == "synthetic":
-        ratio_required = RATIO_SYNTHETIC if ratio is None else float(ratio)
-        margin = 3.0 + gromov_sup
-        q, b = _smallest_power(v, margin, power_cap)
-        p, a = _smallest_power(u, ratio_required * b.norm() - 1e-12, power_cap)
-        scale = a.norm() / SCALE_DIVISOR
-        product_bound = gap_bound = scale
-    else:
-        ratio_required = RATIO_LITERAL if ratio is None else float(ratio)
-        margin = MARGIN_LITERAL * (3.0 + gromov_sup)
-        # norms of huge powers: translation length times the power plus
-        # the converged basepoint offset, measured at a safe power
-        off_v = v.power(16).norm() - 16.0 * ell_v
-        off_u = u.power(16).norm() - 16.0 * ell_u
-        q = int(math.ceil((margin - off_v) / ell_v)) + 1
-        hint_b = q * ell_v + off_v
-        p = int(math.ceil((ratio_required * hint_b - off_u) / ell_u)) + 1
-        hint_a = p * ell_u + off_u
-        a = Isometry(None, (), norm_hint=hint_a)
-        b = Isometry(None, (), norm_hint=hint_b)
-        scale = 1e-3 * hint_a
-        product_bound = 1e-6 * hint_a
-        gap_bound = hint_a
+    ratio_required = RATIO_DEFAULT if ratio is None else float(ratio)
+    q, b = _smallest_power(v, 3.0 + gromov_sup, power_cap)
+    p, a = _smallest_power(u, ratio_required * b.norm() - 1e-12, power_cap)
+    scale = a.norm() / SCALE_DIVISOR
     return PingPongPair(
         separator=a,
         adjuster=b,
@@ -354,9 +311,8 @@ def find_ping_pong_pair(
         window=window,
         window_margin=window_margin,
         scale=scale,
-        product_bound=product_bound,
-        gap_bound=gap_bound,
-        mode=mode,
+        product_bound=scale,
+        gap_bound=scale,
         ratio_required=ratio_required,
         ratio=a.norm() / b.norm(),
         separator_base=(int(u.word[0]), p),
@@ -384,7 +340,6 @@ class PropertyACertificate:
     violation: dict | None
     gaps: np.ndarray
     products: np.ndarray
-    mode: str
 
     def chain_points(self) -> np.ndarray:
         from .chains import chain_points
@@ -526,7 +481,6 @@ def check_property_A(
     take their verdicts from the closed form of :func:`_chain_verdicts`
     and call this only for the certificates they return.
     """
-    _require_matrices(pair, element)
     use = params if params is not None else pair.chain_params()
     steps = _canonical_steps(element, pair.separator, use.gap_bound)
     cert = check_chain(steps, use)
@@ -538,7 +492,6 @@ def check_property_A(
         violation=cert.first_violation,
         gaps=cert.gaps,
         products=cert.products,
-        mode=pair.mode,
     )
 
 
@@ -601,7 +554,6 @@ def phi_map(element: Isometry, pair: PingPongPair):
     raises :class:`FactCounterexampleError` carrying all four failed
     certificates.
     """
-    _require_matrices(pair, element)
     a, b = pair.separator, pair.adjuster
     if element.norm() < a.norm():
         image = b @ a @ b
@@ -635,7 +587,6 @@ def concat_F(parts, pair: PingPongPair) -> Isometry:
         raise ValueError("need at least one part")
     if len(parts) == 1:
         return parts[0]
-    _require_matrices(pair, *parts)
     a = pair.separator
     product = parts[0]
     for part in parts[1:]:
@@ -680,7 +631,6 @@ def concatenate_certificates(
         violation=cert.first_violation,
         gaps=cert.gaps,
         products=cert.products,
-        mode=pair.mode,
     )
 
 
@@ -697,7 +647,6 @@ class SeedAlphabet:
     width: float
     separation: float
     eps: float
-    mode: str
     capped: bool
     candidates: int
     certificates: list = field(repr=False, default_factory=list)
@@ -729,9 +678,7 @@ def build_seed_alphabet(
     four decorations of the whole annulus are judged in one pass of the
     closed-form kernel; words and step-form certificates are built only
     for landing images and kept letters respectively.  Distinctness and
-    separation are judged on freely reduced quotient words.  Literal
-    mode reports the radius its constants would require instead of
-    enumerating it.
+    separation are judged on freely reduced quotient words.
 
     ``separation`` overrides the default net scale.  The boundary-measure
     checks need alphabets whose letters pairwise clear the chain-constant
@@ -741,17 +688,6 @@ def build_seed_alphabet(
     screened by Minkowski pairing of orbit columns, which is decisively
     accurate at unit scale; smaller ones use exact word reduction.
     """
-    if pair.mode == "literal" or pair.symbolic:
-        probe = enumerate_ball(spec, 1.8 * spec.max_generator_norm() + 4.0)
-        delta = max(estimate_critical_exponent(probe).value, 1e-3)
-        r0 = spec.max_generator_norm()
-        required = 1e7 * (pair.scale + r0) * (1.0 + delta) / (delta * eps)
-        raise EnumerationBudgetError(
-            f"literal-mode seed alphabet needs ball radius ~{required:.3g}; "
-            "enumeration cannot reach it, use synthetic mode",
-            explored=0,
-            level=required,
-        )
     letter_map = _letter_matrices(spec)
     dim = spec.dim
     a_norm = pair.separator.norm()
@@ -823,7 +759,6 @@ def build_seed_alphabet(
                 width=w,
                 separation=sep_eff,
                 eps=eps,
-                mode=pair.mode,
                 capped=len(kept) == n_cap,
                 candidates=last_candidates,
                 certificates=[_step_certificate(g, pair, True) for g in kept],
@@ -893,7 +828,6 @@ def family_separation(
     reduction; the reported minima are re-measured from reduced words,
     never from far coordinates.
     """
-    _require_matrices(pair)
     if not alphabet:
         raise ValueError("empty alphabet")
     letter_map = _letter_matrices(spec)
@@ -1402,7 +1336,6 @@ def build_stage(
     :class:`StageConditionError` with a diagnostic separating
     truncation shortfall from genuine violation.
     """
-    _require_matrices(pair)
     gamma_est = estimate_critical_exponent(ball)
 
     substitute = None
@@ -1457,7 +1390,6 @@ def build_stage(
 
     report: dict = {
         "k": k,
-        "mode": pair.mode,
         "alphabet_size": len(alphabet),
         "alphabet_norms": [float(g.norm()) for g in alphabet],
         "R_k": float(r_k),

@@ -247,16 +247,6 @@ def test_power():
     assert w.power(-2).word == (-1, -1)
 
 
-def test_symbolic_isometry():
-    g = Isometry(None, (1,) * 10**6, norm_hint=12345.6)
-    assert g.symbolic
-    assert g.norm() == 12345.6
-    with pytest.raises(IsometryDriftError):
-        g.apply(X0_2)
-    with pytest.raises(IsometryDriftError):
-        g @ g
-
-
 def test_isometries_preserve_distance(rng):
     for dim in (2, 3):
         g = random_isometry(rng, dim)
@@ -344,6 +334,88 @@ def test_arcosh_unchanged_below_the_switch(rng):
     gap = np.sum((u1 - u2) ** 2, axis=-1)
     want = near(2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap)
     assert np.array_equal(split_distance(r1, u1, r2, u2), want)
+
+
+def _head_split_distance(r1, u1, r2, u2):
+    """The kernel before the far-radius path: np.sum over the direction
+    axis and no repair of an overflowed sinh product."""
+    sh = np.sinh(0.5 * (r1 - r2))
+    gap = np.sum((u1 - u2) ** 2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap
+        return hyperbolic._arcosh_1p(u)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "shape1, shape2",
+    [((200, 1), (1, 300)), ((500,), (500,)), ((), (400,)), ((6, 1, 1), (1, 7, 9))],
+)
+def test_split_distance_gap_matches_np_sum(rng, d, shape1, shape2):
+    """The component-wise direction gap is bit-identical to np.sum over the
+    last axis, on broadcast blocks as on flat rows."""
+    shape = np.broadcast_shapes(shape1, shape2)
+    r1 = rng.uniform(0.0, 170.0, size=shape1)
+    r2 = rng.uniform(0.0, 170.0, size=shape2)
+    v1 = rng.normal(size=shape1 + (d,))
+    v2 = rng.normal(size=shape2 + (d,))
+    u1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    u2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+    got = split_distance(r1, u1, r2, u2)
+    assert got.shape == shape
+    assert np.array_equal(got, _head_split_distance(r1, u1, r2, u2))
+
+
+def _law_of_cosines(r1, u1, r2, u2):
+    """Distance at 50 digits from the float radii and the angle between
+    the float direction vectors, which need not be unit to the last bit."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        v1 = [mpmath.mpf(float(a)) for a in u1]
+        v2 = [mpmath.mpf(float(b)) for b in u2]
+        c = mpmath.fdot(v1, v2) / mpmath.sqrt(mpmath.fdot(v1, v1) * mpmath.fdot(v2, v2))
+        r1, r2 = mpmath.mpf(float(r1)), mpmath.mpf(float(r2))
+        cosh_d = mpmath.cosh(r1) * mpmath.cosh(r2) - mpmath.sinh(r1) * mpmath.sinh(r2) * c
+        return float(mpmath.acosh(cosh_d))
+
+
+@pytest.mark.parametrize("r", [400.0, 600.0, 700.0])
+def test_split_distance_past_the_sinh_overflow(r):
+    """Past r1 + r2 near 710 the sinh product overflows; a zero gap then
+    made NaN, a positive one inf.  Both are now finite and exact."""
+    e1 = np.array([1.0, 0.0])
+    assert split_distance(r, e1, r, e1) == 0.0
+    assert split_distance(r, e1, r - 1.0, e1) == 1.0
+    for r2 in (400.0, 600.0, 700.0):
+        assert split_distance(r, e1, r2, -e1) == pytest.approx(r + r2, rel=1e-15)
+        for theta in (1e-9, 1e-5, 1e-2, 1.0):
+            u2 = np.array([np.cos(theta), np.sin(theta)])
+            want = _law_of_cosines(r, e1, r2, u2)
+            assert split_distance(r, e1, r2, u2) == pytest.approx(want, rel=1e-14)
+
+
+def test_split_distance_unchanged_where_it_was_finite(rng):
+    """One block mixing near and far pairs: entries the old kernel got
+    finite keep its value bit for bit, the rest become finite."""
+    r1 = rng.uniform(0.0, 720.0, size=(300, 1))
+    r2 = rng.uniform(0.0, 720.0, size=(1, 300))
+    v1 = rng.normal(size=(300, 1, 3))
+    v2 = rng.normal(size=(1, 300, 3))
+    u1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    u2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+    # ten far points paired with themselves: zero gaps, which made NaN
+    r1[:10, 0] = r2[0, :10] = np.linspace(360.0, 700.0, 10)
+    u2[0, :10] = u1[:10, 0]
+    old = _head_split_distance(r1, u1, r2, u2)
+    new = split_distance(r1, u1, r2, u2)
+    finite = np.isfinite(old)
+    assert 0 < np.count_nonzero(finite) < finite.size
+    assert np.array_equal(new[finite], old[finite])
+    assert np.isfinite(new).all()
+    assert np.isnan(np.diag(old[:10, :10])).all()
+    assert (np.diag(new[:10, :10]) == 0.0).all()
+    assert (new[~finite] >= np.abs(r1 - r2)[~finite]).all()
 
 
 def test_distance_far_points():

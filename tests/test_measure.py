@@ -1,7 +1,6 @@
 """Atomic boundary measures, shadow reports, and direction statistics."""
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from kleinian import (
     BoundaryPoint,
     ExponentRegimeError,
-    FeasibilityError,
     HorizonError,
     Shadow,
     apex_products,
@@ -212,15 +210,6 @@ def test_exponent_at_or_below_growth_rate_is_rejected(stage3):
         ps_atoms(stage3, stage3.interval[0])
     with pytest.raises(ExponentRegimeError):
         ps_atoms(stage3, stage3.interval[0] - 0.05)
-
-
-def test_literal_mode_stage_is_rejected(stage3, pair3):
-    ghost = Isometry(None, pair3.separator.word, norm_hint=pair3.separator.norm())
-    literal_pair = dataclasses.replace(pair3, separator=ghost)
-    literal = dataclasses.replace(stage3, pair=literal_pair)
-    assert literal.pair.symbolic
-    with pytest.raises(FeasibilityError):
-        ps_atoms(literal, stage3.interval[0] + 0.1)
 
 
 def test_weight_floor_drop_is_accounted(stage3):

@@ -123,8 +123,6 @@ def test_pair_powers_and_scales(pair3):
     assert pair3.adjuster.norm() == pytest.approx(6.0, abs=1e-9)
     assert pair3.ratio == pytest.approx(2.5, abs=1e-9)
     assert pair3.scale == pytest.approx(1.5, abs=1e-9)
-    assert pair3.mode == "synthetic"
-    assert not pair3.symbolic
     params = pair3.chain_params()
     assert params.product_bound == pytest.approx(1.5)
     assert params.gap_bound == pytest.approx(1.5)
@@ -183,24 +181,6 @@ def test_torus_pair(torus_pair):
 def test_cyclic_has_no_pair():
     with pytest.raises(PairNotFoundError):
         find_ping_pong_pair(build_group("cyclic", length=1.0))
-
-
-def test_literal_mode_is_symbolic(spec3):
-    pair = find_ping_pong_pair(spec3, mode="literal")
-    assert pair.symbolic
-    assert pair.ratio == pytest.approx(1e3, rel=1e-6)
-    assert pair.adjuster.norm() > 1e6
-    with pytest.raises(FeasibilityError):
-        check_property_A(identity_isometry(2), pair)
-    with pytest.raises(FeasibilityError):
-        phi_map(identity_isometry(2), pair)
-    with pytest.raises(EnumerationBudgetError):
-        build_seed_alphabet(spec3, pair, 0.45)
-
-
-def test_unknown_mode_rejected(spec3):
-    with pytest.raises(ValueError):
-        find_ping_pong_pair(spec3, mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +552,6 @@ def test_family_refuses_depths_past_float_matrices(spec3, pair3, seed3):
         family_separation(spec3, [huge, seed3.elements[0]], pair3, depth=3)
 
 
-def test_family_rejects_symbolic_pair(spec3, seed3):
-    literal = find_ping_pong_pair(spec3, mode="literal")
-    with pytest.raises(FeasibilityError):
-        family_separation(spec3, seed3.elements, literal)
-
-
 # ---------------------------------------------------------------------------
 # The interleaved family as one word tree.
 
@@ -844,7 +818,6 @@ def test_torus_single_letter_stage(torus, torus_pair):
         width=torus_pair.scale,
         separation=0.0,
         eps=0.45,
-        mode="synthetic",
         capped=False,
         candidates=1,
         certificates=[cert],
@@ -868,7 +841,6 @@ def test_starved_cap_fails_condition_three(torus, torus_pair):
         width=torus_pair.scale,
         separation=0.0,
         eps=0.45,
-        mode="synthetic",
         capped=False,
         candidates=1,
         certificates=[cert],
@@ -894,9 +866,6 @@ def test_exhausted_interval_fails_condition_two(spec3, pair3, seed3, ball3):
     assert info.value.report["failure"]["reason"] == "empty beta interval"
 
 
-def test_stage_rejects_literal_mode(spec3, seed3, ball3):
-    literal = find_ping_pong_pair(spec3, mode="literal")
-    with pytest.raises(FeasibilityError):
-        build_stage(seed3, spec3, literal, ball3)
+def test_stage_rejects_unknown_predecessor(spec3, ball3):
     with pytest.raises(TypeError):
         build_stage([1, 2, 3], spec3, find_ping_pong_pair(spec3, ratio=2.5), ball3)
