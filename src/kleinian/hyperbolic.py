@@ -8,7 +8,9 @@ hyperboloid in Minkowski space: vectors ``x`` in R^{d+1} with
 Isometries are the (d+1)x(d+1) matrices preserving the bilinear form and
 the sheet.  Everything here is plain numpy; the functions accept either
 the wrapper classes below or raw coordinate arrays, and most kernels
-broadcast over leading axes so callers can batch.
+broadcast over leading axes so callers can batch.  Distances run on
+(radius, direction) pairs, and distances to a basepoint ray on the
+closed-form offset and foot of :func:`ray_coordinates`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
     "gromov_product",
     "geodesic_point",
     "ray_points",
+    "ray_coordinates",
+    "ray_distance",
     "unit_tangent",
     "boundary_action",
     "visual_angle",
@@ -180,8 +184,8 @@ def split_distance(r1, u1, r2, u2):
     r2 = np.asarray(r2, dtype=float)
     gap = sum((u1[..., k] - u2[..., k]) ** 2 for k in range(u1.shape[-1]))
     half = 0.5 * (r1 - r2)
-    sh = np.sinh(half)
     with np.errstate(over="ignore", invalid="ignore"):
+        sh = np.sinh(half)
         u = 2.0 * sh * sh + 0.5 * np.sinh(r1) * np.sinh(r2) * gap
     # one cheap test of all entries, as in _arcosh_1p
     finite = np.isfinite(u)
@@ -280,6 +284,32 @@ def ray_points(directions, ts) -> np.ndarray:
     )
 
 
+def ray_coordinates(r, v, direction):
+    """Offset h and signed foot t on the basepoint ray toward the unit
+    ``direction`` of points given as (radius, direction) pairs.
+
+    The basepoint, a point and its foot on the ray span a right-angled
+    triangle, so sinh h = sinh r sin θ and sinh t = sinh r cos θ / cosh h
+    (Beardon, The Geometry of Discrete Groups, §7.11); t < 0 behind the
+    basepoint.  Finite for radii below sinh's overflow near 710.
+    """
+    cos = v @ direction
+    sin = np.linalg.norm(v - cos[..., None] * direction, axis=-1)
+    sinh_r = np.sinh(r)
+    sinh_h = sinh_r * sin
+    return np.arcsinh(sinh_h), np.arcsinh(sinh_r * cos / np.hypot(1.0, sinh_h))
+
+
+def ray_distance(h, t, s):
+    """Distance from the point at ray coordinates (h, t) to the ray point at s.
+
+    The foot sees both at a right angle, so cosh d = cosh h cosh(s - t):
+    the split distance of radii h and |s - t| in orthogonal directions.
+    """
+    e = np.eye(2)
+    return split_distance(h, e[0], np.abs(s - t), e[1])
+
+
 def boundary_direction(p, tol: float = TOL_POINT) -> BoundaryPoint:
     """Radial direction of a point as seen from the basepoint.
 
@@ -376,24 +406,27 @@ _REORTH_SCALE_CAP = 1e6
 
 
 def reorthogonalize(matrix: np.ndarray, iterations: int = 4) -> np.ndarray:
-    """Project a slightly drifted matrix back to the isometry group.
+    """Project slightly drifted matrices back to the isometry group.
 
-    Computes M (J M^T J M)^{-1/2} with a Newton-Schulz iteration for the
-    inverse square root, which converges quadratically while the residual is
-    small.  The correction is exact on matrices already in the group.
-    Matrices whose entries exceed the measurable scale are returned as is.
+    Takes one matrix or a stack.  Computes M (J M^T J M)^{-1/2} with a
+    Newton-Schulz iteration for the inverse square root, which converges
+    quadratically while the residual is small.  The correction is exact on
+    matrices already in the group.  Each matrix whose entries exceed the
+    measurable scale is returned as is.
     """
     m = np.asarray(matrix, dtype=float)
-    if float(np.max(np.abs(m))) > _REORTH_SCALE_CAP:
-        return m
-    n = m.shape[0]
+    fits = np.max(np.abs(m), axis=(-2, -1)) <= _REORTH_SCALE_CAP
+    n = m.shape[-1]
     j = form_matrix(n - 1)
-    b = j @ (m.T @ j @ m)
-    y = np.eye(n)
+    sub = m[fits]
+    b = j @ (np.swapaxes(sub, -1, -2) @ j @ sub)
+    y = np.broadcast_to(np.eye(n), sub.shape).copy()
     eye3 = 3.0 * np.eye(n)
     for _ in range(iterations):
         y = 0.5 * (y @ (eye3 - b @ y @ y))
-    return m @ y
+    out = np.array(m, copy=True)
+    out[fits] = sub @ y
+    return out
 
 
 def _word_inverse(word: tuple[int, ...]) -> tuple[int, ...]:

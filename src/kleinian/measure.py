@@ -30,15 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import nearest_point_on_geodesic
 from .hyperbolic import (
     BoundaryPoint,
     Isometry,
     Point,
     basepoint,
-    geodesic_point,
     gromov_product,
     radial_split,
+    ray_coordinates,
+    ray_distance,
     ray_points,
     stable_arcosh,
 )
@@ -71,6 +71,9 @@ __all__ = [
 # atoms below this weight cannot move any statistic reported at TOL_SERIES
 W_MIN = 1e-12
 TOL_SERIES = 1e-6
+# spacing of the samples of [x0, g x0] that a Myrberg witness must carry
+# into the tube
+MYRBERG_STEP = 0.5
 
 
 class MeasureError(RuntimeError):
@@ -572,49 +575,44 @@ def myrberg_witness(
     K_nbhd: float,
     ref_ball: OrbitBall,
     t_max: float,
-    *,
-    h_seg: float = 0.5,
 ) -> Isometry | None:
     """First ball element (shortlex) dragging [x0, g x0] into the ray tube.
 
-    A witness h places every sample of h [x0, g x0] within ``K_nbhd`` of
-    the ray window [x0, xi) cut at ``t_max``.  Endpoint distances give a
-    cheap vectorized prefilter; surviving candidates are checked in
-    shortlex order sample by sample.  Returning none only means no
-    witness exists in this ball at this tube width.  ``t_max`` must not
-    exceed ``ref_ball.radius - ref_ball.prune_margin`` (else
-    ``HorizonError``), the horizon inside which distances below
-    ``prune_margin`` are uncensored everywhere in the window.
+    A witness h places every sample of h [x0, g x0], taken every
+    ``MYRBERG_STEP``, within ``K_nbhd`` of the ray window [x0, xi) cut at
+    ``t_max``.  Distances to the window come in closed form from
+    :func:`~kleinian.hyperbolic.ray_coordinates`, with the foot clamped to
+    [0, t_max].  Both endpoints of every member's translate form a
+    vectorized prefilter; the samples of the survivors are checked in one
+    array pass and the shortlex-first passing member is returned.
+    Returning none only means no witness exists in this ball at this tube
+    width.  ``t_max`` must not exceed ``ref_ball.radius -
+    ref_ball.prune_margin`` (else ``HorizonError``), the horizon inside
+    which distances below ``prune_margin`` are uncensored everywhere in
+    the window.
     """
     _check_horizon(ref_ball, t_max)
-    dim = ref_ball.spec.dim
-    x0 = basepoint(dim)
-    far = xi.ray_point(t_max)
     gx0 = g.orbit_point().coords
     seg_len = float(g.norm())
-    if seg_len <= 1e-12:
-        seg = x0[None, :]
-    else:
-        seg_ts = np.linspace(0.0, seg_len, max(int(math.ceil(seg_len / h_seg)) + 1, 2))
-        seg = geodesic_point(x0, gx0, seg_ts)
+    n_samples = max(int(math.ceil(seg_len / MYRBERG_STEP)) + 1, 2)
+    seg = ray_points(radial_split(gx0)[1], np.linspace(0.0, seg_len, n_samples))
+
+    def in_tube(points):
+        h, t = ray_coordinates(*radial_split(points), xi.direction)
+        return ray_distance(h, t, np.clip(t, 0.0, t_max)) <= K_nbhd + 1e-9
+
     members = ref_ball.members
     mats = ref_ball.mats[members]
-    ends_a = mats[:, :, 0]
-    ends_b = mats @ gx0
-    _, dist_a = nearest_point_on_geodesic(x0, far, ends_a)
-    _, dist_b = nearest_point_on_geodesic(x0, far, ends_b)
-    ok = (dist_a <= K_nbhd + 1e-9) & (dist_b <= K_nbhd + 1e-9)
-    shortlist = members[ok]
-    order = sorted(
-        shortlist.tolist(),
+    ok = in_tube(mats[:, :, 0]) & in_tube(mats @ gx0)
+    moved = np.einsum("nij,sj->nsi", mats[ok], seg)
+    inside = members[ok][in_tube(moved).all(axis=1)]
+    if inside.size == 0:
+        return None
+    row = min(
+        inside.tolist(),
         key=lambda i: (int(ref_ball.word_length[i]), ref_ball.word(int(i))),
     )
-    for row in order:
-        moved = ref_ball.mats[row] @ seg.T
-        _, dists = nearest_point_on_geodesic(x0, far, moved.T)
-        if np.all(dists <= K_nbhd + 1e-9):
-            return ref_ball.element(int(row))
-    return None
+    return ref_ball.element(int(row))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .hyperbolic import (
     form_residual,
     min_distance_to_set,
     radial_split,
+    reorthogonalize,
     split_distance,
     stable_arcosh,
     validate_isometry,
@@ -374,24 +375,6 @@ def _binned_level(window, norms, points, tol):
     return fresh, window
 
 
-def _reorthogonalize_batch(mats: np.ndarray, iterations: int = 3) -> np.ndarray:
-    # rows beyond the measurable scale are left alone (see hyperbolic module)
-    scale_ok = np.max(np.abs(mats), axis=(-2, -1)) <= 1e6
-    if not np.any(scale_ok):
-        return mats
-    n = mats.shape[-1]
-    j = form_matrix(n - 1)
-    sub = mats[scale_ok]
-    b = j @ (np.swapaxes(sub, -1, -2) @ j @ sub)
-    y = np.broadcast_to(np.eye(n), sub.shape).copy()
-    eye3 = 3.0 * np.eye(n)
-    for _ in range(iterations):
-        y = 0.5 * (y @ (eye3 - b @ y @ y))
-    out = np.array(mats, copy=True)
-    out[scale_ok] = sub @ y
-    return out
-
-
 def enumerate_ball(
     spec: GroupSpec,
     radius: float,
@@ -514,7 +497,7 @@ def enumerate_ball(
             cand_parent = cand_parent[fresh]
             cand_letter = cand_letter[fresh]
         if not use_int and reorth_every and level % reorth_every == 0:
-            cand = _reorthogonalize_batch(cand)
+            cand = reorthogonalize(cand, iterations=3)
             norms = stable_arcosh(cand[:, 0, 0])
         n_new = cand.shape[0]
         if n_new == 0:

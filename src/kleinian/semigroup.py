@@ -65,6 +65,7 @@ from .hyperbolic import (
     basepoint,
     boost,
     radial_split,
+    ray_coordinates,
     ray_points,
     split_distance,
     stable_arcosh,
@@ -110,6 +111,12 @@ EXTENSION_TOL = 1e-8
 # default norm ratio |a| / |b| and chain scale |a| / 10
 RATIO_DEFAULT = 8.0
 SCALE_DIVISOR = 10.0
+
+# find_deep_element: peak depth over 2M, ray samples per candidate, and the
+# radial shells of the dimension-2 certification
+DEEP_PEAK_SLACK = 0.25
+DEEP_FRACTIONS = (0.35, 0.5, 0.65)
+DEEP_BIN_WIDTH = 0.25
 
 
 class SemigroupError(RuntimeError):
@@ -982,37 +989,25 @@ def _certify_far(bins, nbins, bin_width, rs, phis, threshold):
     return ok
 
 
-def _floor_depth(ball: OrbitBall, point: np.ndarray):
-    """Certified lower bound for d(point, orbit) plus the nearest row."""
-    value, _, row = orbit_distance(ball, point)
-    r = float(stable_arcosh(point[0]))
-    return min(value, ball.radius - r), row
-
-
 def find_deep_element(
     spec: GroupSpec,
     M: float,
     ball: OrbitBall,
-    *,
-    peak_slack: float = 0.25,
-    fractions=(0.35, 0.5, 0.65),
-    h: float = H_GEO,
-    bin_width: float = 0.25,
 ) -> DeepElementQuery:
     """Search the ball for a geodesic segment at depth ``M`` from the orbit.
 
-    Scans members long enough to reach peak depth ``2M + peak_slack``,
-    certifies candidate ray samples by conservative sphere exclusion (in
-    dimension 3 and up, by one exact ``orbit_distance`` call over all
-    samples, whose memory stays bounded), then walks the first
-    certified geodesic to its depth-``M`` crossings P and Q.
-    ``diagnostics["certified"]`` counts the candidates with a certified
-    sample in every dimension.  The
-    witness translates the crossing data back to the basepoint: with
-    ``u`` the nearest member at P and ``v`` the nearest at Q, it is
-    x = u^{-1} P, y = u^{-1} Q carried by g = u^{-1} v.  Returns an
-    empty result when nothing certifies, the expected outcome for
-    groups whose orbit complement has bounded depth.
+    Scans members long enough to reach peak depth ``2M + DEEP_PEAK_SLACK``
+    and certifies ray samples at ``DEEP_FRACTIONS`` of their norms by
+    conservative sphere exclusion (in dimension 3 and up, by one exact
+    ``orbit_distance`` call).  ``diagnostics["certified"]`` counts the
+    candidates with a certified sample.  On the first certified ray, the
+    crossings P and Q at depth ``M`` around the sampled peak are endpoints
+    of the closed-form intervals where a member is within ``M`` of the ray
+    (:func:`~kleinian.hyperbolic.ray_coordinates`), capped by the horizon.
+    With ``u`` the nearest member at P and ``v`` the nearest at Q, the
+    witness is x = u^{-1} P, y = u^{-1} Q carried by g = u^{-1} v.  An
+    empty result is the expected outcome for groups whose orbit complement
+    has bounded depth.
     """
     if M < 0.0:
         raise ValueError("depth must be nonnegative")
@@ -1029,7 +1024,7 @@ def find_deep_element(
             ),
             diagnostics={"trivial": True},
         )
-    target = 2.0 * M + peak_slack
+    target = 2.0 * M + DEEP_PEAK_SLACK
     if ball.radius <= 2.0 * target:
         raise ValueError(
             f"ball radius {ball.radius:.3g} cannot witness depth {M:.3g}; "
@@ -1044,16 +1039,17 @@ def find_deep_element(
     cand_norms = ball.norms[cand]
     _, cand_dirs = radial_split(ball.orbit_points(cand))
 
-    rs = np.concatenate([f * cand_norms for f in fractions])
+    n_fractions = len(DEEP_FRACTIONS)
+    rs = np.concatenate([f * cand_norms for f in DEEP_FRACTIONS])
     if spec.dim == 2:
-        bins, nbins = _angular_bins(ball, bin_width)
-        phis = np.tile(np.arctan2(cand_dirs[:, 1], cand_dirs[:, 0]), len(fractions))
-        deep = _certify_far(bins, nbins, bin_width, rs, phis, target)
+        bins, nbins = _angular_bins(ball, DEEP_BIN_WIDTH)
+        phis = np.tile(np.arctan2(cand_dirs[:, 1], cand_dirs[:, 0]), n_fractions)
+        deep = _certify_far(bins, nbins, DEEP_BIN_WIDTH, rs, phis, target)
     else:
-        samples = ray_points(np.tile(cand_dirs, (len(fractions), 1)), rs)
+        samples = ray_points(np.tile(cand_dirs, (n_fractions, 1)), rs)
         deep = orbit_distance(ball, samples)[0] >= target
     deep &= ball.radius - rs >= target
-    per_candidate = deep.reshape(len(fractions), -1).any(axis=0)
+    per_candidate = deep.reshape(n_fractions, -1).any(axis=0)
     diag["certified"] = int(per_candidate.sum())
     hits = np.flatnonzero(per_candidate)
     chosen = int(hits[0]) if hits.size else None
@@ -1063,7 +1059,7 @@ def find_deep_element(
     row = int(cand[chosen])
     length = float(cand_norms[chosen])
     u_dir = cand_dirs[chosen]
-    ts = np.linspace(0.0, length, max(int(math.ceil(length / h)) + 1, 8))
+    ts = np.linspace(0.0, length, max(int(math.ceil(length / H_GEO)) + 1, 8))
     vals, _, _ = orbit_distance(ball, ray_points(u_dir, ts))
     floor = np.minimum(vals, ball.radius - ts)
     peak = int(np.argmax(floor))
@@ -1077,48 +1073,37 @@ def find_deep_element(
     if floor[peak] < target:
         return DeepElementQuery(M=M, result=None, diagnostics=diag)
 
-    def depth_at(t: float):
-        return _floor_depth(ball, ray_points(u_dir, t))
-
-    def crossing(i_out, i_in):
-        lo, hi = ts[i_out], ts[i_in]
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            d, _ = depth_at(mid)
-            if d <= M:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    below = np.flatnonzero(floor[: peak + 1] <= M)
-    t_p = crossing(int(below[-1]), int(below[-1]) + 1)
-    after = np.flatnonzero(floor[peak:] <= M) + peak
-    t_q = crossing(int(after[0]), int(after[0]) - 1)
-    p_point = ray_points(u_dir, t_p)
-    q_point = ray_points(u_dir, t_q)
-    _, row_p = _floor_depth(ball, p_point)
-    _, row_q = _floor_depth(ball, q_point)
-    anchor_inv = ball.element(int(row_p)).inverse()
-    witness = anchor_inv @ ball.element(int(row_q))
-    inner = np.linspace(t_p, t_q, max(int(math.ceil((t_q - t_p) / h)) + 1, 2))
-    seg_vals, _, _ = orbit_distance(ball, ray_points(u_dir, inner))
+    # member m is within M of ray(t) for |t - t_m| <= arcosh(cosh M / cosh h_m),
+    # taken as an arcsinh that keeps precision as h_m nears M; the horizon
+    # floor is within M from radius - M on
+    h_m, t_m = ray_coordinates(*radial_split(ball.orbit_points(ball.members)), u_dir)
+    near = h_m <= M
+    h_m, t_m = h_m[near], t_m[near]
+    gap = 2.0 * np.sinh(0.5 * (M + h_m)) * np.sinh(0.5 * (M - h_m))
+    half = np.arcsinh(np.sqrt(gap * (np.cosh(M) + np.cosh(h_m))) / np.cosh(h_m))
+    t_peak = ts[peak]
+    t_p = float(np.max((t_m + half)[t_m - half <= t_peak]))
+    t_q = float(np.min((t_m - half)[t_m - half > t_peak], initial=ball.radius - M))
+    inner = np.linspace(t_p, t_q, max(int(math.ceil((t_q - t_p) / H_GEO)) + 1, 2))
+    seg_vals, _, seg_rows = orbit_distance(ball, ray_points(u_dir, inner))
     seg_floor = np.minimum(seg_vals, ball.radius - inner)
-    measured = float(seg_floor.min())
+    # the first and last samples are P and Q themselves
+    anchor_inv = ball.element(int(seg_rows[0])).inverse()
+    witness = anchor_inv @ ball.element(int(seg_rows[-1]))
     diag.update(
         {
-            "segment_length": float(t_q - t_p),
+            "segment_length": t_q - t_p,
             "witness_norm": float(witness.norm()),
-            "crossing_depths": [float(depth_at(t_p)[0]), float(depth_at(t_q)[0])],
+            "crossing_depths": [float(seg_floor[0]), float(seg_floor[-1])],
         }
     )
     return DeepElementQuery(
         M=M,
         result=DeepElementWitness(
             element=witness,
-            x=anchor_inv.apply(p_point),
-            y=anchor_inv.apply(q_point),
-            measured_depth=measured,
+            x=anchor_inv.apply(ray_points(u_dir, t_p)),
+            y=anchor_inv.apply(ray_points(u_dir, t_q)),
+            measured_depth=float(seg_floor.min()),
         ),
         diagnostics=diag,
     )

@@ -13,7 +13,7 @@ from kleinian.groups import (
     validate_schottky_caps,
 )
 from kleinian.hyperbolic import boundary_action, stable_arcosh
-from kleinian.orbit import GroupSpec, enumerate_ball
+from kleinian.orbit import enumerate_ball
 
 
 def test_schottky_default_is_valid():

@@ -26,6 +26,10 @@ from kleinian.hyperbolic import (
     min_distance_to_set,
     minkowski_inner,
     pairwise_distance,
+    radial_split,
+    ray_coordinates,
+    ray_distance,
+    ray_points,
     reorthogonalize,
     rotation,
     split_distance,
@@ -36,6 +40,7 @@ from kleinian.hyperbolic import (
 )
 
 from kleinian import hyperbolic
+from kleinian.chains import nearest_point_on_geodesic
 from conftest import random_isometry, random_point
 
 X0_2 = basepoint(2)
@@ -416,6 +421,64 @@ def test_split_distance_unchanged_where_it_was_finite(rng):
     assert np.isnan(np.diag(old[:10, :10])).all()
     assert (np.diag(new[:10, :10]) == 0.0).all()
     assert (new[~finite] >= np.abs(r1 - r2)[~finite]).all()
+
+
+def _unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ray_coordinates_match_projection_and_split_distance(rng, dim):
+    """Offsets and feet against the golden-section projection onto the
+    window [x0, ray(t_max)] and against split_distance to ray points:
+    feet behind x0, feet past t_max and points on the ray."""
+    u = _unit_rows(rng.normal(size=dim))
+    t_max = 6.0
+    on_ray = np.linspace(0.0, 9.0, 7)
+    behind = _unit_rows(0.1 * rng.normal(size=(40, dim)) - u)
+    ahead = _unit_rows(1e-3 * rng.normal(size=(40, dim)) + u)
+    spread = _unit_rows(rng.normal(size=(200, dim)))
+    pts = np.concatenate(
+        [
+            ray_points(u, on_ray),
+            ray_points(behind, rng.uniform(0.1, 8.0, 40)),
+            ray_points(ahead, rng.uniform(8.0, 11.0, 40)),
+            ray_points(spread, rng.uniform(0.0, 12.0, 200)),
+        ]
+    )
+    h, t = ray_coordinates(*radial_split(pts), u)
+    # direction roundoff, times sinh r, is all the offset there is
+    assert np.allclose(h[:7], 0.0, atol=1e-11)
+    assert np.allclose(t[:7], on_ray, rtol=1e-14, atol=1e-14)
+    assert np.all(t[7:47] < 0.0) and np.all(t[47:87] > t_max)
+    _, want = nearest_point_on_geodesic(basepoint(dim), ray_points(u, t_max), pts)
+    got = ray_distance(h, t, np.clip(t, 0.0, t_max))
+    # the search stops within 1e-9 of the foot, its error where the
+    # minimum is sharp (points on the ray) and not smooth
+    assert np.allclose(got[h > 1e-6], want[h > 1e-6], rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+    s = rng.uniform(-2.0, 14.0, size=pts.shape[0])
+    exact = split_distance(*radial_split(pts), *radial_split(ray_points(u, s)))
+    assert np.allclose(ray_distance(h, t, s), exact, rtol=1e-12, atol=1e-12)
+    assert np.allclose(ray_distance(h, t, t), h, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [400.0, 600.0, 700.0])
+def test_ray_coordinates_stay_finite_past_355(r):
+    """Points given as (radius, direction) at radii where coordinates
+    overflow: offsets, feet and distances stay finite and match
+    split_distance, also where cosh h cosh(s - t) overflows."""
+    e1 = np.array([1.0, 0.0])
+    angles = np.array([0.0, 1e-9, 1e-5, 1.0, 0.5 * np.pi, 3.0, np.pi])
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    v[-1] = -e1
+    h, t = ray_coordinates(np.full(angles.shape, r), v, e1)
+    assert np.isfinite(h).all() and np.isfinite(t).all()
+    assert h[0] == 0.0 and t[0] == r and t[-1] == -r
+    for s in (0.0, 0.5 * r, r, 2.0 * r):
+        d = ray_distance(h, t, s)
+        assert np.isfinite(d).all()
+        assert np.allclose(d, split_distance(r, v, s, e1), rtol=1e-14, atol=1e-12)
 
 
 def test_distance_far_points():

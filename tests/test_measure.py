@@ -34,6 +34,7 @@ from kleinian.chains import nearest_point_on_geodesic
 from kleinian.hyperbolic import (
     Isometry,
     basepoint,
+    geodesic_point,
     gromov_product,
     minkowski_inner,
     radial_split,
@@ -41,6 +42,7 @@ from kleinian.hyperbolic import (
 )
 from kleinian.measure import TOL_SERIES, W_MIN, _is_prefix
 from kleinian.semigroup import SemigroupStage, TruncatedFamily
+from test_benchmark_contract import _load
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -663,6 +665,78 @@ def test_myrberg_generic_direction_needs_wide_tube(ball22, letters22):
     u /= np.linalg.norm(u)
     g1 = Isometry(letters22[1], (1,))
     assert myrberg_witness(BoundaryPoint(u), g1, 0.3, ball22, 12.5) is None
+
+
+def _golden_section_myrberg(xi, g, K_nbhd, ref_ball, t_max, h_seg=0.5):
+    """Reference: myrberg_witness as it was before its distances had a
+    closed form, with a golden-section search for every foot on the
+    window and a shortlex loop over the prefilter survivors."""
+    x0 = basepoint(ref_ball.spec.dim)
+    far = xi.ray_point(t_max)
+    gx0 = g.orbit_point().coords
+    seg_len = float(g.norm())
+    if seg_len <= 1e-12:
+        seg = x0[None, :]
+    else:
+        seg_ts = np.linspace(0.0, seg_len, max(int(math.ceil(seg_len / h_seg)) + 1, 2))
+        seg = geodesic_point(x0, gx0, seg_ts)
+    members = ref_ball.members
+    mats = ref_ball.mats[members]
+    _, dist_a = nearest_point_on_geodesic(x0, far, mats[:, :, 0])
+    _, dist_b = nearest_point_on_geodesic(x0, far, mats @ gx0)
+    ok = (dist_a <= K_nbhd + 1e-9) & (dist_b <= K_nbhd + 1e-9)
+    order = sorted(
+        members[ok].tolist(),
+        key=lambda i: (int(ref_ball.word_length[i]), ref_ball.word(int(i))),
+    )
+    for row in order:
+        moved = ref_ball.mats[row] @ seg.T
+        _, dists = nearest_point_on_geodesic(x0, far, moved.T)
+        if np.all(dists <= K_nbhd + 1e-9):
+            return ref_ball.word(int(row))
+    return None
+
+
+def _word_or_none(witness):
+    return None if witness is None else witness.word
+
+
+def test_myrberg_matches_golden_section_on_benchmark_inputs(spec22):
+    """The orbit-queries Myrberg inputs of seeds 1 to 10, on its ball."""
+    workload = _load("workloads").WORKLOADS["orbit-queries"]
+    params = workload.sizes["full"]
+    ball = enumerate_ball(spec22, params["myrberg_radius"], prune_margin=2.0)
+    found = 0
+    for seed in range(1, 11):
+        for u, label, matrix in workload.prepare("full", seed).inputs["myrberg"]:
+            xi, g = BoundaryPoint(u), Isometry(matrix, (label,))
+            t_max = params["myrberg_t_max"]
+            want = _golden_section_myrberg(xi, g, 1.0, ball, t_max)
+            assert _word_or_none(myrberg_witness(xi, g, 1.0, ball, t_max)) == want
+            found += want is not None
+    assert found >= 20
+
+
+def test_myrberg_matches_golden_section_across_tubes(spec22, letters22):
+    ball = enumerate_ball(spec22, 10.0, prune_margin=2.0)
+    rng = np.random.default_rng(11)
+    dirs = [u / np.linalg.norm(u) for u in rng.normal(size=(3, 2))]
+    for word in ((1,), (1, 2), (-2, 1, 1)):
+        m = np.eye(3)
+        for lab in word:
+            m = m @ letters22[lab]
+        dirs.append(radial_split(np.linalg.matrix_power(m, 12)[:, 0])[1])
+    segments = [Isometry(letters22[1], (1,)), Isometry(letters22[-2], (-2,))]
+    segments.append(segments[0] @ segments[1])
+    found = 0
+    for u in dirs:
+        for g in segments:
+            for K in (0.3, 0.6, 1.0, 1.5):
+                want = _golden_section_myrberg(BoundaryPoint(u), g, K, ball, 8.0)
+                got = myrberg_witness(BoundaryPoint(u), g, K, ball, 8.0)
+                assert _word_or_none(got) == want
+                found += want is not None
+    assert 0 < found < 72
 
 
 def test_myrberg_respects_horizon(ball22, letters22):

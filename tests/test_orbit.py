@@ -1,6 +1,5 @@
 """Ball enumeration against brute-force word oracles."""
 
-import itertools
 import math
 import warnings
 
@@ -10,11 +9,13 @@ import pytest
 from kleinian import orbit
 from kleinian.groups import cyclic, punctured_torus, schottky
 from kleinian.hyperbolic import (
+    REORTH_EVERY,
     boost,
     form_residual,
     pairwise_distance,
     radial_split,
     ray_points,
+    reorthogonalize,
     rotation,
     split_distance,
     stable_arcosh,
@@ -254,6 +255,41 @@ def test_reorthogonalization_keeps_drift_down():
     assert int(ball.word_length.max()) >= 40
     worst = max(form_residual(m) for m in ball.mats)
     assert worst < 1e-12
+
+
+def _reorthogonalize_batch(mats, iterations=3):
+    """Reference: the stack-only copy enumerate_ball used before
+    reorthogonalize took stacks."""
+    scale_ok = np.max(np.abs(mats), axis=(-2, -1)) <= 1e6
+    if not np.any(scale_ok):
+        return mats
+    n = mats.shape[-1]
+    j = np.diag([-1.0] + [1.0] * (n - 1))
+    sub = mats[scale_ok]
+    b = j @ (np.swapaxes(sub, -1, -2) @ j @ sub)
+    y = np.broadcast_to(np.eye(n), sub.shape).copy()
+    eye3 = 3.0 * np.eye(n)
+    for _ in range(iterations):
+        y = 0.5 * (y @ (eye3 - b @ y @ y))
+    out = np.array(mats, copy=True)
+    out[scale_ok] = sub @ y
+    return out
+
+
+def test_reorthogonalize_stack_matches_batch_copy(rng):
+    """On the torus R=12 ball, whose words pass the reorthogonalization
+    level, drifted, plus boosts past the scale cap, which stay as they are."""
+    ball = enumerate_ball(punctured_torus(), 12.0, prune_margin=2.0)
+    assert int(ball.word_length.max()) > REORTH_EVERY
+    far = np.stack([boost(2, 1, t).matrix for t in (14.6, 20.0)])
+    drifted = ball.mats + rng.normal(scale=1e-9, size=ball.mats.shape)
+    mats = np.concatenate([drifted, far])
+    got = reorthogonalize(mats, iterations=3)
+    assert np.array_equal(got, _reorthogonalize_batch(mats))
+    assert np.array_equal(got[-2:], far)
+    assert np.array_equal(reorthogonalize(far[0]), far[0])
+    for i in (0, 1000, ball.mats.shape[0] - 1):
+        assert np.array_equal(reorthogonalize(mats[i]), reorthogonalize(mats[i : i + 1])[0])
 
 
 def test_sl2_conversion_consistency(rng):

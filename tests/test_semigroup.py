@@ -33,7 +33,7 @@ from kleinian import (
     phi_map,
 )
 from kleinian import semigroup
-from kleinian.chains import ChainParams, check_chain
+from kleinian.chains import H_GEO, ChainParams, check_chain
 from kleinian.hyperbolic import (
     Point,
     basepoint,
@@ -43,7 +43,7 @@ from kleinian.hyperbolic import (
     split_distance,
     stable_arcosh,
 )
-from kleinian.orbit import GroupSpec
+from kleinian.orbit import GroupSpec, orbit_distance
 from kleinian.semigroup import (
     EXTENSION_TOL,
     SemigroupError,
@@ -726,6 +726,82 @@ def test_deep_element_3d_benchmark_case_stays_uncertified():
         "threshold": 2.25,
         "certified": 0,
     }
+
+
+def _bisection_deep_element(spec, M, ball):
+    """Reference: find_deep_element as it was before its crossings had a
+    closed form.  The first certified candidate's ray is sampled every
+    H_GEO and each depth-M crossing is bisected 50 times with one
+    single-point orbit_distance call per step.  Returns the witness word
+    and the segment length."""
+    target = 2.0 * M + 0.25
+    fractions = (0.35, 0.5, 0.65)
+    members = ball.by_norm()
+    cand = members[ball.norms[members] >= 2.0 * target]
+    norms = ball.norms[cand]
+    _, dirs = radial_split(ball.orbit_points(cand))
+    rs = np.concatenate([f * norms for f in fractions])
+    if spec.dim == 2:
+        bins, nbins = semigroup._angular_bins(ball, 0.25)
+        phis = np.tile(np.arctan2(dirs[:, 1], dirs[:, 0]), len(fractions))
+        deep = semigroup._certify_far(bins, nbins, 0.25, rs, phis, target)
+    else:
+        samples = ray_points(np.tile(dirs, (len(fractions), 1)), rs)
+        deep = orbit_distance(ball, samples)[0] >= target
+    deep &= ball.radius - rs >= target
+    chosen = int(np.flatnonzero(deep.reshape(len(fractions), -1).any(axis=0))[0])
+    u_dir, length = dirs[chosen], float(norms[chosen])
+    ts = np.linspace(0.0, length, max(int(math.ceil(length / H_GEO)) + 1, 8))
+    floor = np.minimum(orbit_distance(ball, ray_points(u_dir, ts))[0], ball.radius - ts)
+    peak = int(np.argmax(floor))
+
+    def depth_at(t):
+        value, _, row = orbit_distance(ball, ray_points(u_dir, t))
+        return min(value, ball.radius - t), row
+
+    def crossing(i_out, i_in):
+        lo, hi = ts[i_out], ts[i_in]
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if depth_at(mid)[0] <= M:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    below = np.flatnonzero(floor[: peak + 1] <= M)
+    t_p = crossing(int(below[-1]), int(below[-1]) + 1)
+    after = np.flatnonzero(floor[peak:] <= M) + peak
+    t_q = crossing(int(after[0]), int(after[0]) - 1)
+    anchor = ball.element(depth_at(t_p)[1])
+    witness = anchor.inverse() @ ball.element(depth_at(t_q)[1])
+    return witness.word, t_q - t_p
+
+
+@pytest.fixture(scope="module")
+def torus_balls(torus, torus_ball):
+    return {11.0: enumerate_ball(torus, 11.0, prune_margin=2.0), 12.0: torus_ball}
+
+
+@pytest.mark.parametrize("radius, M", [(11.0, 1.5), (11.0, 2.0), (12.0, 1.5), (12.0, 2.0)])
+def test_deep_element_crossings_match_bisection(torus, torus_balls, radius, M):
+    """Closed-form crossings P and Q give the bisection's witness word and
+    segment length, on the R=11 ball of the benchmark and the R=12 ball."""
+    ball = torus_balls[radius]
+    query = find_deep_element(torus, M, ball)
+    word, length = _bisection_deep_element(torus, M, ball)
+    assert query.result.element.word == word
+    assert query.diagnostics["segment_length"] == pytest.approx(length, abs=1e-12)
+    assert query.diagnostics["crossing_depths"] == pytest.approx([M, M], abs=1e-12)
+
+
+def test_deep_element_3d_crossings_match_bisection():
+    spec = GroupSpec([boost(3, 1, 2.5), boost(3, 2, 5.5)], 3, free=True)
+    ball = enumerate_ball(spec, 12.0, prune_margin=2.0)
+    query = find_deep_element(spec, 1.0, ball)
+    word, length = _bisection_deep_element(spec, 1.0, ball)
+    assert query.result.element.word == word == (2,)
+    assert query.diagnostics["segment_length"] == pytest.approx(length, abs=1e-12)
 
 
 def test_deep_element_edge_cases(torus, torus_ball):
