@@ -247,12 +247,13 @@ def check_chain(chain, params: ChainParams) -> ChainCertificate:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def nearest_point_on_geodesic(x, y, points, tol: float = 1e-9):
+def nearest_point_on_geodesic(x, y, points):
     """Feet and distances of points projected to the segment [x, y].
 
     Batched golden-section search over the arclength parameter; the
     distance along a geodesic is convex, so the bracket converges at the
-    golden rate.  Returns (t, dist) arrays (scalars for a single point).
+    golden rate, here to within 1e-9.  Returns (t, dist) arrays (scalars
+    for a single point).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -277,7 +278,7 @@ def nearest_point_on_geodesic(x, y, points, tol: float = 1e-9):
     d = a + _INVPHI * (b - a)
     fc = eval_at(c)
     fd = eval_at(d)
-    n_iter = max(1, int(math.ceil(math.log(max(total / tol, 2.0)) / math.log(1.0 / _INVPHI))))
+    n_iter = max(1, int(math.ceil(math.log(max(total / 1e-9, 2.0)) / math.log(1.0 / _INVPHI))))
     for _ in range(n_iter):
         take_left = fc < fd
         b = np.where(take_left, d, b)
@@ -483,18 +484,15 @@ class FellowTravelReport:
     max_offset: float
     deep_point_bound: float | None
     radius: float
-    step: float
 
 
-def fellow_travel_check(
-    x, y, x2, y2, radius: float, *, step: float = H_GEO
-) -> FellowTravelReport:
+def fellow_travel_check(x, y, x2, y2, radius: float) -> FellowTravelReport:
     """Check that [x, y] stays within ``radius`` of [x2, y2].
 
     Preconditions d(x, x2) < radius and d(y, y2) < radius (the endpoints
-    fellow-travel).  Samples [x, y] at spacing ``step`` and projects each
+    fellow-travel).  Samples [x, y] at spacing ``H_GEO`` and projects each
     sample onto [x2, y2] exactly; convexity of the distance makes the
-    sampled supremum within step/2 of the true one.  ``deep_point_bound``
+    sampled supremum within H_GEO/2 of the true one.  ``deep_point_bound``
     is the largest offset among samples at least ``radius`` away from both
     endpoints of [x, y] (None when there are no such samples); deep
     offsets contract well below ``radius`` but the amount depends on the
@@ -516,7 +514,7 @@ def fellow_travel_check(
         ts = np.array([0.0])
         samples = x[None]
     else:
-        k = max(2, int(math.ceil(total / step)) + 1)
+        k = max(2, int(math.ceil(total / H_GEO)) + 1)
         ts = np.linspace(0.0, total, k)
         samples = geodesic_point(x, y, ts)
     if float(distance(x2, y2)) == 0.0:
@@ -534,5 +532,4 @@ def fellow_travel_check(
         max_offset=float(np.max(dists)),
         deep_point_bound=deep_bound,
         radius=radius,
-        step=step,
     )

@@ -28,6 +28,9 @@ __all__ = [
     "build_group",
 ]
 
+# boundary directions sampled when validating Schottky cap containment
+CAP_SAMPLES = 512
+
 
 def _cap_angle(u, center) -> np.ndarray:
     c = np.clip(np.asarray(u) @ np.asarray(center), -1.0, 1.0)
@@ -80,14 +83,15 @@ def schottky(length: float = 2.2, dim: int = 2, cap_radius: float | None = None)
     return spec
 
 
-def validate_schottky_caps(spec: GroupSpec, n_samples: int = 512) -> dict:
+def validate_schottky_caps(spec: GroupSpec) -> dict:
     """Check cap data: caps pairwise disjoint, each letter maps the
     complement of its repelling cap into its attracting cap.
 
     Containment is tested by pushing a dense sample of complement
-    directions through the boundary action and measuring the worst image
-    angle; no monotonicity of the boundary map is assumed.  Returns gaps
-    and margins (positive means valid, with room).
+    directions (``CAP_SAMPLES`` of them) through the boundary action and
+    measuring the worst image angle; no monotonicity of the boundary map
+    is assumed.  Returns gaps and margins (positive means valid, with
+    room).
     """
     caps = spec.metadata.get("caps")
     if not caps:
@@ -102,11 +106,11 @@ def validate_schottky_caps(spec: GroupSpec, n_samples: int = 512) -> dict:
             min_gap = min(min_gap, gap)
     # sample directions: great-circle grid for d=2, spiral grid otherwise
     if spec.dim == 2:
-        phi = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+        phi = np.linspace(0.0, 2.0 * math.pi, CAP_SAMPLES, endpoint=False)
         grid = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     else:
-        k = np.arange(n_samples)
-        z = 1.0 - 2.0 * (k + 0.5) / n_samples
+        k = np.arange(CAP_SAMPLES)
+        z = 1.0 - 2.0 * (k + 0.5) / CAP_SAMPLES
         az = k * math.pi * (3.0 - math.sqrt(5.0))
         s = np.sqrt(1.0 - z * z)
         grid = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
@@ -131,7 +135,7 @@ def validate_schottky_caps(spec: GroupSpec, n_samples: int = 512) -> dict:
         "min_gap": float(min_gap),
         "min_margin": float(min_margin),
         "margins": per_letter,
-        "n_samples": int(n_samples),
+        "n_samples": CAP_SAMPLES,
     }
 
 
@@ -160,16 +164,15 @@ def punctured_torus() -> GroupSpec:
     )
 
 
-def cyclic(length: float = 1.0, dim: int = 2) -> GroupSpec:
-    """Infinite cyclic group of a single boost: growth exponent 0 and a
-    two-point limit set, the degenerate end of every estimate here."""
+def cyclic(length: float = 1.0) -> GroupSpec:
+    """Infinite cyclic group of a single boost of H^2: growth exponent 0
+    and a two-point limit set, the degenerate end of every estimate here."""
     if length <= 0:
         raise ValueError("translation length must be positive")
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
+    e1 = np.array([1.0, 0.0])
     return GroupSpec(
-        [boost(dim, 1, length)],
-        dim,
+        [boost(2, 1, length)],
+        2,
         name=f"cyclic(t={length:g})",
         free=True,
         metadata={

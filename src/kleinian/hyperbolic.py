@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Shared numeric defaults.  Callers can override per call.
+# Shared numeric constants: the sheet tolerance of points, the drift
+# tolerance of isometries, and the BFS levels between reorthogonalizations.
 TOL_POINT = 1e-9
 TOL_ISO = 1e-8
 REORTH_EVERY = 64
@@ -138,7 +139,15 @@ def radial_split(points):
     p = np.asarray(points, dtype=float)
     r = stable_arcosh(p[..., 0])
     spatial = p[..., 1:]
-    n = np.linalg.norm(spatial, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(spatial, axis=-1, keepdims=True)
+    # squares overflow past radius about 355: only those rows are rescaled
+    # by their largest entry, behind one cheap test as in _arcosh_1p
+    far = np.isinf(n[..., 0])
+    if np.count_nonzero(far):
+        big = spatial[far]
+        top = np.max(np.abs(big), axis=-1, keepdims=True)
+        n[far] = top * np.linalg.norm(big / top, axis=-1, keepdims=True)
     safe = np.where(n > 0.0, n, 1.0)
     u = spatial / safe
     if np.any(n == 0.0):
@@ -212,13 +221,14 @@ def _coords(p):
     return p
 
 
-def point_on_sheet(coords, tol: float = TOL_POINT) -> np.ndarray:
-    """Validate that ``coords`` lies on the upper sheet; return as float array."""
+def point_on_sheet(coords) -> np.ndarray:
+    """Validate that ``coords`` lies on the upper sheet within ``TOL_POINT``;
+    return as float array."""
     c = np.asarray(coords, dtype=float)
     if c.ndim != 1 or c.shape[0] < 3:
         raise OffSheetError(f"expected a vector of length >= 3, got shape {c.shape}")
     q = minkowski_inner(c, c)
-    if abs(q + 1.0) > tol * max(1.0, float(c[0]) ** 2) or c[0] < 1.0 - tol:
+    if abs(q + 1.0) > TOL_POINT * max(1.0, float(c[0]) ** 2) or c[0] < 1.0 - TOL_POINT:
         raise OffSheetError(
             f"vector is off the unit hyperboloid: <x,x>={q!r}, x0={c[0]!r}"
         )
@@ -310,7 +320,7 @@ def ray_distance(h, t, s):
     return split_distance(h, e[0], np.abs(s - t), e[1])
 
 
-def boundary_direction(p, tol: float = TOL_POINT) -> BoundaryPoint:
+def boundary_direction(p) -> BoundaryPoint:
     """Radial direction of a point as seen from the basepoint.
 
     For a sequence of points escaping to infinity these directions form a
@@ -319,7 +329,7 @@ def boundary_direction(p, tol: float = TOL_POINT) -> BoundaryPoint:
     c = np.asarray(_coords(p), dtype=float)
     spatial = c[1:]
     n = np.linalg.norm(spatial)
-    if n <= tol:
+    if n <= TOL_POINT:
         raise DegenerateDirectionError("point is at the basepoint; no direction")
     return BoundaryPoint(spatial / n)
 
@@ -379,12 +389,12 @@ def geodesic_point(x, y, t):
 # Isometries
 
 
-def validate_isometry(matrix: np.ndarray, tol: float = TOL_ISO) -> bool:
-    """True when M^T J M = J within ``tol`` (relative) and M fixes the sheet."""
+def validate_isometry(matrix: np.ndarray) -> bool:
+    """True when M^T J M = J within ``TOL_ISO`` (relative) and M fixes the sheet."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return form_residual(m) <= tol and m[0, 0] >= 1.0 - tol
+    return form_residual(m) <= TOL_ISO and m[0, 0] >= 1.0 - TOL_ISO
 
 
 def form_residual(matrix: np.ndarray) -> float:
@@ -458,7 +468,7 @@ class Isometry:
         """Displacement of the basepoint, d(x0, g x0) = arcosh(M_00)."""
         return float(stable_arcosh(self.matrix[0, 0]))
 
-    def apply(self, p, tol: float = TOL_POINT) -> Point:
+    def apply(self, p) -> Point:
         """Image of a point; validates the result stays on the sheet."""
         c = self.matrix @ np.asarray(_coords(p), dtype=float)
         try:
@@ -467,14 +477,6 @@ class Isometry:
             raise IsometryDriftError(
                 f"image left the sheet ({exc}); reorthogonalize the matrix"
             ) from exc
-
-    def compose(self, other: "Isometry", validate: bool = False) -> "Isometry":
-        m = self.matrix @ other.matrix
-        if validate and not validate_isometry(m):
-            m = reorthogonalize(m)
-            if not validate_isometry(m):
-                raise IsometryDriftError("composition drifted beyond repair")
-        return Isometry(m, self.word + other.word)
 
     def inverse(self) -> "Isometry":
         j = form_matrix(self.dim)
@@ -485,7 +487,7 @@ class Isometry:
         return Point(self.matrix[:, 0].copy())
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return self.compose(other)
+        return Isometry(self.matrix @ other.matrix, self.word + other.word)
 
     def power(self, n: int) -> "Isometry":
         """n-th power by repeated squaring (word expanded literally)."""

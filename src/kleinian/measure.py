@@ -74,6 +74,19 @@ TOL_SERIES = 1e-6
 # spacing of the samples of [x0, g x0] that a Myrberg witness must carry
 # into the tube
 MYRBERG_STEP = 0.5
+# radius of the far-point proxy of a boundary point in shadow_contains
+PROXY_RADIUS = 32.0
+# the principle report measures shadows at every index word up to this length
+PREFIX_DEPTH = 2
+# the quasi-invariance report transports the shadows of this many letters
+QUASI_LETTERS = 4
+# shadows re-measured by the seeded audits of the quasi and tail reports
+AUDIT_SIZE = 16
+# the nesting report checks the words over this many lowest-norm apexes
+MAX_APEXES = 200
+# conical profiles: ray sample step, and the window share before the tail
+PROFILE_STEP = 0.1
+TAIL_FRACTION = 0.5
 
 
 class MeasureError(RuntimeError):
@@ -101,7 +114,6 @@ class Shadow:
     apex: np.ndarray
     r: float
     apex_norm: float = 0.0
-    apex_word: tuple | None = None
 
     def __post_init__(self):
         self.apex = np.asarray(self.apex, dtype=float)
@@ -109,7 +121,7 @@ class Shadow:
             self.apex_norm = float(stable_arcosh(self.apex[0]))
 
 
-def shadow_contains(z, shadow: Shadow, *, proxy_radius: float = 32.0) -> bool:
+def shadow_contains(z, shadow: Shadow) -> bool:
     """Membership test; boundary points enter via a far-point proxy.
 
     Coordinate arithmetic is reliable here only while the apex and the
@@ -117,7 +129,7 @@ def shadow_contains(z, shadow: Shadow, *, proxy_radius: float = 32.0) -> bool:
     word-level quotient route for far apexes instead.
     """
     if isinstance(z, BoundaryPoint):
-        pt = z.ray_point(proxy_radius)
+        pt = z.ray_point(PROXY_RADIUS)
     elif isinstance(z, Point):
         pt = z.coords
     else:
@@ -136,13 +148,13 @@ class PSAtomSet:
 
     Atom f has weight e^{-s|f|} / Z with Z the truncated series, so the
     weights sum to one minus the recorded floor drop.  Atoms are the
-    family rows ``family_rows`` that kept a weight; their words, norms,
-    orbit columns f x0 (directions normalize them) and head norms |a f|
-    are slices of the family store, whose row arithmetic
-    (:meth:`TruncatedFamily.rows_after`) powers the stable
-    Gromov-product machinery in :func:`apex_products`.  Quotient words
-    there may fall below the weight floor, so their columns and head
-    norms are read from the whole family (``family_head``).
+    family rows ``family_rows`` that kept a weight; their words, norms
+    and orbit columns f x0 (directions normalize them) are slices of the
+    family store, whose row arithmetic (:meth:`TruncatedFamily.rows_after`)
+    powers the stable Gromov-product machinery in :func:`apex_products`.
+    Quotient words there may fall below the weight floor, so their
+    columns and head norms |a f| are read from the whole family
+    (``family_head``).
     """
 
     s: float
@@ -150,7 +162,6 @@ class PSAtomSet:
     norms: np.ndarray
     weights: np.ndarray
     columns: np.ndarray
-    head_norms: np.ndarray
     Z: float
     mass_drop: float
     dropped_floor: int
@@ -218,7 +229,6 @@ def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtom
         norms=fam.norms[rows],
         weights=weights[rows],
         columns=fam.columns[rows],
-        head_norms=head[rows],
         Z=float(z),
         mass_drop=float(weights[finite & ~keep].sum()),
         dropped_floor=int(np.sum(finite & ~keep)),
@@ -302,21 +312,14 @@ def _is_prefix(atoms: PSAtomSet, g: tuple) -> np.ndarray:
 # Shadow principle.
 
 
-def shadow_principle_report(
-    atoms: PSAtomSet,
-    delta_F: float,
-    pair,
-    *,
-    prefix_depth: int = 2,
-    tol_series: float = TOL_SERIES,
-) -> dict:
+def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
     """Measure shadows at family apexes against e^{-s|g|}.
 
-    For every index word g up to ``prefix_depth`` the report computes
-    mu_s(S(g x0, 8C)) e^{s|g|}.  The upper bound (ratio at most one) is
-    truncation-stable: every shadow member h factors as g a k with k a
-    shorter family word, so the shadow mass is dominated by e^{-s|g|}
-    times the full truncated series.  The lower bound depends on tail
+    For every index word g of length at most ``PREFIX_DEPTH`` the report
+    computes mu_s(S(g x0, 8C)) e^{s|g|}.  The upper bound (ratio at most
+    one) is truncation-stable: every shadow member h factors as g a k
+    with k a shorter family word, so the shadow mass is dominated by
+    e^{-s|g|} times the full truncated series.  The lower bound depends on tail
     mass and its literal constant is astronomically loose, so measured
     minima are reported, never asserted.
     """
@@ -338,7 +341,7 @@ def shadow_principle_report(
             "ratio": identity_ratio,
         }
     )
-    for i in np.flatnonzero(atoms.lengths <= prefix_depth):
+    for i in np.flatnonzero(atoms.lengths <= PREFIX_DEPTH):
         g = atoms.words[i]
         prods = apex_products(atoms, g)
         member = prods <= r
@@ -367,8 +370,8 @@ def shadow_principle_report(
         "prefixes": rows,
         "max_ratio": float(ratios.max()),
         "min_ratio": float(ratios.min()),
-        "upper_ok": bool(ratios.max() <= 1.0 + tol_series),
-        "tol_series": tol_series,
+        "upper_ok": bool(ratios.max() <= 1.0 + TOL_SERIES),
+        "tol_series": TOL_SERIES,
         "equal_norm_spread": spreads,
         "viability": viability,
         "literal_lower_constant_log10": float(
@@ -382,24 +385,23 @@ def quasi_invariance_report(
     atoms: PSAtomSet,
     pair,
     *,
-    n_letters: int = 4,
-    audit: int = 16,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> dict:
     """Push shadow masses forward by h a and compare against e^{-s(|h|+|a|)}.
 
-    For letters h and letter shadows O, every in-truncation transport
-    h a O keeps at least e^{-s(|h| + |a|)} of the mass of O up to the
-    recorded truncation slack (members of O too long to prepend).  The
-    transported mass is counted on words extending h, an exact lower
-    bound; a seeded audit double-checks that non-extending atoms really
+    For h and O among the first ``QUASI_LETTERS`` letters and their
+    shadows, every in-truncation transport h a O keeps at least
+    e^{-s(|h| + |a|)} of the mass of O up to the recorded truncation
+    slack (members of O too long to prepend).  The transported mass is
+    counted on words extending h, an exact lower bound; a seeded audit of
+    ``AUDIT_SIZE`` atoms double-checks that non-extending atoms really
     sit outside h a O via fully reduced label words.
     """
     s = atoms.s
     na = atoms.separator_norm
     r = 8.0 * atoms.scale
-    letters = [atoms.words[i] for i in np.flatnonzero(atoms.lengths == 1)[:n_letters]]
+    first = np.flatnonzero(atoms.lengths == 1)[:QUASI_LETTERS]
+    letters = [atoms.words[i] for i in first]
     fam = atoms.family
     rng = np.random.default_rng(seed)
     checks = []
@@ -426,14 +428,14 @@ def quasi_invariance_report(
                     "slack": slack,
                     "lhs": float(lhs),
                     "rhs": float(mass_o - slack),
-                    "ok": bool(lhs >= mass_o - slack - tol),
+                    "ok": bool(lhs >= mass_o - slack - 1e-9),
                 }
             )
         outside = np.flatnonzero(~_is_prefix(atoms, k) & member)
         if outside.size:
             audit_members += int(outside.size)
         sample = rng.choice(
-            np.flatnonzero(~member), size=min(audit, int((~member).sum())),
+            np.flatnonzero(~member), size=min(AUDIT_SIZE, int((~member).sum())),
             replace=False,
         )
         if sample.size:
@@ -449,20 +451,16 @@ def quasi_invariance_report(
     }
 
 
-def shadow_nesting_report(
-    atoms: PSAtomSet,
-    pair,
-    *,
-    max_apexes: int = 200,
-) -> dict:
+def shadow_nesting_report(atoms: PSAtomSet, pair) -> dict:
     """Verify that small products against an apex force the prefix relation.
 
     For family words u, v: (x0 | u x0)_{v x0} below 9C happens only when
     v's indices are a prefix of u's.  Checked exactly on words over the
-    lowest-norm apexes; any violation is returned, none is expected.
+    ``MAX_APEXES`` lowest-norm apexes; any violation is returned, none is
+    expected.
     """
     bound = 9.0 * pair.scale
-    order = np.argsort(atoms.norms, kind="stable")[:max_apexes]
+    order = np.argsort(atoms.norms, kind="stable")[:MAX_APEXES]
     violations = []
     n_inside = 0
     min_outside = math.inf
@@ -530,14 +528,10 @@ def _check_horizon(ref_ball: OrbitBall, t_max: float) -> None:
 
 
 def conical_profile(
-    xi: BoundaryPoint,
-    ref_ball: OrbitBall,
-    t_max: float,
-    h_t: float = 0.1,
-    *,
-    tail_fraction: float = 0.5,
+    xi: BoundaryPoint, ref_ball: OrbitBall, t_max: float
 ) -> ConicalProfile:
-    """Sample f(t) = d(ray(t), orbit) along the ray toward ``xi``.
+    """Sample f(t) = d(ray(t), orbit) along the ray toward ``xi``, every
+    ``PROFILE_STEP``, with the tail from ``TAIL_FRACTION * t_max`` on.
 
     The ray from the basepoint is radial, so samples are exact; distances
     come from the reference ball and are censored where orbit points
@@ -547,11 +541,9 @@ def conical_profile(
     the window.
     """
     _check_horizon(ref_ball, t_max)
-    if h_t <= 0.0:
-        raise ValueError("sample step must be positive")
-    ts = np.arange(0.0, t_max + 0.5 * h_t, h_t)
+    ts = np.arange(0.0, t_max + 0.5 * PROFILE_STEP, PROFILE_STEP)
     values, censored, _ = orbit_distance(ref_ball, ray_points(xi.direction, ts))
-    tail_start = tail_fraction * t_max
+    tail_start = TAIL_FRACTION * t_max
     tail = ts >= tail_start
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(ts > 0, values / np.maximum(ts, 1e-300), 0.0)
@@ -561,7 +553,7 @@ def conical_profile(
         values=values,
         censored=censored,
         t_max=float(t_max),
-        h_t=float(h_t),
+        h_t=PROFILE_STEP,
         tail_start=float(tail_start),
         window_max=float(values.max()),
         tail_min=float(values[tail].min()),
@@ -624,7 +616,6 @@ def shadow_tail_report(
     eta: float,
     delta_F: float,
     *,
-    audit: int = 16,
     seed: int = 0,
 ) -> dict:
     """Shell-by-shell mass of the excursion shadows against the decay bound.
@@ -632,8 +623,8 @@ def shadow_tail_report(
     A shadow S(g a h x0, 8C) joins shell R when R <= |g| <= R + 1 and
     |h| > eta |g|; each distinct apex counts once per shell.  Shadow
     masses are summed over extending words (exact at word level, and a
-    lower bound in general); a seeded audit re-measures a few shadows
-    with the full product test and reports any boundary members it finds.
+    lower bound in general); a seeded audit re-measures ``AUDIT_SIZE``
+    shadows with the full product test and reports any boundary members it finds.
     Shell sums are compared with 1.1 e^{-0.5 delta_F eta R}.
     """
     if not 0.0 < eta < 1.0:
@@ -667,7 +658,7 @@ def shadow_tail_report(
     if shells:
         candidates = np.unique(rows).tolist()
         pick = rng.choice(
-            len(candidates), size=min(audit, len(candidates)), replace=False
+            len(candidates), size=min(AUDIT_SIZE, len(candidates)), replace=False
         )
         audit_rows = [candidates[int(p)] for p in pick]
     boundary_members = 0

@@ -59,11 +59,17 @@ __all__ = [
     "enumerate_ball",
     "poincare_partial",
     "estimate_critical_exponent",
+    "growth_fit",
     "separated_net",
     "orbit_distance",
     "sl2_to_so21",
     "sl2_norm",
 ]
+
+# the growth fit runs over unit-spaced radii from this share of the ball
+# radius up to the radius, and over at least this many radii
+GROWTH_WINDOW = 0.6
+GROWTH_MIN_POINTS = 4
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -206,7 +212,7 @@ class CriticalExponentEstimate:
     intercept: float
     residual: float
     radii: np.ndarray
-    log_counts: np.ndarray
+    counts: np.ndarray
 
 
 def _psl_keys(int_mats):
@@ -239,9 +245,7 @@ class OrbitBall:
     parent: np.ndarray
     letter: np.ndarray
     word_length: np.ndarray
-    int_mats: np.ndarray | None = None
     dedup_mode: str = "none"
-    dedup_tol: float = 0.0
     merged: int = 0
     anomalies: list = field(default_factory=list)
 
@@ -293,9 +297,9 @@ class OrbitBall:
         members = self.members
         return members[np.argsort(self.norms[members], kind="stable")]
 
-    def write_csv(self, path, members_only: bool = True) -> int:
-        """Dump rows as delimited text: word, norm, then the orbit point."""
-        idx = self.members if members_only else np.arange(len(self))
+    def write_csv(self, path) -> int:
+        """Dump members as delimited text: word, norm, then the orbit point."""
+        idx = self.members
         points = self.orbit_points(idx)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -412,46 +416,30 @@ def enumerate_ball(
     use_int = mode == "exact"
     if use_int:
         letter_ints = np.stack([lift for _, _, lift in letters]).astype(np.int64)
+        f_ints = np.eye(2, dtype=np.int64)[None]
+        seen = set(_psl_keys(f_ints))
+    elif mode == "binned":
+        window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
 
     mats_levels = [np.eye(k)[None]]
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
     letter_levels = [np.full(1, -1, dtype=np.int16)]
     length_levels = [np.zeros(1, dtype=np.int32)]
-    int_levels = [np.eye(2, dtype=np.int64)[None]] if use_int else None
-
-    seen = None
-    window = None
-    if use_int:
-        seen = set(_psl_keys(int_levels[0]))
-    elif mode == "binned":
-        window = (norms_levels[0], *radial_split(mats_levels[0][:, :, 0]))
-
     total = 1
     merged = 0
     level = 0
-    frontier = 0  # index into *_levels of the current frontier
     anomalies: list[str] = []
 
     while True:
         level += 1
         if max_word_length is not None and level > max_word_length:
             break
-        f_mats = mats_levels[frontier]
-        f_letters = letter_levels[frontier]
+        # the frontier is the last level
+        f_mats = mats_levels[-1]
         m = f_mats.shape[0]
-        if m == 0:
-            break
         # parent-major candidate block: index i*n_letters + j is frontier i, letter j
-        cand_parent = np.repeat(np.arange(m, dtype=np.int64), n_letters)
-        cand_letter = np.tile(np.arange(n_letters, dtype=np.int16), m)
-        keep = np.ones(m * n_letters, dtype=bool)
-        if not spec.semigroup:
-            # never take a step straight back
-            prev = f_letters[cand_parent]
-            keep &= (prev < 0) | (inverse_of[cand_letter] != prev)
         if use_int:
-            f_ints = int_levels[frontier]
             cand_int = np.einsum(
                 "mij,ljk->mlik", f_ints, letter_ints, optimize=True
             ).reshape(m * n_letters, 2, 2)
@@ -466,37 +454,36 @@ def enumerate_ball(
             cand = np.einsum("mij,ljk->mlik", f_mats, letter_mats, optimize=True)
             cand = cand.reshape(m * n_letters, k, k)
         norms = stable_arcosh(cand[:, 0, 0])
-        keep &= norms <= cutoff
+        keep = norms <= cutoff
+        if not spec.semigroup:
+            # never take a step straight back
+            prev = letter_levels[-1][:, None]
+            keep &= ((prev < 0) | (inverse_of != prev)).ravel()
         idx = np.flatnonzero(keep)
         if idx.shape[0] == 0:
             break
-        cand = cand[idx]
-        norms = norms[idx]
-        cand_parent = cand_parent[idx]
-        cand_letter = cand_letter[idx]
+        # one row filter per level: the dedup marks which kept rows are fresh
         if use_int:
-            cand_int = cand_int[idx]
-            keys = _psl_keys(cand_int)
+            keys = _psl_keys(cand_int[idx])
             fresh = np.ones(len(keys), dtype=bool)
             for i, key in enumerate(keys):
                 if key in seen:
                     fresh[i] = False
                 else:
                     seen.add(key)
-            merged += int(np.count_nonzero(~fresh))
-            cand = cand[fresh]
-            norms = norms[fresh]
-            cand_parent = cand_parent[fresh]
-            cand_letter = cand_letter[fresh]
-            cand_int = cand_int[fresh]
         elif mode == "binned":
-            fresh, window = _binned_level(window, norms, cand[:, :, 0], dedup_tol)
-            merged += int(np.count_nonzero(~fresh))
-            cand = cand[fresh]
-            norms = norms[fresh]
-            cand_parent = cand_parent[fresh]
-            cand_letter = cand_letter[fresh]
-        if not use_int and reorth_every and level % reorth_every == 0:
+            fresh, window = _binned_level(
+                window, norms[idx], cand[idx, :, 0], dedup_tol
+            )
+        else:
+            fresh = np.ones(idx.shape[0], dtype=bool)
+        merged += int(np.count_nonzero(~fresh))
+        idx = idx[fresh]
+        cand = cand[idx]
+        norms = norms[idx]
+        if use_int:
+            f_ints = cand_int[idx]
+        elif reorth_every and level % reorth_every == 0:
             cand = reorthogonalize(cand, iterations=3)
             norms = stable_arcosh(cand[:, 0, 0])
         n_new = cand.shape[0]
@@ -509,17 +496,12 @@ def enumerate_ball(
                 total,
                 level,
             )
-        offset = sum(arr.shape[0] for arr in mats_levels[: frontier + 1])
-        base = offset - mats_levels[frontier].shape[0]
         mats_levels.append(cand)
         norms_levels.append(norms)
-        parent_levels.append(base + cand_parent)
-        letter_levels.append(cand_letter)
+        parent_levels.append(total - m + idx // n_letters)
+        letter_levels.append((idx % n_letters).astype(np.int16))
         length_levels.append(np.full(n_new, level, dtype=np.int32))
-        if use_int:
-            int_levels.append(cand_int)
         total += n_new
-        frontier += 1
 
     ball = OrbitBall(
         spec=spec,
@@ -530,9 +512,7 @@ def enumerate_ball(
         parent=np.concatenate(parent_levels),
         letter=np.concatenate(letter_levels),
         word_length=np.concatenate(length_levels),
-        int_mats=np.concatenate(int_levels) if use_int else None,
         dedup_mode=mode,
-        dedup_tol=float(dedup_tol),
         merged=merged,
     )
     _sanity_check(ball, anomalies)
@@ -575,28 +555,19 @@ def poincare_partial(ball: OrbitBall, s, radius: float | None = None):
     )
 
 
-def estimate_critical_exponent(
-    ball: OrbitBall,
-    *,
-    radii=None,
-    window_fraction: float = 0.6,
-    min_points: int = 4,
-) -> CriticalExponentEstimate:
-    """Growth-rate fit: slope of log #B_r over a top window of radii.
+def growth_fit(sorted_norms, radii) -> CriticalExponentEstimate:
+    """Least-squares line through (r, log #{norms <= r}) at ``radii``.
 
-    By default the radii grid is unit-spaced from ``window_fraction * R`` up
-    to R.  Callers fitting staircase-like growth (e.g. shells of a product
-    set) should pass explicit ``radii`` at the shell tops instead.
+    The counts come from ``sorted_norms`` by binary search.  The residual
+    is the largest distance of a log count from the line.  Fewer than two
+    radii fit no line, and the slope is 0.
     """
-    if radii is None:
-        top = ball.radius
-        lo = window_fraction * top
-        n = max(min_points, int(np.floor(top - lo)) + 1)
-        radii = np.linspace(lo, top, n)
     radii = np.asarray(radii, dtype=float)
-    counts = ball.counts_at(radii)
+    counts = np.searchsorted(sorted_norms, radii, side="right")
     if np.any(counts == 0):
         raise ValueError("empty ball inside the fit window; widen the window")
+    if radii.shape[0] < 2:
+        return CriticalExponentEstimate(0.0, 0.0, 0.0, radii, counts)
     logs = np.log(counts.astype(float))
     slope, intercept = np.polyfit(radii, logs, 1)
     residual = float(np.max(np.abs(slope * radii + intercept - logs)))
@@ -605,8 +576,23 @@ def estimate_critical_exponent(
         intercept=float(intercept),
         residual=residual,
         radii=radii,
-        log_counts=logs,
+        counts=counts,
     )
+
+
+def estimate_critical_exponent(ball: OrbitBall) -> CriticalExponentEstimate:
+    """Growth-rate fit: slope of log #B_r over the top window of radii.
+
+    The radii are unit-spaced from ``GROWTH_WINDOW * R`` up to R, at
+    least ``GROWTH_MIN_POINTS`` of them.  Staircase-like growth, such as
+    the shells of a product set, is fitted at its shell tops instead (see
+    the family exponent of :func:`~kleinian.semigroup.build_stage`).
+    """
+    top = ball.radius
+    lo = GROWTH_WINDOW * top
+    n = max(GROWTH_MIN_POINTS, int(np.floor(top - lo)) + 1)
+    member_norms = np.sort(ball.norms[ball.member_mask])
+    return growth_fit(member_norms, np.linspace(lo, top, n))
 
 
 def separated_net(
@@ -615,7 +601,6 @@ def separated_net(
     *,
     lo: float = 0.0,
     hi: float | None = None,
-    max_size: int | None = None,
 ) -> np.ndarray:
     """Greedy ``scale``-separated subset of members, taken in norm order.
 
@@ -640,8 +625,6 @@ def separated_net(
             if float(np.min(d)) < scale:
                 continue
         kept.append(i)
-        if max_size is not None and len(kept) >= max_size:
-            break
     return members[np.array(kept, dtype=np.int64)]
 
 

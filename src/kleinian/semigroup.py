@@ -76,6 +76,7 @@ from .orbit import (
     OrbitBall,
     enumerate_ball,
     estimate_critical_exponent,
+    growth_fit,
     orbit_distance,
 )
 
@@ -111,6 +112,16 @@ EXTENSION_TOL = 1e-8
 # default norm ratio |a| / |b| and chain scale |a| / 10
 RATIO_DEFAULT = 8.0
 SCALE_DIVISOR = 10.0
+
+# find_ping_pong_pair: smallest members in the branching window, and the
+# highest generator power tried for either letter
+BRANCH_WINDOW = 20
+POWER_CAP = 64
+
+# build_stage: reach-radius ratio between stages, and the margin (in chain
+# scales) by which the substitute separator power clears the new radius
+STAGE_RADIUS_RATIO = 4.0
+SUBSTITUTE_SCALES = 10.0
 
 # find_deep_element: peak depth over 2M, ray samples per candidate, and the
 # radial shells of the dimension-2 certification
@@ -238,15 +249,15 @@ def _translation_length(iso: Isometry) -> float:
     return float(max(np.log(lam), 0.0))
 
 
-def _smallest_power(letter: Isometry, threshold: float, cap: int = 64):
-    """Smallest power whose norm strictly clears ``threshold``."""
+def _smallest_power(letter: Isometry, threshold: float):
+    """Smallest power up to ``POWER_CAP`` whose norm strictly clears ``threshold``."""
     g = letter
-    for p in range(1, cap + 1):
+    for p in range(1, POWER_CAP + 1):
         if g.norm() > threshold:
             return p, g
         g = g @ letter
     raise PairNotFoundError(
-        f"no generator power cleared norm {threshold:.3g} within {cap} steps"
+        f"no generator power cleared norm {threshold:.3g} within {POWER_CAP} steps"
     )
 
 
@@ -270,8 +281,6 @@ def find_ping_pong_pair(
     spec: GroupSpec,
     *,
     ratio: float | None = None,
-    window: int = 20,
-    power_cap: int = 64,
 ) -> PingPongPair:
     """Search generator powers for a separated (separator, adjuster) pair.
 
@@ -279,7 +288,8 @@ def find_ping_pong_pair(
     clearing the branching margin ``3 + gromov_sup``; the separator is
     the smallest power of the first letter reaching ``ratio`` (default
     8) times the adjuster norm.  The chain scale, product bound and gap
-    bound are all ``|a| / 10``.
+    bound are all ``|a| / 10``.  The branching margin is read off the
+    ``BRANCH_WINDOW`` smallest members of a ball.
     """
     letters = [Isometry(m, (lab,)) for lab, m, _ in spec.letters() if lab > 0]
     loxo = [g for g in letters if _translation_length(g) > 1e-9]
@@ -298,24 +308,24 @@ def find_ping_pong_pair(
     radius = 1.5 * spec.max_generator_norm() + 0.1
     ball = enumerate_ball(spec, radius, max_elements=200_000)
     for _ in range(6):
-        if ball.n_members > window:
+        if ball.n_members > BRANCH_WINDOW:
             break
         radius *= 1.5
         ball = enumerate_ball(spec, radius, max_elements=200_000)
-    c0_full = _branch_products(ball, window)
-    c0_half = _branch_products(ball, max(2, window // 2))
+    c0_full = _branch_products(ball, BRANCH_WINDOW)
+    c0_half = _branch_products(ball, BRANCH_WINDOW // 2)
     window_margin = max(0.0, c0_full - c0_half)
     gromov_sup = c0_full + window_margin
 
     ratio_required = RATIO_DEFAULT if ratio is None else float(ratio)
-    q, b = _smallest_power(v, 3.0 + gromov_sup, power_cap)
-    p, a = _smallest_power(u, ratio_required * b.norm() - 1e-12, power_cap)
+    q, b = _smallest_power(v, 3.0 + gromov_sup)
+    p, a = _smallest_power(u, ratio_required * b.norm() - 1e-12)
     scale = a.norm() / SCALE_DIVISOR
     return PingPongPair(
         separator=a,
         adjuster=b,
         gromov_sup=gromov_sup,
-        window=window,
+        window=BRANCH_WINDOW,
         window_margin=window_margin,
         scale=scale,
         product_bound=scale,
@@ -669,9 +679,7 @@ def build_seed_alphabet(
     *,
     n_min: int = 4,
     n_cap: int = 12,
-    width: float | None = None,
     max_radius: float = 40.0,
-    prune_margin: float = 2.0,
     max_elements: int = 1_500_000,
     separation: float | None = None,
 ) -> SeedAlphabet:
@@ -679,7 +687,7 @@ def build_seed_alphabet(
 
     Walks the ball radius up from just past the separator norm until the
     net has ``n_min`` elements: straightens every member of the outermost
-    width-``width`` annulus as :func:`phi_map` does, keeps images whose
+    annulus, one chain scale wide, as :func:`phi_map` does, keeps images whose
     norms stay inside the annulus, and greedily nets them at separation
     ``0.004 eps R0`` in ascending norm order, capped at ``n_cap``.  The
     four decorations of the whole annulus are judged in one pass of the
@@ -698,12 +706,12 @@ def build_seed_alphabet(
     letter_map = _letter_matrices(spec)
     dim = spec.dim
     a_norm = pair.separator.norm()
-    w = pair.scale if width is None else float(width)
+    w = pair.scale
     radius = int(math.ceil(a_norm + w + 1e-9))
     last_candidates = 0
     while radius <= max_radius:
         ball = enumerate_ball(
-            spec, float(radius), prune_margin=prune_margin, max_elements=max_elements
+            spec, float(radius), prune_margin=2.0, max_elements=max_elements
         )
         members = ball.by_norm()
         norms = ball.norms[members]
@@ -1168,10 +1176,9 @@ class TruncatedFamily:
             raise KeyError(tuple(word))
         return row
 
-    def poincare(self, s: float, cap: int | None = None) -> float:
+    def poincare(self, s: float) -> float:
         """Truncated series over nonempty words: sum of exp(-s |w|)."""
-        mask = self.lengths <= (self.cap if cap is None else cap)
-        vals = np.exp(-s * self.norms[mask])
+        vals = np.exp(-s * self.norms)
         return float(np.sum(vals[np.isfinite(vals)]))
 
     def shell_sums(self, s: float) -> np.ndarray:
@@ -1254,24 +1261,11 @@ def _enumerate_family(
 
 
 def _family_exponent(fam: TruncatedFamily):
-    """Growth fit over per-length shell tops, like the orbit estimate."""
+    """Growth fit of the finite norms at the per-length shell tops."""
     finite = np.isfinite(fam.norms)
-    radii = []
-    counts = []
-    for n in range(1, fam.cap + 1):
-        shell = fam.norms[(fam.lengths == n) & finite]
-        if shell.size == 0:
-            continue
-        top = float(shell.max())
-        radii.append(top)
-        counts.append(int(np.sum(fam.norms[finite] <= top)))
-    if len(radii) < 2:
-        return 0.0, 0.0, radii, counts
-    radii_arr = np.asarray(radii)
-    logs = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(radii_arr, logs, 1)
-    residual = float(np.max(np.abs(slope * radii_arr + intercept - logs)))
-    return float(max(slope, 0.0)), residual, radii, counts
+    shells = [fam.norms[(fam.lengths == n) & finite] for n in range(1, fam.cap + 1)]
+    tops = [shell.max() for shell in shells if shell.size]
+    return growth_fit(np.sort(fam.norms[finite]), tops)
 
 
 def _bisect_beta(fam: TruncatedFamily, lo: float, hi: float, target: float):
@@ -1297,15 +1291,13 @@ def build_stage(
     ball: OrbitBall,
     *,
     eps: float = 0.4,
-    rho_R: float = 4.0,
     word_cap: int = 6,
     max_words: int = 200_000,
-    substitute_margin: float | None = None,
 ) -> SemigroupStage:
     """Build the next stage from a seed alphabet or the previous stage.
 
     Stage 1 takes the seed alphabet as is.  Stage k+1 multiplies the
-    reach radius by ``rho_R`` and appends one new letter, a certified
+    reach radius by ``STAGE_RADIUS_RATIO`` and appends one new letter, a certified
     interleave of (straightened separator power beyond the new radius)
     and (straightened k-th enumeration element, identity first).
     Genuine deep elements beyond the stage radius sit outside any
@@ -1332,8 +1324,8 @@ def build_stage(
         m_values: dict = {}
     elif isinstance(prev, SemigroupStage):
         k = prev.k + 1
-        r_k = rho_R * prev.R_k
-        margin = 10.0 * pair.scale if substitute_margin is None else substitute_margin
+        r_k = STAGE_RADIUS_RATIO * prev.R_k
+        margin = SUBSTITUTE_SCALES * pair.scale
         if r_k + margin > 600.0:
             raise EnumerationBudgetError(
                 f"stage radius {r_k:.3g} exceeds the float range of explicit "
@@ -1370,7 +1362,8 @@ def build_stage(
         raise TypeError("prev must be a SeedAlphabet or a SemigroupStage")
 
     fam = _enumerate_family(alphabet, pair.separator, word_cap, max_words)
-    alpha, residual, radii, counts = _family_exponent(fam)
+    fit = _family_exponent(fam)
+    alpha = max(fit.value, 0.0)
     degenerate = len(alphabet) == 1
 
     report: dict = {
@@ -1384,9 +1377,9 @@ def build_stage(
         "overflowed_norms": int(fam.overflow),
         "degenerate": degenerate,
         "alpha": float(alpha),
-        "alpha_residual": float(residual),
-        "shell_radii": [float(r) for r in radii],
-        "shell_counts": [int(c) for c in counts],
+        "alpha_residual": fit.residual,
+        "shell_radii": fit.radii.tolist(),
+        "shell_counts": fit.counts.tolist(),
     }
     if substitute is not None:
         report["substitute_phi"] = substitute

@@ -479,6 +479,14 @@ def test_ray_coordinates_stay_finite_past_355(r):
         d = ray_distance(h, t, s)
         assert np.isfinite(d).all()
         assert np.allclose(d, split_distance(r, v, s, e1), rtol=1e-14, atol=1e-12)
+    # coordinates whose squares overflow keep their direction and distance
+    radii = np.full(angles.shape, r)
+    r_back, u_back = radial_split(ray_points(v, radii))
+    assert np.array_equal(r_back, radii)
+    assert np.allclose(u_back, v, rtol=0.0, atol=1e-15)
+    e2 = np.array([0.0, 1.0])
+    far = distance(ray_points(e1, r), ray_points(e2, r))
+    assert far == pytest.approx(_law_of_cosines(r, e1, r, e2), rel=1e-15)
 
 
 def test_distance_far_points():

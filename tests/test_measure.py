@@ -750,19 +750,27 @@ def test_myrberg_respects_horizon(ball22, letters22):
 
 
 def test_atoms_csv_roundtrip(tmp_path, pair3):
-    atoms = ps_atoms(_stub_stage([3.0, 4.0], pair3), 0.7)
-    path = tmp_path / "atoms.csv"
-    write_atoms_csv(atoms, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    assert header == ["u1", "u2", "weight", "norm", "word"]
-    assert len(data) == 2
-    weights = np.array([float(r[2]) for r in data])
-    assert np.allclose(np.sort(weights), np.sort(atoms.weights), rtol=0.0)
-    norms = sorted(float(r[3]) for r in data)
-    assert norms == [3.0, 4.0]
-    assert {r[4] for r in data} == {"0", "1"}
+    """Also past radius 355, where squared coordinates overflow: the
+    directions must still come out as unit vectors."""
+    for want_norms in ([3.0, 4.0], [400.0, 401.0]):
+        atoms = ps_atoms(_stub_stage(want_norms, pair3), 0.7)
+        path = tmp_path / f"atoms{want_norms[0]:g}.csv"
+        write_atoms_csv(atoms, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, data = rows[0], rows[1:]
+        assert header == ["u1", "u2", "weight", "norm", "word"]
+        assert len(data) == 2
+        weights = np.array([float(r[2]) for r in data])
+        assert np.allclose(np.sort(weights), np.sort(atoms.weights), rtol=0.0)
+        norms = sorted(float(r[3]) for r in data)
+        assert norms == want_norms
+        assert {r[4] for r in data} == {"0", "1"}
+        # _stub_stage boosts letter i toward the angle 0.7 i + 0.3
+        angles = np.array([0.7 * int(r[4]) + 0.3 for r in data])
+        dirs = np.array([[float(r[0]), float(r[1])] for r in data])
+        want = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        assert np.allclose(dirs, want, rtol=0.0, atol=1e-15)
 
 
 def test_profile_csv_roundtrip(tmp_path, ball22):

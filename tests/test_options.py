@@ -1,0 +1,112 @@
+"""Every keyword option of the package is set by some call.
+
+A stdlib ``ast`` scan in the style of ``test_imports.py``: a parameter
+with a default, on a function or method of ``src/kleinian/``, must be set
+by at least one call in ``src/kleinian/``, ``tests/`` or ``perfbench/``.
+A call sets a parameter when it passes it by keyword, or by position past
+the required parameters.  Calls resolve by name, ``f(...)`` and
+``x.f(...)`` alike; the benchmark's ``t.call(span, fn, *args, **kw)``
+counts as a call of ``fn``, and a call that unpacks ``**`` sets every
+option.  An option no call sets is a constant in disguise.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "kleinian").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")
+)
+
+
+def _options(tree):
+    """(function name, positional names, option names) of every def.
+
+    The first parameter of a method is dropped, so positions count as
+    they do at an ``x.f(...)`` call.
+    """
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        n_required = len(positional) - len(a.defaults)
+        options = positional[n_required:]
+        options += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if id(node) in methods:
+            positional = positional[1:]
+        yield node.name, positional, options
+
+
+def _calls(tree):
+    """(called name, positional argument count, keywords, unpacks **)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "call" and isinstance(func, ast.Attribute) and len(args) >= 2:
+            target = args[1]
+            name = target.id if isinstance(target, ast.Name) else None
+            args = args[2:]
+        if name is None:
+            continue
+        starred = any(isinstance(x, ast.Starred) for x in args)
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        unpacks = any(k.arg is None for k in node.keywords)
+        yield name, (float("inf") if starred else len(args)), keywords, unpacks
+
+
+def unset_options(package: dict, callers: list) -> list:
+    """Sorted (module, function, option) that no call sets.
+
+    ``package`` maps a module name to its source; ``callers`` lists the
+    sources whose calls count.
+    """
+    set_by = {}
+    for source in callers:
+        for name, n_args, keywords, unpacks in _calls(ast.parse(source)):
+            set_by.setdefault(name, []).append((n_args, keywords, unpacks))
+    unset = []
+    for module, source in package.items():
+        for name, positional, options in _options(ast.parse(source)):
+            for option in options:
+                at = positional.index(option) if option in positional else None
+                if not any(
+                    unpacks or option in keywords or (at is not None and at < n_args)
+                    for n_args, keywords, unpacks in set_by.get(name, [])
+                ):
+                    unset.append((module, name, option))
+    return sorted(unset)
+
+
+def test_scan_sees_an_unset_option():
+    package = {
+        "m": (
+            "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+            "class K:\n    def g(self, x, y=0, z=0):\n        pass\n"
+            "def h(q=0):\n    pass\n"
+            "def k(q=0):\n    pass\n"
+        )
+    }
+    callers = [
+        "f(0, 5, d=4)\nK().g(1, 2)\nopts = {}\nh(**opts)\nt.call('span', k, *rest)\n"
+    ]
+    assert unset_options(package, callers) == [("m", "f", "c"), ("m", "g", "z")]
+
+
+def test_every_option_is_set_by_a_call():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unset_options(package, [p.read_text() for p in CALLERS]) == []
