@@ -288,7 +288,8 @@ def ray_points(directions, ts) -> np.ndarray:
     Broadcasts: one direction against an array of radii, or one radius
     per row of a direction stack.
     """
-    ts = np.asarray(ts, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    ts, _ = np.broadcast_arrays(np.asarray(ts, dtype=float), directions[..., 0])
     return np.concatenate(
         [np.cosh(ts)[..., None], np.sinh(ts)[..., None] * directions], axis=-1
     )

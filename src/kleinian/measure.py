@@ -18,6 +18,18 @@ prefix cancels exactly, leaving either a pure tail a F(v) (norm read off
 one extra row product) or a pair of family words branching at their
 first letter (norm read off the Minkowski pairing of stored matrix
 columns, accurate because branching words overlap only a bounded amount).
+
+Shadow membership for a batch of apexes (:func:`shadow_members`) screens
+the first-letter branches in the cosh domain.  With c the pairing of the
+apex and atom columns, membership reads (|g| + arcosh c - |f|) / 2 <= r,
+and arcosh c >= log c, so a member has c e^{-|f|} <= e^{2r - |g|}.  The
+left side for a block of apexes is one product with the atom columns
+scaled by e^{-|f|}, whose time coordinate is at most one.  The bound is
+widened by a relative 1e-9 and an absolute 1e-12 g_0, far above the
+roundoff of either side's c, so the screen rejects only atoms that the
+exact product rejects too; every atom it keeps, and the apex's own
+first-letter cone, goes through the exact products.
+
 Ray statistics (conical profiles, Myrberg witnesses) run against an
 enumerated reference ball and are censored at its reliability horizon.
 """
@@ -57,6 +69,7 @@ __all__ = [
     "ps_atoms",
     "shadow_contains",
     "apex_products",
+    "shadow_members",
     "shadow_principle_report",
     "quasi_invariance_report",
     "shadow_nesting_report",
@@ -84,6 +97,9 @@ QUASI_LETTERS = 4
 AUDIT_SIZE = 16
 # the nesting report checks the words over this many lowest-norm apexes
 MAX_APEXES = 200
+# entries of one apex-by-atom block of the cosh-domain screen in
+# shadow_members: 8 MB of pairings
+SHADOW_BLOCK = 1 << 20
 # conical profiles: ray sample step, and the window share before the tail
 PROFILE_STEP = 0.1
 TAIL_FRACTION = 0.5
@@ -256,15 +272,20 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
     coordinates transversally, so the products stay accurate at any
     radius the truncation reaches.
     """
-    g = tuple(apex_word)
-    n = len(atoms.words)
+    return _products(atoms, tuple(apex_word), slice(None))
+
+
+def _products(atoms: PSAtomSet, g: tuple, rows) -> np.ndarray:
+    """:func:`apex_products` of the atoms at ``rows`` (index array or slice)."""
+    lengths = atoms.lengths[rows]
+    letters = atoms.letters[rows]
+    norms = atoms.norms[rows]
+    n = lengths.shape[0]
     if not g:
         return np.zeros(n)
     ng = atoms.norm_of(g)
     fam = atoms.family
     out = np.empty(n)
-    lengths = atoms.lengths
-    letters = atoms.letters
     match = np.ones(n, dtype=bool)
     for p in range(len(g)):
         cont = match & (lengths > p) & (letters[:, p] == g[p])
@@ -274,38 +295,105 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
             short = stop & (lengths == p)
             if short.any():
                 quot = atoms.family_head[g_row]
-                out[short] = 0.5 * (ng + quot - atoms.norms[short])
+                out[short] = 0.5 * (ng + quot - norms[short])
             branch = stop & (lengths > p)
             if branch.any():
                 gcol = fam.columns[g_row]
                 if p == 0:
-                    fcols = atoms.columns[branch]
+                    fcols = atoms.columns[rows][branch]
                 else:
                     fcols = fam.columns[fam.rows_after(-1, letters[branch, p:])]
                 with np.errstate(over="ignore", invalid="ignore"):
                     cosh_d = gcol[0] * fcols[:, 0] - fcols[:, 1:] @ gcol[1:]
                 quot = stable_arcosh(cosh_d)
-                out[branch] = 0.5 * (ng + quot - atoms.norms[branch])
+                out[branch] = 0.5 * (ng + quot - norms[branch])
         match = cont
     if match.any():
         eq = match & (lengths == len(g))
         out[eq] = 0.0
         ext_mask = match & (lengths > len(g))
         if ext_mask.any():
-            rows = fam.rows_after(-1, letters[ext_mask, len(g) :])
-            out[ext_mask] = 0.5 * (
-                ng + atoms.family_head[rows] - atoms.norms[ext_mask]
-            )
+            ext = fam.rows_after(-1, letters[ext_mask, len(g) :])
+            out[ext_mask] = 0.5 * (ng + atoms.family_head[ext] - norms[ext_mask])
     return out
+
+
+def _extension_rows(atoms: PSAtomSet, g: tuple) -> np.ndarray:
+    """Atom rows, in order, of the words that extend g (g included).
+
+    In the length-then-lex tree the words that extend the family rows
+    [lo, hi) by one letter are the rows [n (lo + 1), n (hi + 1)), so the
+    extensions of g at each length are one run of family rows; atom rows
+    keep family order, so ``searchsorted`` maps each run to atom rows.
+    """
+    fam = atoms.family
+    n = fam.n_letters
+    lo = -1
+    for j in g:
+        lo = n * (lo + 1) + int(j)
+    hi = lo + 1
+    runs = []
+    while lo < len(fam.words):
+        runs.append((lo, hi))
+        lo, hi = n * (lo + 1), n * (hi + 1)
+    bounds = np.searchsorted(atoms.family_rows, runs).tolist()
+    return np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
 
 
 def _is_prefix(atoms: PSAtomSet, g: tuple) -> np.ndarray:
     """True where g is an index prefix of the atom word (or equals it)."""
-    L = len(g)
-    ok = atoms.lengths >= L
-    for p in range(L):
-        ok &= atoms.letters[:, p] == g[p]
+    ok = np.zeros(len(atoms), dtype=bool)
+    ok[_extension_rows(atoms, g)] = True
     return ok
+
+
+def _screen_columns(columns: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Columns scaled by e^{-|f|}, spatial part negated: an apex column
+    times their transpose is the pairing c e^{-|f|}."""
+    out = columns * np.exp(-norms)[:, None]
+    out[:, 1:] *= -1.0
+    return out
+
+
+def _screen_bound(gcols: np.ndarray, g_norms: np.ndarray, r: float) -> np.ndarray:
+    """Per-apex bound above c e^{-|f|} of every first-letter branch member
+    of S(g x0, r), widened past the roundoff of both pairings."""
+    return np.exp(2.0 * r - g_norms) * (1.0 + 1e-9) + 1e-12 * gcols[:, 0]
+
+
+def shadow_members(atoms: PSAtomSet, apex_rows, r: float) -> list:
+    """Atom rows in S(g x0, r), in atom order, for the atom g at each of
+    ``apex_rows``: ``np.flatnonzero(apex_products(atoms, g) <= r)``.
+
+    Atoms whose first letter differs from g's branch from it at position
+    0; blocks of at most :data:`SHADOW_BLOCK` apex-atom pairs screen them
+    in the cosh domain (module docstring), and the apex's first-letter
+    cone plus every atom the screen keeps go through the exact products.
+    """
+    apex_rows = np.asarray(apex_rows, dtype=np.int64)
+    scaled = _screen_columns(atoms.columns, atoms.norms)
+    gcols = atoms.columns[apex_rows]
+    bound = _screen_bound(gcols, atoms.norms[apex_rows], r)
+    first = atoms.letters[apex_rows, 0].tolist()
+    cones = {a: _extension_rows(atoms, (a,)) for a in set(first)}
+    step = max(1, SHADOW_BLOCK // max(len(atoms), 1))
+    out = []
+    for start in range(0, apex_rows.shape[0], step):
+        block = slice(start, start + step)
+        # NaN pairings compare false and stay in
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = ~(gcols[block] @ scaled.T > bound[block, None])
+        for i, a in enumerate(first[block]):
+            near[i, cones[a]] = False
+        hit_apex, hit_atom = np.divmod(np.flatnonzero(near), near.shape[1])
+        cuts = np.searchsorted(hit_apex, np.arange(near.shape[0] + 1))
+        for i, row in enumerate(apex_rows[block].tolist()):
+            rows = cones[first[start + i]]
+            branches = hit_atom[cuts[i] : cuts[i + 1]]
+            if branches.size:
+                rows = np.union1d(rows, branches)
+            out.append(rows[_products(atoms, atoms.words[row], rows) <= r])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +410,14 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
     e^{-s|g|} times the full truncated series.  The lower bound depends on tail
     mass and its literal constant is astronomically loose, so measured
     minima are reported, never asserted.
+
+    All shadows come from one :func:`shadow_members` pass.  Its screen
+    drops an atom f branching from g at the first letter only when
+    c e^{-|f|} exceeds e^{2r - |g|} (1 + 1e-9) + 1e-12 g_0, with c the
+    Minkowski pairing of the two columns.  Every member passes: arcosh c
+    >= log c gives c e^{-|f|} <= e^{2r - |g|} in exact arithmetic, and
+    since e^{-|f|} f_0 <= 1 the roundoff of either side's c e^{-|f|}
+    stays near 1e-16 g_0.  So each mass is the per-apex one, bit for bit.
     """
     c = pair.scale
     r = 8.0 * c
@@ -341,15 +437,13 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
             "ratio": identity_ratio,
         }
     )
-    for i in np.flatnonzero(atoms.lengths <= PREFIX_DEPTH):
-        g = atoms.words[i]
-        prods = apex_products(atoms, g)
-        member = prods <= r
+    apexes = np.flatnonzero(atoms.lengths <= PREFIX_DEPTH)
+    for i, member in zip(apexes.tolist(), shadow_members(atoms, apexes, r)):
         mass = float(atoms.weights[member].sum())
-        ng = atoms.norm_of(g)
+        ng = float(atoms.norms[i])
         rows.append(
             {
-                "word": list(g),
+                "word": list(atoms.words[i]),
                 "norm": ng,
                 "mass": mass,
                 "ratio": float(mass * math.exp(atoms.s * ng)),
@@ -663,12 +757,11 @@ def shadow_tail_report(
         audit_rows = [candidates[int(p)] for p in pick]
     boundary_members = 0
     audited_mass_gap = 0.0
-    for i in audit_rows:
-        w = atoms.words[i]
-        member = apex_products(atoms, w) <= r
+    for i, member in zip(audit_rows, shadow_members(atoms, audit_rows, r)):
         exact = float(atoms.weights[member].sum())
         audited_mass_gap = max(audited_mass_gap, exact - float(ext_mass[i]))
-        boundary_members += int(np.sum(member & ~_is_prefix(atoms, w)))
+        outside = ~_is_prefix(atoms, atoms.words[i])[member]
+        boundary_members += int(np.count_nonzero(outside))
     shell_rows = []
     max_ratio = 0.0
     for R in sorted(shells):

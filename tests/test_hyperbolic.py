@@ -489,6 +489,18 @@ def test_ray_coordinates_stay_finite_past_355(r):
     assert far == pytest.approx(_law_of_cosines(r, e1, r, e2), rel=1e-15)
 
 
+def test_ray_points_broadcast_radii_against_directions():
+    """A direction stack takes one radius, one direction many radii."""
+    angles = np.linspace(0.0, 3.0, 7)
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    stacked = ray_points(v, 400.0)
+    assert stacked.shape == (7, 3)
+    assert np.array_equal(stacked, np.stack([ray_points(u, 400.0) for u in v]))
+    radii = np.array([0.0, 1.0, 400.0])
+    fanned = ray_points(v[2], radii)
+    assert np.array_equal(fanned, np.stack([ray_points(v[2], t) for t in radii]))
+
+
 def test_distance_far_points():
     """The split kernel keeps full precision where the raw pairing cancels."""
     p = np.array([np.cosh(250.0), np.sinh(250.0), 0.0])

@@ -23,6 +23,7 @@ from kleinian import (
     ps_atoms,
     quasi_invariance_report,
     shadow_contains,
+    shadow_members,
     shadow_nesting_report,
     shadow_principle_report,
     shadow_tail_report,
@@ -38,9 +39,17 @@ from kleinian.hyperbolic import (
     gromov_product,
     minkowski_inner,
     radial_split,
+    ray_points,
     stable_arcosh,
 )
-from kleinian.measure import TOL_SERIES, W_MIN, _is_prefix
+from kleinian import measure
+from kleinian.measure import (
+    TOL_SERIES,
+    W_MIN,
+    _is_prefix,
+    _screen_bound,
+    _screen_columns,
+)
 from kleinian.semigroup import SemigroupStage, TruncatedFamily
 from test_benchmark_contract import _load
 
@@ -126,6 +135,37 @@ def torus():
 @pytest.fixture(scope="module")
 def torus_ball(torus):
     return enumerate_ball(torus, 12.0, prune_margin=2.0)
+
+
+@pytest.fixture(scope="module")
+def wide_tiny(torus):
+    """(pair, stage, atoms) of the wide-torus benchmark's tiny pass."""
+    p = _load("workloads").WORKLOADS["wide-torus"].sizes["tiny"]
+    ball = enumerate_ball(torus, p["ball_radius"], prune_margin=2.0)
+    pair = find_ping_pong_pair(torus, ratio=p["ratio"])
+    seed = build_seed_alphabet(
+        torus,
+        pair,
+        0.45,
+        n_min=p["n_min"],
+        n_cap=p["n_cap"],
+        separation=18.0 * pair.scale + p["separation_offset"],
+        max_radius=p["max_radius"],
+    )
+    stage = build_stage(
+        seed, torus, pair, ball, eps=0.45, word_cap=3, max_words=400_000
+    )
+    return pair, stage, ps_atoms(stage, stage.interval[0] + 0.1)
+
+
+@pytest.fixture(scope="module")
+def shadow_sets(pair3, stage3, atoms3, light3, wide_tiny):
+    """(pair, stage, atoms) by name: full, floor-dropped, wide-torus."""
+    return {
+        "atoms3": (pair3, stage3, atoms3),
+        "light3": (pair3, stage3, light3),
+        "wide_tiny": wide_tiny,
+    }
 
 
 def _boost(t, theta, dim=2):
@@ -283,6 +323,25 @@ def test_word_tree_lookups_match_tuple_slicing(request, name, pair3):
         assert any(check["slack"] > 0.0 for check in checks)
 
 
+def _is_prefix_scan(atoms, g):
+    """Reference for _is_prefix: one letter comparison per position."""
+    ok = atoms.lengths >= len(g)
+    for p, j in enumerate(g):
+        ok &= atoms.letters[:, p] == j
+    return ok
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3"])
+def test_prefix_runs_match_letter_scan(request, name):
+    atoms = request.getfixturevalue(name)
+    fam = atoms.family
+    # every short word, dropped ones included, and a stride of the longest
+    words = [()] + [w for w in fam.words if len(w) < fam.cap]
+    words += fam.words[len(words) - 1 :: 97]
+    for g in words:
+        assert np.array_equal(_is_prefix(atoms, g), _is_prefix_scan(atoms, g)), g
+
+
 def test_row_of_rejects_dropped_and_foreign_words(atoms3, light3):
     n = light3.family.n_letters
     dropped = light3.family.words[-1]
@@ -378,6 +437,108 @@ def test_apex_products_match_letter_reduction(spec3, pair3, seed3, atoms3):
         oracle = 0.5 * (apex_norm + separated - atoms3.norms[int(i)])
         assert prods[int(i)] == pytest.approx(oracle, abs=1e-9)
     assert prods[atoms3.row_of(apex)] == pytest.approx(0.0, abs=1e-9)
+
+
+# -- batched shadow membership ----------------------------------------------
+
+
+def _members_loop(atoms, apex_rows, r):
+    """Reference for shadow_members: one apex_products call per apex."""
+    return [
+        np.flatnonzero(apex_products(atoms, atoms.words[i]) <= r) for i in apex_rows
+    ]
+
+
+def _assert_members_match(atoms, apex_rows, r):
+    got = shadow_members(atoms, apex_rows, r)
+    want = _members_loop(atoms, apex_rows, r)
+    assert len(got) == len(want)
+    for fast, slow in zip(got, want):
+        assert np.array_equal(fast, slow)
+        mask = np.zeros(len(atoms), dtype=bool)
+        mask[slow] = True
+        assert atoms.weights[fast].sum() == atoms.weights[mask].sum()
+    return got
+
+
+def _apex_sample(atoms):
+    """Every word up to length 2 and a stride of the longer ones."""
+    short = np.flatnonzero(atoms.lengths <= 2)
+    return np.concatenate([short, np.flatnonzero(atoms.lengths > 2)[::101]])
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
+def test_shadow_members_match_per_apex_loop(shadow_sets, name):
+    _, _, atoms = shadow_sets[name]
+    _assert_members_match(atoms, _apex_sample(atoms), 8.0 * atoms.scale)
+
+
+@pytest.mark.parametrize("name", ["atoms3", "wide_tiny"])
+def test_shadow_members_decide_screened_branches_exactly(shadow_sets, name):
+    """At r past the shortest letter norm, branches survive the screen."""
+    _, _, atoms = shadow_sets[name]
+    letters = np.flatnonzero(atoms.lengths == 1)
+    r = float(atoms.norms[letters].min()) + 0.5
+    apexes = _apex_sample(atoms)
+    got = _assert_members_match(atoms, apexes, r)
+    first = atoms.letters[:, 0]
+    crossing = sum(int(np.sum(first[m] != first[i])) for i, m in zip(apexes, got))
+    assert crossing > 0
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
+def test_shadow_members_count_a_boundary_entry(shadow_sets, name):
+    """r equal to one branch product: that atom sits on the boundary."""
+    _, _, atoms = shadow_sets[name]
+    i = int(np.flatnonzero(atoms.lengths == 1)[0])
+    prods = apex_products(atoms, atoms.words[i])
+    branch = np.flatnonzero(atoms.letters[:, 0] != atoms.letters[i, 0])
+    j = int(branch[np.argmin(prods[branch])])
+    (members,) = _assert_members_match(atoms, [i], float(prods[j]))
+    assert j in members
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rg=st.floats(0.0, 300.0),
+    rf=st.floats(0.0, 300.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    offset=st.one_of(
+        st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-math.pi, math.pi)
+    ),
+)
+def test_screen_keeps_every_member(rg, rf, angle, offset):
+    """f on the boundary of S(g x0, r) always passes the cosh-domain screen."""
+    g = ray_points(np.array([math.cos(angle), math.sin(angle)]), rg)
+    u = np.array([math.cos(angle + offset), math.sin(angle + offset)])
+    fcols = ray_points(u, rf)[None]
+    ng, nf = stable_arcosh(g[0]), stable_arcosh(fcols[:, 0])
+    # the reference product, as apex_products forms it
+    cosh_d = g[0] * fcols[:, 0] - fcols[:, 1:] @ g[1:]
+    r = float(0.5 * (ng + stable_arcosh(cosh_d) - nf)[0])
+    screened = g[None] @ _screen_columns(fcols, nf).T
+    assert screened[0, 0] <= _screen_bound(g[None], np.array([ng]), r)[0]
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
+def test_reports_match_per_apex_path(shadow_sets, name, monkeypatch):
+    """Every report value is bit-identical to the per-apex loops."""
+    pair, stage, atoms = shadow_sets[name]
+    delta = stage.interval[0]
+
+    def reports():
+        return [
+            shadow_principle_report(atoms, delta, pair),
+            shadow_nesting_report(atoms, pair),
+            quasi_invariance_report(atoms, pair),
+            shadow_tail_report(atoms, 0.2, delta),
+            shadow_tail_report(atoms, 0.4, delta),
+        ]
+
+    fast = reports()
+    monkeypatch.setattr(measure, "shadow_members", _members_loop)
+    monkeypatch.setattr(measure, "_is_prefix", _is_prefix_scan)
+    assert reports() == fast
 
 
 # -- shadow principle -------------------------------------------------------
