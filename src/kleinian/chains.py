@@ -22,10 +22,14 @@ basepoint and z_i the image of z_{i-1} under step i.  Raw coordinates can
 only resolve transverse angles down to machine precision, so the points
 form is trustworthy while every pairwise distance keeps one point within
 radius ~27 of the basepoint or a clearly resolved angle between the two;
-long marching chains exceed that quickly.  The step form has no such
-limit: gaps, skips and recentered offsets all come from short matrix
-products whose relative error stays near machine precision, so it is the
-form to use for chains that wander far from the basepoint.
+long marching chains exceed that quickly.  The step form is not bound
+by that envelope: gaps, skips and the distances d(z_0, z_i), d(z_i, z_N)
+and d(z_0, z_N) all come from top-left entries of step products, whose
+relative error stays near machine precision, and each vertex's foot and
+offset on [z_0, z_N] follow from those three distances in closed form
+(:func:`~kleinian.hyperbolic.segment_foot`).  It is the form to use for
+chains that wander far from the basepoint, up to d(z_0, z_N) near 710,
+where cosh overflows and :func:`chain_shadowing` refuses the chain.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .hyperbolic import (
     distance,
     geodesic_point,
     radial_split,
+    segment_foot,
     split_distance,
     stable_arcosh,
 )
@@ -165,18 +170,11 @@ def _gaps_products(chain):
     """(gaps, products) for either chain representation."""
     mats = _step_matrices(chain)
     if mats is not None:
-        gaps = np.array([stable_arcosh(m[0, 0]) for m in mats])
-        if len(mats) > 1:
-            skips = np.array(
-                [
-                    stable_arcosh((mats[i] @ mats[i + 1])[0, 0])
-                    for i in range(len(mats) - 1)
-                ]
-            )
-            products = 0.5 * (gaps[:-1] + gaps[1:] - skips)
-        else:
-            products = np.empty(0)
-        return gaps, products
+        stack = np.stack(mats)
+        gaps = stable_arcosh(stack[:, 0, 0])
+        # (M_i M_{i+1})_00: row 0 of M_i against column 0 of M_{i+1}
+        skips = stable_arcosh(np.sum(stack[:-1, 0, :] * stack[1:, :, 0], axis=-1))
+        return gaps, 0.5 * (gaps[:-1] + gaps[1:] - skips)
     pts = _as_points(chain)
     r, u = radial_split(pts)
     gaps = split_distance(r[:-1], u[:-1], r[1:], u[1:])
@@ -244,16 +242,15 @@ def check_chain(chain, params: ChainParams) -> ChainCertificate:
     )
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def nearest_point_on_geodesic(x, y, points):
     """Feet and distances of points projected to the segment [x, y].
 
-    Batched golden-section search over the arclength parameter; the
-    distance along a geodesic is convex, so the bracket converges at the
-    golden rate, here to within 1e-9.  Returns (t, dist) arrays (scalars
-    for a single point).
+    The foot comes in closed form from the three side lengths
+    (:func:`~kleinian.hyperbolic.segment_foot`).  The distance is then
+    measured to the geodesic point at that foot, not rebuilt from the
+    sides, which would cost an absolute error near sqrt(eps d(x, y)) for
+    points on the segment.  Returns (t, dist) arrays (scalars for a single
+    point).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -265,42 +262,13 @@ def nearest_point_on_geodesic(x, y, points):
     if total == 0.0:
         raise ValueError("degenerate segment")
     rp, up = radial_split(pts)
-
-    def eval_at(ts):
-        g = geodesic_point(x, y, ts)
-        rg, ug = radial_split(g)
-        return split_distance(rg, ug, rp, up)
-
-    m = pts.shape[0]
-    a = np.zeros(m)
-    b = np.full(m, total)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = eval_at(c)
-    fd = eval_at(d)
-    n_iter = max(1, int(math.ceil(math.log(max(total / 1e-9, 2.0)) / math.log(1.0 / _INVPHI))))
-    for _ in range(n_iter):
-        take_left = fc < fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c_next = np.where(take_left, b - _INVPHI * (b - a), d)
-        d_next = np.where(take_left, c, a + _INVPHI * (b - a))
-        f_new = eval_at(np.where(take_left, c_next, d_next))
-        fc, fd = (
-            np.where(take_left, f_new, fd),
-            np.where(take_left, fc, f_new),
-        )
-        c, d = c_next, d_next
-    t = 0.5 * (a + b)
-    dist = eval_at(t)
-    # clamp to the endpoints if they do better (feet outside the bracket)
-    d0 = split_distance(*radial_split(x), rp, up)
-    d1 = split_distance(*radial_split(y), rp, up)
-    best = np.minimum(dist, np.minimum(d0, d1))
-    t = np.where(d0 <= best, 0.0, np.where(d1 <= best, total, t))
+    d_x = split_distance(*radial_split(x), rp, up)
+    d_y = split_distance(*radial_split(y), rp, up)
+    t = np.clip(segment_foot(d_x, d_y, total)[0], 0.0, total)
+    dist = split_distance(*radial_split(geodesic_point(x, y, t)), rp, up)
     if single:
-        return float(t[0]), float(best[0])
-    return t, best
+        return float(t[0]), float(dist[0])
+    return t, dist
 
 
 @dataclass
@@ -327,57 +295,38 @@ class ShadowingReport:
     feet_monotone: bool
 
 
-def _prefix_suffix(mats):
-    """Accumulated step products: prefix[i] = S_1..S_i, suffix[i] = S_{i+1}..S_N."""
-    dim = mats[0].shape[0] - 1
-    prefix = [np.eye(dim + 1)]
-    for m in mats:
-        prefix.append(prefix[-1] @ m)
-    suffix = [np.eye(dim + 1)]
-    for m in reversed(mats):
-        suffix.append(m @ suffix[-1])
-    suffix.reverse()
-    return prefix, suffix
+def _endpoint_distances(mats):
+    """d(z_0, z_i) and d(z_i, z_N) for i = 0, ..., N.
 
-
-def _frame_endpoints(prefix_i, suffix_i):
-    """Images of z_0 and z_N in the frame of vertex i.
-
-    The pullback of the basepoint under an isometry reads directly off the
-    top row, so no cancellation-prone matrix inversion is needed.
+    Each is arcosh of a top-left entry: of S_1...S_i, grown as row 0, and
+    of S_{i+1}...S_N, grown as column 0.  Entries overflow once a distance
+    passes about 710; the caller refuses a non-finite d(z_0, z_N).
     """
-    x_back = np.concatenate(([prefix_i[0, 0]], -prefix_i[0, 1:]))
-    y_fwd = suffix_i[:, 0].copy()
-    return x_back, y_fwd
+    row = col = np.eye(mats[0].shape[0])[0]
+    start, end = [1.0], [1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, back in zip(mats, reversed(mats)):
+            row = row @ m
+            col = back @ col
+            start.append(row[0])
+            end.append(col[0])
+    return stable_arcosh(np.array(start)), stable_arcosh(np.array(end[::-1]))
 
 
 def _shadowing_data(chain):
     """(endpoint products, offsets, feet, nearest points) for interior vertices."""
     mats = _step_matrices(chain)
     if mats is not None:
-        n = len(mats)
-        dim = mats[0].shape[0] - 1
-        base = basepoint(dim)
-        prefix, suffix = _prefix_suffix(mats)
-        total = stable_arcosh(prefix[-1][0, 0])
+        start, end = _endpoint_distances(mats)
+        total = start[-1]
         if not np.isfinite(total):
-            raise ValueError("chain endpoints exceed the float range, ~700")
-        if n < 2:
-            empty = np.empty(0)
-            return empty, empty, empty, None
-        d_start = np.empty(n - 1)
-        d_end = np.empty(n - 1)
-        feet = np.empty(n - 1)
-        offsets = np.empty(n - 1)
-        for i in range(1, n):
-            d_start[i - 1] = stable_arcosh(prefix[i][0, 0])
-            d_end[i - 1] = stable_arcosh(suffix[i][0, 0])
-            x_back, y_fwd = _frame_endpoints(prefix[i], suffix[i])
-            feet[i - 1], offsets[i - 1] = nearest_point_on_geodesic(
-                x_back, y_fwd, base
+            raise ChainRegimeError(
+                "chain endpoints too far apart: cosh d(z_0, z_N) overflows, "
+                "so stable_arcosh gives inf (distances past about 710)"
             )
-        products = 0.5 * (d_start + d_end - total)
-        return products, offsets, feet, None
+        d_start, d_end = start[1:-1], end[1:-1]
+        feet, offsets = segment_foot(d_start, d_end, total)
+        return 0.5 * (d_start + d_end - total), offsets, feet, None
     pts = _as_points(chain)
     if pts.shape[0] == 2:
         empty = np.empty(0)
@@ -398,8 +347,12 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
 
     Requires ``cert.ok`` and the well-separated regime D >= 2C + 15; both
     are preconditions of the conclusion, so violations raise
-    :class:`ChainRegimeError`.  The conclusions, measured after recentring
-    each interior vertex for step chains:
+    :class:`ChainRegimeError`, as does a step chain whose d(z_0, z_N) is
+    past the float range of cosh (about 710).  Step chains are measured
+    from each vertex's distances to z_0 and z_N and their sum's excess
+    over d(z_0, z_N), with feet and offsets in closed form; point chains
+    project their vertices with :func:`nearest_point_on_geodesic`.  The
+    conclusions:
 
     * endpoint products (z_0 | z_N)_{z_i} < C + 1.5,
     * offsets d(z_i, [z_0, z_N]) <= C + 6,
@@ -490,13 +443,14 @@ def fellow_travel_check(x, y, x2, y2, radius: float) -> FellowTravelReport:
     """Check that [x, y] stays within ``radius`` of [x2, y2].
 
     Preconditions d(x, x2) < radius and d(y, y2) < radius (the endpoints
-    fellow-travel).  Samples [x, y] at spacing ``H_GEO`` and projects each
-    sample onto [x2, y2] exactly; convexity of the distance makes the
-    sampled supremum within H_GEO/2 of the true one.  ``deep_point_bound``
-    is the largest offset among samples at least ``radius`` away from both
-    endpoints of [x, y] (None when there are no such samples); deep
-    offsets contract well below ``radius`` but the amount depends on the
-    ambient constants, so it is reported, not asserted.
+    fellow-travel).  The distance to a geodesic segment is convex along
+    a geodesic, so its supremum over [x, y] is exact at the larger of
+    the two endpoint projections onto [x2, y2], and ``deep_point_bound``,
+    the supremum over the points at least ``radius`` from both ends of
+    [x, y], is the larger projection at arclengths ``radius`` and
+    d(x, y) - ``radius`` (None when that window is empty).  Deep offsets
+    contract well below ``radius`` but the amount depends on the ambient
+    constants, so it is reported, not asserted.
 
     Works from raw coordinates: keep the geodesics within the coordinate
     resolution envelope (see the module docstring).
@@ -510,26 +464,18 @@ def fellow_travel_check(x, y, x2, y2, radius: float) -> FellowTravelReport:
     if not float(distance(y, y2)) < radius:
         raise ChainRegimeError("d(y, y2) must be below the fellow-travel radius")
     total = float(distance(x, y))
-    if total == 0.0:
-        ts = np.array([0.0])
-        samples = x[None]
-    else:
-        k = max(2, int(math.ceil(total / H_GEO)) + 1)
-        ts = np.linspace(0.0, total, k)
-        samples = geodesic_point(x, y, ts)
+    probes = [x, y]
+    if 2.0 * radius <= total:
+        probes.extend(geodesic_point(x, y, np.array([radius, total - radius])))
+    probes = np.array(probes)
     if float(distance(x2, y2)) == 0.0:
-        r2, u2 = radial_split(x2)
-        rs, us = radial_split(samples)
-        dists = np.atleast_1d(split_distance(rs, us, r2, u2))
+        dists = distance(probes, x2)
     else:
-        _, dists = nearest_point_on_geodesic(x2, y2, samples)
-        dists = np.atleast_1d(dists)
-    ok = bool(np.max(dists) <= radius + TOL_POINT)
-    deep = (ts >= radius) & (ts <= total - radius)
-    deep_bound = float(np.max(dists[deep])) if np.any(deep) else None
+        _, dists = nearest_point_on_geodesic(x2, y2, probes)
+    max_offset = float(np.max(dists[:2]))
     return FellowTravelReport(
-        ok=ok,
-        max_offset=float(np.max(dists)),
-        deep_point_bound=deep_bound,
+        ok=max_offset <= radius + TOL_POINT,
+        max_offset=max_offset,
+        deep_point_bound=float(np.max(dists[2:])) if dists.shape[0] > 2 else None,
         radius=radius,
     )

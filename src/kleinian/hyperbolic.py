@@ -10,7 +10,8 @@ the sheet.  Everything here is plain numpy; the functions accept either
 the wrapper classes below or raw coordinate arrays, and most kernels
 broadcast over leading axes so callers can batch.  Distances run on
 (radius, direction) pairs, and distances to a basepoint ray on the
-closed-form offset and foot of :func:`ray_coordinates`.
+closed-form offset and foot of :func:`ray_coordinates`; feet on a
+segment come in closed form from side lengths (:func:`segment_foot`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "geodesic_point",
     "ray_points",
     "ray_coordinates",
+    "segment_foot",
     "ray_distance",
     "unit_tangent",
     "boundary_action",
@@ -309,6 +311,51 @@ def ray_coordinates(r, v, direction):
     sinh_r = np.sinh(r)
     sinh_h = sinh_r * sin
     return np.arcsinh(sinh_h), np.arcsinh(sinh_r * cos / np.hypot(1.0, sinh_h))
+
+
+def segment_foot(d1, d2, L):
+    """Foot t on a segment [x, y], measured from x, and offset h of a
+    point p, from the side lengths d1 = d(x, p), d2 = d(y, p), L = d(x, y).
+
+    With A, B, G = (d1 + L - d2)/2, (d2 + L - d1)/2, (d1 + d2 - L)/2 and
+    s the half perimeter, the angle α at x has tan²(α/2) = τ² =
+    sinh B sinh G / (sinh s sinh A) (Beardon, §7.12).  An angle of at
+    least π/2 at x or at y puts the foot there, with h = d1 or d2.
+    Otherwise x, the foot and p span a right-angled triangle, so
+    tanh t = tanh d1 cos α and sinh h = sinh d1 sin α (§7.11); both run
+    in the log domain, with 1 - tanh t = (1 - tanh d1) + tanh d1 (1 - cos α)
+    a sum of positive terms, so they stay finite for all finite sides.
+    """
+    d1, d2, L = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (d1, d2, L)))
+    a = np.maximum(0.5 * (d1 + L - d2), 0.0)
+    b = np.maximum(0.5 * (d2 + L - d1), 0.0)
+    g = np.maximum(0.5 * (d1 + d2 - L), 0.0)
+    log2 = np.log(2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ls, la, lb, lg = (_log_sinh(v) for v in (0.5 * (d1 + d2 + L), a, b, g))
+        log_tau2 = lb + lg - ls - la
+        # NaN only where p = x (A = G = 0), whose foot is x
+        at_x = ~(log_tau2 < 0.0)
+        at_y = ~at_x & (la + lg - ls - lb >= 0.0)
+        log_1p_tau2 = np.log1p(np.exp(log_tau2))
+        # log(1 - tanh d1) and log(tanh d1 (1 - cos α)), 1 - cos α = 2τ²/(1 + τ²)
+        e = np.exp(-2.0 * d1)
+        log_m = np.logaddexp(
+            log2 - 2.0 * d1 - np.log1p(e),
+            np.log1p(-e) - np.log1p(e) + log2 + log_tau2 - log_1p_tau2,
+        )
+        # t = artanh(1 - m) = (log(2 - m) - log m) / 2
+        t = 0.5 * (np.log1p(-np.expm1(log_m)) - log_m)
+        # h = arcsinh(e^l), split so that neither branch overflows
+        log_sinh_h = _log_sinh(d1) + log2 + 0.5 * log_tau2 - log_1p_tau2
+        h = np.where(
+            log_sinh_h > 0.0,
+            log_sinh_h + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * log_sinh_h))),
+            np.arcsinh(np.exp(log_sinh_h)),
+        )
+    t = np.where(at_x, 0.0, np.where(at_y, L, t))
+    h = np.where(at_x, d1, np.where(at_y, d2, h))
+    return t[()], h[()]
 
 
 def ray_distance(h, t, s):

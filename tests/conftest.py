@@ -1,4 +1,6 @@
-"""Shared fixtures and samplers for the test suite."""
+"""Shared fixtures, samplers and slow reference paths for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +8,13 @@ import pytest
 from kleinian.hyperbolic import (
     Isometry,
     boost,
+    distance,
+    geodesic_point,
     identity_isometry,
+    radial_split,
     reorthogonalize,
     rotation,
+    split_distance,
 )
 
 
@@ -74,3 +80,64 @@ def random_chain(rng, n_points, product_bound, gap_bound, dim=2, gap_spread=5.0)
             if dim >= 3:
                 turn = rotation(dim, 2, 3, rng.uniform(0.0, 2.0 * np.pi)) @ turn
     return steps, gaps, targets
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_projection(x, y, points):
+    """Reference: feet and distances of points projected to the segment
+    [x, y], as kleinian.chains.nearest_point_on_geodesic computed them
+    before the foot had a closed form.
+
+    Batched golden-section search over the arclength parameter; the
+    distance along a geodesic is convex, so the bracket converges at the
+    golden rate, here to within 1e-9.  Returns (t, dist) arrays (scalars
+    for a single point).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None]
+    total = float(distance(x, y))
+    if total == 0.0:
+        raise ValueError("degenerate segment")
+    rp, up = radial_split(pts)
+
+    def eval_at(ts):
+        g = geodesic_point(x, y, ts)
+        rg, ug = radial_split(g)
+        return split_distance(rg, ug, rp, up)
+
+    m = pts.shape[0]
+    a = np.zeros(m)
+    b = np.full(m, total)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = eval_at(c)
+    fd = eval_at(d)
+    n_iter = max(1, int(math.ceil(math.log(max(total / 1e-9, 2.0)) / math.log(1.0 / _INVPHI))))
+    for _ in range(n_iter):
+        take_left = fc < fd
+        b = np.where(take_left, d, b)
+        a = np.where(take_left, a, c)
+        c_next = np.where(take_left, b - _INVPHI * (b - a), d)
+        d_next = np.where(take_left, c, a + _INVPHI * (b - a))
+        f_new = eval_at(np.where(take_left, c_next, d_next))
+        fc, fd = (
+            np.where(take_left, f_new, fd),
+            np.where(take_left, fc, f_new),
+        )
+        c, d = c_next, d_next
+    t = 0.5 * (a + b)
+    dist = eval_at(t)
+    # clamp to the endpoints if they do better (feet outside the bracket)
+    d0 = split_distance(*radial_split(x), rp, up)
+    d1 = split_distance(*radial_split(y), rp, up)
+    best = np.minimum(dist, np.minimum(d0, d1))
+    t = np.where(d0 <= best, 0.0, np.where(d1 <= best, total, t))
+    if single:
+        return float(t[0]), float(best[0])
+    return t, best

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,16 @@ from kleinian import (
     check_chain,
     fellow_travel_check,
     nearest_point_on_geodesic,
+    rotation,
 )
-from kleinian.hyperbolic import basepoint
+from kleinian.hyperbolic import basepoint, distance, geodesic_point, segment_foot
 
-from conftest import random_chain, random_point
+from conftest import (
+    golden_section_projection,
+    random_chain,
+    random_isometry,
+    random_point,
+)
 
 LN2 = math.log(2.0)
 
@@ -202,6 +209,45 @@ def test_nearest_point_far_from_origin():
     assert dist == pytest.approx(1.5, abs=1e-5)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_form_projection_matches_golden_section(rng, dim):
+    """Feet before x, past y, inside the segment and on it, against the
+    search kept as the reference.  On the segment the search stops within
+    its 1e-9 bracket of a sharp minimum, so there the closed form must do
+    better: its distance is zero to roundoff.  Offsets rebuilt from the
+    side lengths alone match off the segment, and are within
+    sqrt(eps d(x, y)) of zero on it."""
+    g = random_isometry(rng, dim, scale=1.0).matrix
+    total = 5.0
+    x, y = g[:, 0], (g @ boost(dim, 1, total).matrix)[:, 0]
+    s = np.concatenate(
+        [
+            rng.uniform(-3.0, 0.0, 30),
+            rng.uniform(total, total + 3.0, 30),
+            rng.uniform(0.0, total, 60),
+            rng.uniform(0.0, total, 20),
+        ]
+    )
+    h = np.concatenate([rng.uniform(0.0, 2.0, 120), np.zeros(20)])
+    v = rng.normal(size=(140, dim))
+    v[:, 0] = 0.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    local = np.column_stack(
+        [np.cosh(s) * np.cosh(h), np.sinh(s) * np.cosh(h), np.sinh(h)[:, None] * v[:, 1:]]
+    )
+    pts = local @ g.T
+    t, dist = nearest_point_on_geodesic(x, y, pts)
+    want_t, want = golden_section_projection(x, y, pts)
+    assert np.all(t[:30] == 0.0) and np.all(t[30:60] == distance(x, y))
+    assert np.max(np.abs(t - want_t)) <= 1e-6
+    assert np.max(np.abs(dist[:120] - want[:120])) <= 1e-12
+    assert np.max(dist[120:]) <= 1e-12
+    assert np.all(dist[120:] <= want[120:])
+    _, offset = segment_foot(distance(x, pts), distance(y, pts), distance(x, y))
+    assert np.max(np.abs(offset[:120] - want[:120])) <= 1e-11
+    assert np.max(offset[120:]) <= 1e-7
+
+
 def test_nearest_point_degenerate_segment_raises():
     x = basepoint(2)
     with pytest.raises(ValueError):
@@ -262,6 +308,62 @@ def test_shadowing_bounds_on_random_chains():
                 assert report.feet_monotone
 
 
+def zigzag_chain(n_steps):
+    """Steps of a turn by +-0.02 in the e1-e2 plane, then a boost of 25."""
+    return [
+        rotation(2, 1, 2, 0.02 * (-1) ** i) @ boost(2, 1, 25.0)
+        for i in range(n_steps)
+    ]
+
+
+@pytest.mark.parametrize("n_steps", [19, 20, 27])
+def test_far_step_chains_shadow(n_steps):
+    """Totals 475 to 675: far past where a vertex's frame coordinates of
+    z_0 overflow a sinh-weighted geodesic point.  The suite turns any
+    RuntimeWarning into a failure."""
+    cert = check_chain(zigzag_chain(n_steps), ChainParams(1.0, 20.0))
+    assert cert.ok
+    report = chain_shadowing(cert)
+    assert report.ok and report.sharp_ok and report.feet_monotone
+    assert np.all(np.isfinite(report.offsets)) and np.all(np.isfinite(report.feet))
+    assert np.all(np.abs(report.offsets - 0.01) < 1e-5)
+
+
+def test_far_chain_feet_match_mpmath():
+    """Feet and offsets of the 27-step chain against 50 digits.  The
+    truth comes from the half-angle law and the right-angle relations
+    sinh h = sinh d1 sin α, cosh d1 = cosh t cosh h; the second right
+    triangle, cosh d2 = cosh(L - t) cosh h, confirms it."""
+    steps = zigzag_chain(27)
+    report = chain_shadowing(check_chain(steps, ChainParams(1.0, 20.0)))
+    with mp.workdps(50):
+        mats = [mp.matrix(s.matrix.tolist()) for s in steps]
+        prefix, suffix = mp.eye(3), mp.eye(3)
+        start, end = [], []
+        for m, back in zip(mats, reversed(mats)):
+            prefix, suffix = prefix * m, back * suffix
+            start.append(mp.acosh(prefix[0, 0]))
+            end.append(mp.acosh(suffix[0, 0]))
+        total, end = start[-1], end[::-1]
+        for i in range(26):
+            d1, d2 = start[i], end[i + 1]
+            a, b, g = (d1 + total - d2) / 2, (d2 + total - d1) / 2, (d1 + d2 - total) / 2
+            tau2 = mp.sinh(b) * mp.sinh(g) / (mp.sinh((d1 + d2 + total) / 2) * mp.sinh(a))
+            h = mp.asinh(mp.sinh(d1) * 2 * mp.sqrt(tau2) / (1 + tau2))
+            t = mp.acosh(mp.cosh(d1) / mp.cosh(h))
+            assert abs(mp.cosh(total - t) * mp.cosh(h) / mp.cosh(d2) - 1) < mp.mpf(10) ** -40
+            assert abs(report.feet[i] - float(t)) <= 1e-10
+            assert abs(report.offsets[i] - float(h)) <= 1e-10
+
+
+def test_chain_past_float_range_is_refused():
+    """At total 750, cosh d(z_0, z_N) overflows: a typed refusal."""
+    cert = check_chain(zigzag_chain(30), ChainParams(1.0, 20.0))
+    assert cert.ok
+    with pytest.raises(ChainRegimeError, match="stable_arcosh gives inf"):
+        chain_shadowing(cert)
+
+
 def test_fellow_travel_identical_geodesics():
     x = basepoint(2)
     y = boost(2, 1, 15.0).matrix[:, 0]
@@ -297,3 +399,22 @@ def test_fellow_travel_no_deep_samples():
     report = fellow_travel_check(x, y, x, y, 1.0)
     assert report.ok
     assert report.deep_point_bound is None
+
+
+def test_fellow_travel_offsets_are_exact_suprema(rng):
+    """Dense samples of [x, y], projected by the search kept as the
+    reference, never exceed the reported offsets, and reach them at the
+    endpoints and window ends, where convexity puts the suprema."""
+    x = basepoint(2)
+    y = boost(2, 1, 12.0).matrix[:, 0]
+    x2 = random_point(rng, 2, radius=0.8)
+    y2 = boost(2, 1, 12.0).apply(random_point(rng, 2, radius=0.8)).coords
+    ts = np.linspace(0.0, 12.0, 2401)
+    deep = (ts >= 1.0 - 1e-12) & (ts <= 11.0 + 1e-12)
+    # both orientations, so the supremum sits at the last endpoint once
+    for a, b, a2, b2 in ((x, y, x2, y2), (y, x, y2, x2)):
+        report = fellow_travel_check(a, b, a2, b2, 1.0)
+        _, dists = golden_section_projection(a2, b2, geodesic_point(a, b, ts))
+        assert np.max(dists) == pytest.approx(report.max_offset, abs=1e-9)
+        assert np.max(dists[deep]) == pytest.approx(report.deep_point_bound, abs=1e-9)
+        assert report.deep_point_bound < report.max_offset

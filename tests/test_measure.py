@@ -31,7 +31,6 @@ from kleinian import (
     write_atoms_csv,
     write_profile_csv,
 )
-from kleinian.chains import nearest_point_on_geodesic
 from kleinian.hyperbolic import (
     Isometry,
     basepoint,
@@ -52,6 +51,7 @@ from kleinian.measure import (
 )
 from kleinian.semigroup import SemigroupStage, TruncatedFamily
 from test_benchmark_contract import _load
+from conftest import golden_section_projection
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -774,7 +774,7 @@ def test_extension_checkpoints_stay_close(spec3, pair3, seed3):
     word = K[0] @ pair3.separator @ K[1]
     xi = BoundaryPoint(radial_split(word.matrix[:, 0])[1])
     profile = conical_profile(xi, ball, 17.5)
-    t_mark, offset = nearest_point_on_geodesic(
+    t_mark, offset = golden_section_projection(
         basepoint(2), xi.ray_point(17.5), K[0].matrix[:, 0]
     )
     assert 0.0 < t_mark < 17.5
@@ -843,8 +843,8 @@ def _golden_section_myrberg(xi, g, K_nbhd, ref_ball, t_max, h_seg=0.5):
         seg = geodesic_point(x0, gx0, seg_ts)
     members = ref_ball.members
     mats = ref_ball.mats[members]
-    _, dist_a = nearest_point_on_geodesic(x0, far, mats[:, :, 0])
-    _, dist_b = nearest_point_on_geodesic(x0, far, mats @ gx0)
+    _, dist_a = golden_section_projection(x0, far, mats[:, :, 0])
+    _, dist_b = golden_section_projection(x0, far, mats @ gx0)
     ok = (dist_a <= K_nbhd + 1e-9) & (dist_b <= K_nbhd + 1e-9)
     order = sorted(
         members[ok].tolist(),
@@ -852,7 +852,7 @@ def _golden_section_myrberg(xi, g, K_nbhd, ref_ball, t_max, h_seg=0.5):
     )
     for row in order:
         moved = ref_ball.mats[row] @ seg.T
-        _, dists = nearest_point_on_geodesic(x0, far, moved.T)
+        _, dists = golden_section_projection(x0, far, moved.T)
         if np.all(dists <= K_nbhd + 1e-9):
             return ref_ball.word(int(row))
     return None
