@@ -12,6 +12,15 @@ broadcast over leading axes so callers can batch.  Distances run on
 (radius, direction) pairs, and distances to a basepoint ray on the
 closed-form offset and foot of :func:`ray_coordinates`; feet on a
 segment come in closed form from side lengths (:func:`segment_foot`).
+
+Nearest points of a set (:func:`min_distance_to_set`) go through a screen
+before the exact kernel: one GEMM per block gives cosh d(p, q) as the
+Minkowski pairing p_0 q_0 - p . q, and a member is dropped only when its
+pairing exceeds the row minimum by more than the roundoff of both
+pairings, at most 32 gamma_{d+1} p_0 max q_0, plus a relative 1e-9.
+Such a member is farther than the row's minimiser in exact arithmetic,
+so it cannot be nearest; the kept pairs, about one per point on orbit
+balls, get the exact split distance.
 """
 
 from __future__ import annotations
@@ -420,17 +429,24 @@ def geodesic_point(x, y, t):
 
     Broadcasts: ``t`` may be an array, producing a batch of sample points.
     Requires x != y.  t is clamped to the segment only by the caller; values
-    outside [0, d(x,y)] continue along the geodesic line.
+    outside [0, d(x,y)] continue along the geodesic line.  The point is
+    w_x x + w_y y with weights sinh(d - t) / sinh d and sinh t / sinh d,
+    formed before they scale x and y, so that no product passes the float
+    range on the way to a representable point; past sinh's overflow near
+    710 the weights come from the log domain.
     """
     xc = np.asarray(_coords(x), dtype=float)
     yc = np.asarray(_coords(y), dtype=float)
     d = float(distance(xc, yc))
     if d == 0.0:
         raise DegenerateDirectionError("geodesic through coincident points")
-    t = np.asarray(t, dtype=float)
-    # sinh-weighted combination; stable for the desk-scale distances used here.
-    num = np.sinh(d - t)[..., None] * xc + np.sinh(t)[..., None] * yc
-    return num / np.sinh(d)
+    s = np.stack(np.broadcast_arrays(d - np.asarray(t, dtype=float), t))
+    if d <= 710.0:
+        w = np.sinh(s) / np.sinh(d)
+    else:
+        with np.errstate(divide="ignore"):
+            w = np.sign(s) * np.exp(_log_sinh(np.abs(s)) - _log_sinh(d))
+    return w[0][..., None] * xc + w[1][..., None] * yc
 
 
 # ---------------------------------------------------------------------------
@@ -577,53 +593,117 @@ def rotation(dim: int, i: int, j: int, theta: float) -> Isometry:
 # Batched kernels used by the enumeration and measure layers.
 
 
-def pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 2_000_000):
-    """Distance matrix between two stacks of hyperboloid points.
-
-    ``a`` has shape (m, d+1), ``b`` shape (n, d+1); result (m, n).  Work is
-    chunked so intermediate buffers stay below roughly ``chunk`` floats.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape[0], b.shape[0]
-    out = np.empty((m, n))
-    if m == 0 or n == 0:
-        return out
-    ra, ua = radial_split(a)
-    rb, ub = radial_split(b)
-    rows = max(1, int(chunk // max(n, 1)))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        out[lo:hi] = split_distance(
-            ra[lo:hi, None], ua[lo:hi, None, :], rb[None, :], ub[None, :, :]
-        )
-    return out
+def _pairing_columns(r, u):
+    """Coordinates (cosh r, sinh r u) of (radius, direction) pairs: the
+    points that :func:`split_distance` measures, so that a screen on
+    their Minkowski pairing sees the same points as the exact pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([np.cosh(r)[:, None], np.sinh(r)[:, None] * u], axis=1)
 
 
 def min_distance_to_set(points: np.ndarray, cloud: np.ndarray, chunk: int = 65_536):
     """For each row of ``points``, the min hyperbolic distance to ``cloud``.
 
-    Returns (values, argmins); ties go to the first cloud row.  Works in
-    blocks of at most ``chunk`` point-cloud pairs, each handed whole to
-    pairwise_distance, so each temporary holds at most ``chunk * d``
-    floats whatever the sizes of the two sets.
+    Returns (values, argmins); ties go to the first cloud row.  A screen
+    in the cosh domain picks the candidate pairs and :func:`split_distance`
+    runs only on those, so values and argmins are those of the exact
+    distance over every pair, bit for bit.
+
+    The screen works in blocks of at most ``chunk`` point-cloud pairs.
+    One GEMM per block gives the Minkowski pairing c = p_0 q_0 - p . q,
+    the cosh of the distance, of the points (cosh r, sinh r u) rebuilt
+    from both splits, with the cloud's spatial part negated.  Rebuilt
+    rather than raw columns, because split_distance measures the point at
+    radius r = arcosh q_0 in direction u, and the raw spatial part differs
+    from sinh r u by up to about r ulps.  Each computed c then lies within
+    16 gamma_{d+1} p_0 q_0 of the cosh that split_distance evaluates:
+    2 gamma_{d+1} is the GEMM's roundoff (Higham, Accuracy and Stability
+    of Numerical Algorithms, §3.1), the rest covers the ulps of cosh, sinh
+    and the unit directions.  A member is dropped only when
+
+        c > c_min (1 + 1e-9) + 1e-12 + 32 gamma_{d+1} p_0 max q_0,
+
+    with c_min the row minimum of c.  Its cosh is then above the cosh of
+    the row's minimising member even after the roundoff of both pairings,
+    and the 1e-9 covers split_distance's own rounding, so it can neither
+    be nearest nor tie the nearest.  Rows where a pairing may overflow
+    get an infinite bound and keep every member, and NaN pairings stay in.
+    A cloud wider than ``chunk`` runs in column blocks with a running row
+    minimum, and the kept pairs are screened again against the final one.
+    Beyond arrays of one entry per point or member, each temporary holds
+    O(``chunk``) pairs whatever the sizes of the two sets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cloud = np.asarray(cloud, dtype=float)
-    m = points.shape[0]
+    m, n = points.shape[0], cloud.shape[0]
     best = np.full(m, np.inf)
     arg = np.zeros(m, dtype=np.int64)
-    if cloud.shape[0] == 0:
+    if n == 0:
         return best, arg
-    cols = max(1, int(chunk // max(m, 1)))
-    rows = max(1, int(chunk // cols))
+    rp, up = radial_split(points)
+    rq, uq = radial_split(cloud)
+    p = _pairing_columns(rp, up)
+    q = _pairing_columns(rq, uq)
+    q[:, 1:] *= -1.0
+    qt = np.ascontiguousarray(q.T)
+    k = points.shape[1] * np.finfo(float).eps / 2.0
+    with np.errstate(over="ignore"):
+        # 4 p_0 max q_0 bounds twice every partial sum of a row's pairings;
+        # where it overflows the slack is inf and the row keeps every member
+        slack = 8.0 * k / (1.0 - k) * (4.0 * p[:, 0] * np.max(q[:, 0])) + 1e-12
+    cols = max(1, min(n, chunk))
+    rows = max(1, chunk // cols)
+    pending, size = [], 0
     for top in range(0, m, rows):
         sel = slice(top, min(m, top + rows))
-        for lo in range(0, cloud.shape[0], cols):
-            block = pairwise_distance(points[sel], cloud[lo : lo + cols], chunk)
-            j = np.argmin(block, axis=1)
-            v = block[np.arange(block.shape[0]), j]
-            take = v < best[sel]
-            best[sel][take] = v[take]
-            arg[sel][take] = lo + j[take]
+        low = np.full(sel.stop - top, np.inf)
+        kept = []
+        for lo in range(0, n, cols):
+            i, j, c, low = _screen_block(p[sel], qt[:, lo : lo + cols], low, slack[sel])
+            kept.append((i, j + lo, c))
+        bound = _row_bound(low, slack[sel])
+        for i, j, c in kept:
+            near = ~(c > bound[i])
+            pending.append((top + i[near], j[near]))
+            size += pending[-1][0].size
+        if size >= chunk or sel.stop == m:
+            i, j = (np.concatenate(a) for a in zip(*pending))
+            _merge_nearest(i, j, rp, up, rq, uq, best, arg, chunk)
+            pending, size = [], 0
     return best, arg
+
+
+def _row_bound(low, slack):
+    """Pairings above this bound cannot be nearest (min_distance_to_set)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return low * (1.0 + 1e-9) + slack
+
+
+def _screen_block(p, qt, low, slack):
+    """One block of the screen: the pairings c = p qt, the running row
+    minimum ``low`` lowered by them, and (row, column, c) of each pair
+    that the row bound keeps; NaN pairings compare false and stay in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = p @ qt
+        low = np.minimum(low, np.min(c, axis=1))
+    keep = ~(c > _row_bound(low, slack)[:, None])
+    i, j = np.divmod(np.flatnonzero(keep), c.shape[1])
+    return i, j, c[i, j], low
+
+
+def _merge_nearest(i, j, rp, up, rq, uq, best, arg, chunk):
+    """Exact pass over the pairs (i, j), in pieces of at most ``chunk``.
+
+    Columns ascend within each row, so the stable sort puts the first
+    column at a row's minimum first, and a later piece replaces a row's
+    argmin only when strictly nearer.
+    """
+    for lo in range(0, i.size, chunk):
+        pi, pj = i[lo : lo + chunk], j[lo : lo + chunk]
+        d = split_distance(rp[pi], up[pi], rq[pj], uq[pj])
+        order = np.lexsort((d, pi))
+        first = order[np.r_[True, pi[order[1:]] != pi[order[:-1]]]]
+        pi, pj, d = pi[first], pj[first], d[first]
+        take = d < best[pi]
+        best[pi[take]] = d[take]
+        arg[pi[take]] = pj[take]

@@ -60,7 +60,6 @@ __all__ = [
     "poincare_partial",
     "estimate_critical_exponent",
     "growth_fit",
-    "separated_net",
     "orbit_distance",
     "sl2_to_so21",
     "sl2_norm",
@@ -595,46 +594,18 @@ def estimate_critical_exponent(ball: OrbitBall) -> CriticalExponentEstimate:
     return growth_fit(member_norms, np.linspace(lo, top, n))
 
 
-def separated_net(
-    ball: OrbitBall,
-    scale: float,
-    *,
-    lo: float = 0.0,
-    hi: float | None = None,
-) -> np.ndarray:
-    """Greedy ``scale``-separated subset of members, taken in norm order.
-
-    Returns global row indices.  Restricting to a norm annulus [lo, hi]
-    yields the alphabet-seeding nets; the greedy order (ascending norm)
-    makes the result deterministic and biases it toward short elements.
-    """
-    members = ball.by_norm()
-    norms = ball.norms[members]
-    mask = norms >= lo
-    if hi is not None:
-        mask &= norms <= hi
-    members = members[mask]
-    if members.size == 0:
-        return members
-    points = ball.orbit_points(members)
-    r, u = radial_split(points)
-    kept: list[int] = []
-    for i in range(members.shape[0]):
-        if kept:
-            d = split_distance(r[i], u[i], r[kept], u[kept])
-            if float(np.min(d)) < scale:
-                continue
-        kept.append(i)
-    return members[np.array(kept, dtype=np.int64)]
-
-
 def orbit_distance(ball: OrbitBall, points):
     """Distance from query points to the enumerated orbit, with censoring.
 
     Returns (values, censored, argmin_rows); ties go to the first member
     row.  One :func:`~kleinian.hyperbolic.min_distance_to_set` pass over
-    the member cloud, so memory stays bounded by its block size however
-    many points are queried.  A value is censored when it reaches
+    the member cloud: a cosh-domain screen drops a member only when its
+    Minkowski pairing with the point exceeds the row minimum by more than
+    the roundoff of both pairings (32 gamma_{d+1} p_0 max q_0, plus a
+    relative 1e-9), so the dropped members cannot be nearest, and the
+    exact split distance runs on the rest, about one member per point.
+    Memory stays bounded by the block size however many points are
+    queried.  A value is censored when it reaches
     ``radius - d(x0, p)``: orbit points outside the ball could then be
     closer, so the minimum is only a lower-bound witness.
     """

@@ -82,6 +82,18 @@ def random_chain(rng, n_points, product_bound, gap_bound, dim=2, gap_spread=5.0)
     return steps, gaps, targets
 
 
+def pairwise_distance(a, b):
+    """Reference: the (m, n) distance matrix between two stacks of
+    hyperboloid points, one split_distance call over every pair.
+
+    The brute force that kleinian.hyperbolic.min_distance_to_set screens:
+    its values and first-row argmins must equal the row minima here.
+    """
+    ra, ua = radial_split(np.asarray(a, dtype=float))
+    rb, ub = radial_split(np.asarray(b, dtype=float))
+    return split_distance(ra[:, None], ua[:, None, :], rb[None, :], ub[None, :, :])
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,13 @@ from kleinian import (
     nearest_point_on_geodesic,
     rotation,
 )
-from kleinian.hyperbolic import basepoint, distance, geodesic_point, segment_foot
+from kleinian.hyperbolic import (
+    basepoint,
+    distance,
+    geodesic_point,
+    ray_points,
+    segment_foot,
+)
 
 from conftest import (
     golden_section_projection,
@@ -418,3 +425,19 @@ def test_fellow_travel_offsets_are_exact_suprema(rng):
         assert np.max(dists) == pytest.approx(report.max_offset, abs=1e-9)
         assert np.max(dists[deep]) == pytest.approx(report.deep_point_bound, abs=1e-9)
         assert report.deep_point_bound < report.max_offset
+
+
+def test_nearest_point_on_a_segment_past_the_coordinate_range():
+    """x and y at radius 300 on either side of the basepoint (d = 600):
+    sinh(d - t) x alone passes the float range, so geodesic_point divides
+    by sinh d first, and the point at radius 290 on the segment is at
+    distance about 0 from its foot t = 10, with no RuntimeWarning."""
+    e1 = np.array([1.0, 0.0])
+    x, y, p = ray_points(e1, 300.0), ray_points(-e1, 300.0), ray_points(e1, 290.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, dist = nearest_point_on_geodesic(x, y, p)
+        foot = geodesic_point(x, y, t)
+    assert t == pytest.approx(10.0, abs=1e-9)
+    assert np.isfinite(dist) and dist <= 1e-9
+    assert np.all(np.isfinite(foot))

@@ -1,6 +1,7 @@
 """Geometry core: form, distances, geodesics, isometries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from kleinian.hyperbolic import (
     identity_isometry,
     min_distance_to_set,
     minkowski_inner,
-    pairwise_distance,
     radial_split,
     ray_coordinates,
     ray_distance,
@@ -40,7 +40,12 @@ from kleinian.hyperbolic import (
 )
 
 from kleinian import hyperbolic
-from conftest import golden_section_projection, random_isometry, random_point
+from conftest import (
+    golden_section_projection,
+    pairwise_distance,
+    random_isometry,
+    random_point,
+)
 
 X0_2 = basepoint(2)
 X0_3 = basepoint(3)
@@ -269,8 +274,6 @@ def test_pairwise_distance_matches_scalar(rng):
     for i in range(7):
         for j in range(5):
             assert np.isclose(mat[i, j], distance(a[i], b[j]), atol=1e-10)
-    # chunked path agrees with the one-shot path
-    assert np.allclose(pairwise_distance(a, b, chunk=4), mat)
 
 
 def test_min_distance_to_set(rng):
@@ -283,32 +286,79 @@ def test_min_distance_to_set(rng):
 
 
 def test_min_distance_blocks_stay_within_chunk(rng, monkeypatch):
-    """Every block handed to pairwise_distance holds at most ``chunk``
-    pairs, whichever of the two sets is the larger; values and first-row
-    argmins equal the one-shot pairwise minimum."""
+    """Every block of the cosh screen holds at most ``chunk`` pairs,
+    whichever of the two sets is the larger, and screens each pair
+    exactly once; values and first-row argmins equal the brute-force
+    minimum."""
     pts = np.stack([random_point(rng, 3) for _ in range(12)])
     cloud = np.stack([random_point(rng, 3) for _ in range(90)])
     full = pairwise_distance(pts, cloud)
-    sizes = []
-    kernel = hyperbolic.pairwise_distance
+    blocks = []
+    screen = hyperbolic._screen_block
 
-    def recording(a, b, chunk=2_000_000):
-        sizes.append(a.shape[0] * b.shape[0])
-        return kernel(a, b, chunk)
+    def recording(p, qt, low, slack):
+        # a block's rows and columns carry cosh of the radii in front
+        rows = np.argmin(np.abs(pts[:, 0] - p[:, :1]), axis=1)
+        cols = np.argmin(np.abs(cloud[:, 0] - qt[0][:, None]), axis=1)
+        blocks.append((rows, cols))
+        return screen(p, qt, low, slack)
 
-    monkeypatch.setattr(hyperbolic, "pairwise_distance", recording)
+    monkeypatch.setattr(hyperbolic, "_screen_block", recording)
     for chunk in (1, 5, 12, 64, 1000, 100_000):
-        sizes.clear()
+        blocks.clear()
         vals, args = min_distance_to_set(pts, cloud, chunk=chunk)
-        assert 0 < max(sizes) <= chunk
-        assert sum(sizes) == full.size
+        assert 0 < max(r.size * c.size for r, c in blocks) <= chunk
+        seen = np.zeros(full.shape, dtype=np.int64)
+        for rows, cols in blocks:
+            seen[np.ix_(rows, cols)] += 1
+        assert np.all(seen == 1)
         assert np.array_equal(vals, full.min(axis=1))
         assert np.array_equal(args, full.argmin(axis=1))
     # exact ties across blocks go to the first cloud row
     twice = np.concatenate([cloud, cloud])
-    for chunk in (1, 13, 1000):
+    for chunk in (1, 13, 64, 1000):
         _, args = min_distance_to_set(pts, twice, chunk=chunk)
         assert np.array_equal(args, full.argmin(axis=1))
+
+
+def _screen_case(seed, dim):
+    """Query points and a cloud for the screen: radii up to 700, so that
+    p_0 q_0 overflows in some pairings, members repeated exactly, and
+    directions 1e-9 apart."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+    top = float(rng.choice([5.0, 40.0, 360.0, 700.0]))
+    v = rng.normal(size=(m + n, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    near = rng.random(m + n) < 0.5
+    w = v[rng.integers(0, m + n, size=m + n)] + 1e-9 * rng.normal(size=(m + n, dim))
+    v[near] = w[near] / np.linalg.norm(w[near], axis=1, keepdims=True)
+    r = rng.uniform(0.0, top, size=m + n)
+    r[rng.random(m + n) < 0.3] = r[0]
+    pts = ray_points(v, r)
+    cloud = pts[m:]
+    cloud = np.concatenate([cloud, cloud[rng.integers(0, n, size=n // 2)]])
+    return pts[:m], cloud[rng.permutation(cloud.shape[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 7, 40, 65_536]),
+)
+def test_min_distance_screen_matches_brute_force(seed, dim, chunk):
+    """Values and first-row argmins of the screened pass are those of the
+    brute-force minimum, bit for bit, with no RuntimeWarning: rows whose
+    pairings overflow keep every member, and exact ties and members
+    1e-9 apart all survive the screen."""
+    pts, cloud = _screen_case(seed, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, args = min_distance_to_set(pts, cloud, chunk=chunk)
+    full = pairwise_distance(pts, cloud)
+    assert np.array_equal(vals, full.min(axis=1))
+    assert np.array_equal(args, full.argmin(axis=1))
 
 
 @pytest.mark.parametrize("t", [400.0, 600.0, 700.0])

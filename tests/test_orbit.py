@@ -12,7 +12,6 @@ from kleinian.hyperbolic import (
     REORTH_EVERY,
     boost,
     form_residual,
-    pairwise_distance,
     radial_split,
     ray_points,
     reorthogonalize,
@@ -28,10 +27,11 @@ from kleinian.orbit import (
     estimate_critical_exponent,
     orbit_distance,
     poincare_partial,
-    separated_net,
     sl2_norm,
     sl2_to_so21,
 )
+
+from conftest import pairwise_distance
 
 
 def brute_words(letter_mats, max_len, *, no_backtrack_pairs=None):
@@ -238,15 +238,6 @@ def test_orbit_distance_and_censoring():
     far = boost(2, 2, 5.4).apply(np.array([1.0, 0.0, 0.0])).coords
     _, censored_far, _ = orbit_distance(ball, far)
     assert censored_far
-
-
-def test_separated_net_greedy():
-    ball = enumerate_ball(cyclic(1.0), 5.5)
-    net = separated_net(ball, 1.5)
-    values = sorted(round(float(ball.norms[i]), 6) for i in net)
-    assert values == [0.0, 2.0, 2.0, 4.0, 4.0]
-    ring = separated_net(ball, 1.5, lo=3.0, hi=5.0)
-    assert sorted(round(float(ball.norms[i]), 6) for i in ring) == [3.0, 3.0, 5.0, 5.0]
 
 
 def test_reorthogonalization_keeps_drift_down():
