@@ -19,16 +19,32 @@ one extra row product) or a pair of family words branching at their
 first letter (norm read off the Minkowski pairing of stored matrix
 columns, accurate because branching words overlap only a bounded amount).
 
-Shadow membership for a batch of apexes (:func:`shadow_members`) screens
-the first-letter branches in the cosh domain.  With c the pairing of the
-apex and atom columns, membership reads (|g| + arcosh c - |f|) / 2 <= r,
-and arcosh c >= log c, so a member has c e^{-|f|} <= e^{2r - |g|}.  The
-left side for a block of apexes is one product with the atom columns
-scaled by e^{-|f|}, whose time coordinate is at most one.  The bound is
-widened by a relative 1e-9 and an absolute 1e-12 g_0, far above the
-roundoff of either side's c, so the screen rejects only atoms that the
-exact product rejects too; every atom it keeps, and the apex's own
-first-letter cone, goes through the exact products.
+Every shadow report runs one screened pass over a batch of apexes.  The
+atoms of an apex's first-letter cone get exact products, computed for a
+block of apexes at once.  Atoms with another first letter branch from
+the apex at position 0, and their product is (|g| + arcosh c - |f|) / 2
+with c the pairing of the apex and atom columns.  Since
+
+    log c <= arcosh c <= log 2c    (c >= 1),
+
+that product lies between (|g| + log(c e^{-|f|})) / 2 and the same plus
+log 2 / 2.  For a block of apexes, c e^{-|f|} is one product with the
+atom columns scaled by e^{-|f|}, whose time coordinate is at most one.
+The screen keeps a branch atom when c e^{-|f|} <= e^{2t - |g|}, widened by
+a relative 1e-9 and an absolute 1e-12 g_0, far above the roundoff of
+either side's c; so it drops only atoms whose exact product exceeds t,
+and every atom it keeps goes through the exact products.  Shadow
+membership (:func:`shadow_members`) screens at t = r.  The nesting
+report needs every product below 9C and the smallest product outside
+the apex's extensions, so it screens at
+
+    t = max(9C, min(m_cone, (|g| + log(2 min c e^{-|f|})) / 2)),
+
+with m_cone the exact minimum over the cone minus the extensions and the
+inner minimum over the branch atoms: the atom reaching that minimum has
+its product below the second term, so no dropped atom can be the
+smallest.  Where |g| + |f| nears 700 the exact c may overflow to NaN,
+which the report must see, so there the nesting screen keeps every atom.
 
 Ray statistics (conical profiles, Myrberg witnesses) run against an
 enumerated reference ball and are censored at its reliability horizon.
@@ -97,8 +113,8 @@ QUASI_LETTERS = 4
 AUDIT_SIZE = 16
 # the nesting report checks the words over this many lowest-norm apexes
 MAX_APEXES = 200
-# entries of one apex-by-atom block of the cosh-domain screen in
-# shadow_members: 8 MB of pairings
+# entries of one apex-by-atom block of the screened apex pass (the
+# cosh-domain screen and the exact cone products): 8 MB of pairings
 SHADOW_BLOCK = 1 << 20
 # conical profiles: ray sample step, and the window share before the tail
 PROFILE_STEP = 0.1
@@ -271,6 +287,9 @@ def apex_products(atoms: PSAtomSet, apex_word) -> np.ndarray:
     (Minkowski pairing of stored columns).  Nothing here touches far
     coordinates transversally, so the products stay accurate at any
     radius the truncation reaches.
+
+    This is the one-apex reference: the reports use the screened pass
+    behind :func:`shadow_members`, whose values equal it bit for bit.
     """
     return _products(atoms, tuple(apex_word), slice(None))
 
@@ -303,9 +322,7 @@ def _products(atoms: PSAtomSet, g: tuple, rows) -> np.ndarray:
                     fcols = atoms.columns[rows][branch]
                 else:
                     fcols = fam.columns[fam.rows_after(-1, letters[branch, p:])]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cosh_d = gcol[0] * fcols[:, 0] - fcols[:, 1:] @ gcol[1:]
-                quot = stable_arcosh(cosh_d)
+                quot = stable_arcosh(_pairing(gcol, fcols))
                 out[branch] = 0.5 * (ng + quot - norms[branch])
         match = cont
     if match.any():
@@ -316,6 +333,20 @@ def _products(atoms: PSAtomSet, g: tuple, rows) -> np.ndarray:
             ext = fam.rows_after(-1, letters[ext_mask, len(g) :])
             out[ext_mask] = 0.5 * (ng + atoms.family_head[ext] - norms[ext_mask])
     return out
+
+
+def _pairing(g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Minkowski pairings g_0 f_0 - g . f over the last axis, broadcast.
+
+    Formed one coordinate at a time, so a pair's value does not depend on
+    the batch it is computed in (a BLAS product rounds its short sums
+    differently for one row and for many).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = g[..., 0] * f[..., 0]
+        for j in range(1, g.shape[-1]):
+            c -= g[..., j] * f[..., j]
+    return c
 
 
 def _extension_rows(atoms: PSAtomSet, g: tuple) -> np.ndarray:
@@ -355,44 +386,146 @@ def _screen_columns(columns: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _screen_bound(gcols: np.ndarray, g_norms: np.ndarray, r: float) -> np.ndarray:
-    """Per-apex bound above c e^{-|f|} of every first-letter branch member
-    of S(g x0, r), widened past the roundoff of both pairings."""
+def _screen_bound(gcols: np.ndarray, g_norms: np.ndarray, r) -> np.ndarray:
+    """Per-apex bound above c e^{-|f|} of every first-letter branch atom
+    with product at most r (a scalar or one value per apex), widened past
+    the roundoff of both pairings."""
     return np.exp(2.0 * r - g_norms) * (1.0 + 1e-9) + 1e-12 * gcols[:, 0]
+
+
+def _nesting_threshold(r: float, cone_min, screen_min, g_norms) -> np.ndarray:
+    """Per-apex product past which no branch atom can matter to the nesting
+    report: max(r, min(cone_min, (|g| + log(2 screen_min)) / 2)).
+
+    ``cone_min`` is the exact minimum over the apex's cone minus its
+    extensions and ``screen_min`` the smallest c e^{-|f|} over its branch
+    atoms, so the second term bounds that branch atom's product from above
+    (arcosh c <= log 2c).  NaN in either input propagates, and a NaN
+    threshold keeps every branch atom.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = 0.5 * (g_norms + np.log(2.0 * screen_min))
+    return np.maximum(r, np.minimum(cone_min, upper))
+
+
+def _cone_products(atoms: PSAtomSet, apex_rows: np.ndarray, cone: np.ndarray):
+    """Exact products of the atoms at ``cone`` against every apex at
+    ``apex_rows``, all with the cone's first letter, and the mask of the
+    pairs where the atom extends the apex.
+
+    Row i of the products equals ``_products(atoms, g_i, cone)`` bit for
+    bit: the same formulas, with one product of the apexes' quotient
+    columns g[p:] against the atoms' tail columns f[p:] per position p.
+    """
+    fam = atoms.family
+    lengths, letters = atoms.lengths[cone], atoms.letters[cone]
+    norms = atoms.norms[cone]
+    g_len, g_let = atoms.lengths[apex_rows], atoms.letters[apex_rows]
+    ng = atoms.norms[apex_rows][:, None]
+    out = np.empty((apex_rows.shape[0], cone.shape[0]))
+    # pairs whose words agree on every position so far
+    match = np.ones(out.shape, dtype=bool)
+    for p in range(1, int(g_len.max())):
+        live = g_len > p
+        g_rows = fam.rows_after(-1, g_let[live, p:])
+        m = match[live]
+        cont = m & (letters[:, p] == g_let[live, p, None])
+        stop = m & ~cont
+        sub = out[live]
+        short = stop & (lengths == p)
+        head = atoms.family_head[g_rows][:, None]
+        sub[short] = (0.5 * (ng[live] + head - norms))[short]
+        branch = stop & (lengths > p)
+        if branch.any():
+            tails = fam.columns[fam.rows_after(-1, letters[:, p:])]
+            quot = stable_arcosh(_pairing(fam.columns[g_rows][:, None], tails))
+            sub[branch] = (0.5 * (ng[live] + quot - norms))[branch]
+        out[live] = sub
+        match[live] = cont
+    for n in np.unique(g_len).tolist():
+        same = g_len == n
+        sub = out[same]
+        m = match[same]
+        sub[m & (lengths == n)] = 0.0
+        head = atoms.family_head[fam.rows_after(-1, letters[:, n:])]
+        sub[m & (lengths > n)] = (0.5 * (ng[same] + head - norms))[m & (lengths > n)]
+        out[same] = sub
+    return out, match
+
+
+def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, *, nesting: bool = False):
+    """Exact products of every atom that can bear on S(g x0, r), for the
+    atom g at each of ``apex_rows``.
+
+    Yields (i, rows, products, ext) once per apex, grouped by first
+    letter: i indexes ``apex_rows``, ``rows`` are the apex's first-letter
+    cone (in atom order) followed by the branch atoms the screen keeps
+    (in atom order), and ``ext`` marks the rows that extend g.  Cone
+    products come from :func:`_cone_products`.  Branch atoms, those
+    outside the cone, are screened in the cosh domain at threshold r, or
+    with ``nesting`` at :func:`_nesting_threshold` (module docstring), and
+    the kept pairs of a block are decided in one array pass.  Every
+    temporary holds at most :data:`SHADOW_BLOCK` apex-atom pairs.
+    """
+    apex_rows = np.asarray(apex_rows, dtype=np.int64)
+    scaled = _screen_columns(atoms.columns, atoms.norms)
+    top = float(atoms.norms.max(initial=0.0))
+    first = atoms.letters[apex_rows, 0]
+    step = max(1, SHADOW_BLOCK // len(atoms))
+    for a in np.unique(first).tolist():
+        cone = _extension_rows(atoms, (a,))
+        group = np.flatnonzero(first == a)
+        cone_step = max(1, SHADOW_BLOCK // cone.shape[0])
+        for c0 in range(0, group.shape[0], cone_step):
+            part = group[c0 : c0 + cone_step]
+            prods, ext = _cone_products(atoms, apex_rows[part], cone)
+            for s0 in range(0, part.shape[0], step):
+                block = slice(s0, s0 + step)
+                g_rows = apex_rows[part[block]]
+                gcols, g_norms = atoms.columns[g_rows], atoms.norms[g_rows]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    screen = gcols @ scaled.T
+                t = r
+                if nesting:
+                    cone_min = np.where(ext[block], np.inf, prods[block]).min(axis=1)
+                    screen[:, cone] = np.inf
+                    low = screen.min(axis=1)
+                    t = _nesting_threshold(r, cone_min, low, g_norms)
+                    # past here the exact pairing may overflow to NaN, which
+                    # the report must see: keep every branch atom
+                    t[g_norms + top > 700.0] = np.inf
+                # NaN pairings and thresholds compare false and stay in
+                near = ~(screen > _screen_bound(gcols, g_norms, t)[:, None])
+                near[:, cone] = False
+                hit_apex, hit_atom = np.divmod(np.flatnonzero(near), len(atoms))
+                # the branch-at-0 products of _products, pair by pair
+                c = _pairing(gcols[hit_apex], atoms.columns[hit_atom])
+                branch = 0.5 * (
+                    g_norms[hit_apex] + stable_arcosh(c) - atoms.norms[hit_atom]
+                )
+                cuts = np.searchsorted(hit_apex, np.arange(g_rows.shape[0] + 1))
+                for j, i in enumerate(part[block].tolist()):
+                    cut = slice(cuts[j], cuts[j + 1])
+                    kept = hit_atom[cut]
+                    yield (
+                        i,
+                        np.concatenate([cone, kept]),
+                        np.concatenate([prods[s0 + j], branch[cut]]),
+                        np.concatenate([ext[s0 + j], np.zeros(kept.shape, bool)]),
+                    )
 
 
 def shadow_members(atoms: PSAtomSet, apex_rows, r: float) -> list:
     """Atom rows in S(g x0, r), in atom order, for the atom g at each of
     ``apex_rows``: ``np.flatnonzero(apex_products(atoms, g) <= r)``.
 
-    Atoms whose first letter differs from g's branch from it at position
-    0; blocks of at most :data:`SHADOW_BLOCK` apex-atom pairs screen them
-    in the cosh domain (module docstring), and the apex's first-letter
-    cone plus every atom the screen keeps go through the exact products.
+    One :func:`_apex_pass` at threshold r: atoms whose first letter
+    differs from g's are screened in the cosh domain, and the apex's
+    first-letter cone plus every atom the screen keeps get exact products.
     """
-    apex_rows = np.asarray(apex_rows, dtype=np.int64)
-    scaled = _screen_columns(atoms.columns, atoms.norms)
-    gcols = atoms.columns[apex_rows]
-    bound = _screen_bound(gcols, atoms.norms[apex_rows], r)
-    first = atoms.letters[apex_rows, 0].tolist()
-    cones = {a: _extension_rows(atoms, (a,)) for a in set(first)}
-    step = max(1, SHADOW_BLOCK // max(len(atoms), 1))
-    out = []
-    for start in range(0, apex_rows.shape[0], step):
-        block = slice(start, start + step)
-        # NaN pairings compare false and stay in
-        with np.errstate(over="ignore", invalid="ignore"):
-            near = ~(gcols[block] @ scaled.T > bound[block, None])
-        for i, a in enumerate(first[block]):
-            near[i, cones[a]] = False
-        hit_apex, hit_atom = np.divmod(np.flatnonzero(near), near.shape[1])
-        cuts = np.searchsorted(hit_apex, np.arange(near.shape[0] + 1))
-        for i, row in enumerate(apex_rows[block].tolist()):
-            rows = cones[first[start + i]]
-            branches = hit_atom[cuts[i] : cuts[i + 1]]
-            if branches.size:
-                rows = np.union1d(rows, branches)
-            out.append(rows[_products(atoms, atoms.words[row], rows) <= r])
+    out = [None] * len(apex_rows)
+    for i, rows, prods, _ in _apex_pass(atoms, apex_rows, r):
+        out[i] = np.sort(rows[prods <= r])
     return out
 
 
@@ -490,6 +623,9 @@ def quasi_invariance_report(
     counted on words extending h, an exact lower bound; a seeded audit of
     ``AUDIT_SIZE`` atoms double-checks that non-extending atoms really
     sit outside h a O via fully reduced label words.
+
+    All shadows come from one :func:`shadow_members` call, and exact
+    products are formed for the audit sample alone.
     """
     s = atoms.s
     na = atoms.separator_norm
@@ -501,9 +637,7 @@ def quasi_invariance_report(
     checks = []
     audit_max = -math.inf
     audit_members = 0
-    for k in letters:
-        products = apex_products(atoms, k)
-        member = products <= r
+    for k, member in zip(letters, shadow_members(atoms, first, r)):
         mass_o = float(atoms.weights[member].sum())
         for h in letters:
             nh = atoms.norm_of(h)
@@ -525,15 +659,15 @@ def quasi_invariance_report(
                     "ok": bool(lhs >= mass_o - slack - 1e-9),
                 }
             )
-        outside = np.flatnonzero(~_is_prefix(atoms, k) & member)
-        if outside.size:
-            audit_members += int(outside.size)
+        audit_members += int(np.count_nonzero(~_is_prefix(atoms, k)[member]))
+        rest = np.ones(len(atoms), dtype=bool)
+        rest[member] = False
         sample = rng.choice(
-            np.flatnonzero(~member), size=min(AUDIT_SIZE, int((~member).sum())),
+            np.flatnonzero(rest), size=min(AUDIT_SIZE, int(rest.sum())),
             replace=False,
         )
         if sample.size:
-            audit_max = max(audit_max, float(products[sample].max()))
+            audit_max = max(audit_max, float(_products(atoms, k, sample).max()))
     return {
         "s": s,
         "n_checks": len(checks),
@@ -549,27 +683,35 @@ def shadow_nesting_report(atoms: PSAtomSet, pair) -> dict:
     """Verify that small products against an apex force the prefix relation.
 
     For family words u, v: (x0 | u x0)_{v x0} below 9C happens only when
-    v's indices are a prefix of u's.  Checked exactly on words over the
-    ``MAX_APEXES`` lowest-norm apexes; any violation is returned, none is
-    expected.
+    v's indices are a prefix of u's.  Checked on every atom against each
+    of the ``MAX_APEXES`` lowest-norm apexes v: ``n_inside`` counts the
+    pairs below 9C, ``violations`` lists those where v is no prefix (none
+    is expected), apex by apex in atom order, and ``min_product_outside``
+    is the smallest product of a word that does not extend its apex (inf
+    when every atom extends every apex).
+
+    One :func:`_apex_pass` in nesting mode decides it: the apex's
+    first-letter cone gets exact products, and a branch atom only when
+    its cosh-domain lower bound is at most the apex's nesting threshold
+    (module docstring); every value is the per-apex one, bit for bit.
     """
     bound = 9.0 * pair.scale
     order = np.argsort(atoms.norms, kind="stable")[:MAX_APEXES]
-    violations = []
     n_inside = 0
+    # min() passes over a NaN apex minimum, so the apex order does not matter
     min_outside = math.inf
-    for row in order:
-        v = atoms.words[int(row)]
-        prods = apex_products(atoms, v)
+    bad = [None] * order.size
+    for i, rows, prods, ext in _apex_pass(atoms, order, bound, nesting=True):
         inside = prods < bound
-        ext = _is_prefix(atoms, v)
         n_inside += int(inside.sum())
-        bad = inside & ~ext
-        outside_vals = prods[~ext]
-        if outside_vals.size:
-            min_outside = min(min_outside, float(outside_vals.min()))
-        for i in np.flatnonzero(bad):
-            violations.append({"apex": list(v), "word": list(atoms.words[int(i)])})
+        bad[i] = np.sort(rows[inside & ~ext])
+        if not ext.all():
+            min_outside = min(min_outside, float(prods[~ext].min()))
+    violations = [
+        {"apex": list(atoms.words[row]), "word": list(atoms.words[j])}
+        for row, rows in zip(order.tolist(), bad)
+        for j in rows.tolist()
+    ]
     return {
         "bound": bound,
         "n_apexes": int(order.size),

@@ -45,7 +45,12 @@ from kleinian import measure
 from kleinian.measure import (
     TOL_SERIES,
     W_MIN,
+    _cone_products,
+    _extension_rows,
     _is_prefix,
+    _nesting_threshold,
+    _pairing,
+    _products,
     _screen_bound,
     _screen_columns,
 )
@@ -514,31 +519,271 @@ def test_screen_keeps_every_member(rg, rf, angle, offset):
     fcols = ray_points(u, rf)[None]
     ng, nf = stable_arcosh(g[0]), stable_arcosh(fcols[:, 0])
     # the reference product, as apex_products forms it
-    cosh_d = g[0] * fcols[:, 0] - fcols[:, 1:] @ g[1:]
+    cosh_d = _pairing(g, fcols)
     r = float(0.5 * (ng + stable_arcosh(cosh_d) - nf)[0])
     screened = g[None] @ _screen_columns(fcols, nf).T
     assert screened[0, 0] <= _screen_bound(g[None], np.array([ng]), r)[0]
 
 
+def _plane_pair(dim, angle, tilt):
+    """A unit vector u at (angle, tilt) and a unit vector orthogonal to it."""
+    u = np.zeros(dim)
+    w = np.zeros(dim)
+    u[0], u[1] = math.cos(angle), math.sin(angle)
+    w[0], w[1] = -math.sin(angle), math.cos(angle)
+    if dim == 3:
+        u = np.array([u[0] * math.cos(tilt), u[1] * math.cos(tilt), math.sin(tilt)])
+    return u, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    rg=st.floats(0.0, 300.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    tilt=st.floats(-1.5, 1.5),
+    branches=st.lists(
+        st.tuples(
+            st.floats(0.0, 300.0),
+            st.one_of(
+                st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-math.pi, math.pi)
+            ),
+            st.floats(0.0, 2.0 * math.pi),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    r=st.floats(0.0, 50.0),
+    cone_min=st.one_of(st.just(math.inf), st.floats(0.0, 400.0)),
+)
+def test_nesting_screen_keeps_the_minimum(
+    dim, rg, angle, tilt, branches, r, cone_min
+):
+    """Each branch product lies between the screen's two cosh-domain
+    bounds, and the nesting threshold never drops the smallest one."""
+    u, w = _plane_pair(dim, angle, tilt)
+    g = ray_points(u, rg)
+    ng = stable_arcosh(g[0])
+    fcols = []
+    for rf, offset, spin in branches:
+        # turn u by offset in a plane through u, spun about u in dimension 3
+        v = w if dim == 2 else math.cos(spin) * w + math.sin(spin) * np.cross(u, w)
+        fcols.append(ray_points(math.cos(offset) * u + math.sin(offset) * v, rf))
+    fcols = np.array(fcols)
+    nf = stable_arcosh(fcols[:, 0])
+    # the reference products, as apex_products forms them
+    cosh_d = _pairing(g, fcols)
+    prods = 0.5 * (ng + stable_arcosh(cosh_d) - nf)
+    screen = (g[None] @ _screen_columns(fcols, nf).T)[0]
+    # lower bound (|g| + log s) / 2 and upper bound (|g| + log 2s) / 2,
+    # widened like the screen
+    gcol = np.repeat(g[None], len(branches), axis=0)
+    assert np.all(screen <= _screen_bound(gcol, np.full(len(branches), ng), prods))
+    assert np.all(
+        np.exp(2.0 * prods - ng) <= 2.0 * screen * (1.0 + 1e-9) + 1e-12 * g[0]
+    )
+    # the pass keeps what does not compare above the bound, NaN included
+    t = _nesting_threshold(r, np.array([cone_min]), screen.min()[None], np.array([ng]))
+    kept = ~(screen > _screen_bound(g[None], np.array([ng]), t)[0])
+    assert min(cone_min, prods[kept].min(initial=math.inf)) == min(
+        cone_min, prods.min()
+    )
+    assert not np.any(~kept & (prods <= r))
+
+
+def _nesting_loop(atoms, pair):
+    """Reference for shadow_nesting_report: one apex_products call per apex."""
+    bound = 9.0 * pair.scale
+    order = np.argsort(atoms.norms, kind="stable")[: measure.MAX_APEXES]
+    violations = []
+    n_inside = 0
+    min_outside = math.inf
+    for row in order:
+        v = atoms.words[int(row)]
+        prods = apex_products(atoms, v)
+        inside = prods < bound
+        ext = _is_prefix_scan(atoms, v)
+        n_inside += int(inside.sum())
+        bad = inside & ~ext
+        outside_vals = prods[~ext]
+        if outside_vals.size:
+            min_outside = min(min_outside, float(outside_vals.min()))
+        for i in np.flatnonzero(bad):
+            violations.append({"apex": list(v), "word": list(atoms.words[int(i)])})
+    return {
+        "bound": bound,
+        "n_apexes": int(order.size),
+        "n_inside": n_inside,
+        "violations": violations,
+        "ok": not violations,
+        "min_product_outside": min_outside,
+    }
+
+
+def _quasi_loop(atoms, pair, *, seed=0):
+    """Reference for quasi_invariance_report: full apex_products per letter."""
+    s = atoms.s
+    na = atoms.separator_norm
+    r = 8.0 * atoms.scale
+    first = np.flatnonzero(atoms.lengths == 1)[: measure.QUASI_LETTERS]
+    letters = [atoms.words[i] for i in first]
+    fam = atoms.family
+    rng = np.random.default_rng(seed)
+    checks = []
+    audit_max = -math.inf
+    audit_members = 0
+    for k in letters:
+        products = apex_products(atoms, k)
+        member = products <= r
+        mass_o = float(atoms.weights[member].sum())
+        for h in letters:
+            nh = atoms.norm_of(h)
+            hv = fam.rows_after(fam.row_of(h), atoms.letters[member])
+            hv = atoms._atom_row[np.minimum(hv, len(fam.words))]
+            moved = float(atoms.weights[hv[hv >= 0]].sum())
+            slack = float(atoms.weights[member][hv < 0].sum())
+            lhs = moved * math.exp(s * (nh + na))
+            checks.append(
+                {
+                    "h": list(h),
+                    "apex": list(k),
+                    "transported": moved,
+                    "mass": mass_o,
+                    "slack": slack,
+                    "lhs": float(lhs),
+                    "rhs": float(mass_o - slack),
+                    "ok": bool(lhs >= mass_o - slack - 1e-9),
+                }
+            )
+        audit_members += int(np.sum(~_is_prefix_scan(atoms, k) & member))
+        sample = rng.choice(
+            np.flatnonzero(~member), size=min(measure.AUDIT_SIZE, int((~member).sum())),
+            replace=False,
+        )
+        if sample.size:
+            audit_max = max(audit_max, float(products[sample].max()))
+    return {
+        "s": s,
+        "n_checks": len(checks),
+        "checks": checks,
+        "all_ok": bool(all(c["ok"] for c in checks)),
+        "min_margin": float(min(c["lhs"] - c["rhs"] for c in checks)),
+        "boundary_members": audit_members,
+        "audit_max_outside_product": audit_max,
+    }
+
+
+def _five_reports(pair, stage, atoms):
+    """The five pipeline reports, looked up on the module so a test can
+    swap in the reference loops."""
+    delta = stage.interval[0]
+    return [
+        measure.shadow_principle_report(atoms, delta, pair),
+        measure.shadow_nesting_report(atoms, pair),
+        measure.quasi_invariance_report(atoms, pair),
+        measure.shadow_tail_report(atoms, 0.2, delta),
+        measure.shadow_tail_report(atoms, 0.4, delta),
+    ]
+
+
+def _use_reference_loops(monkeypatch):
+    monkeypatch.setattr(measure, "shadow_members", _members_loop)
+    monkeypatch.setattr(measure, "_is_prefix", _is_prefix_scan)
+    monkeypatch.setattr(measure, "shadow_nesting_report", _nesting_loop)
+    monkeypatch.setattr(measure, "quasi_invariance_report", _quasi_loop)
+
+
 @pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
 def test_reports_match_per_apex_path(shadow_sets, name, monkeypatch):
     """Every report value is bit-identical to the per-apex loops."""
-    pair, stage, atoms = shadow_sets[name]
-    delta = stage.interval[0]
+    fast = _five_reports(*shadow_sets[name])
+    _use_reference_loops(monkeypatch)
+    assert _five_reports(*shadow_sets[name]) == fast
 
-    def reports():
-        return [
-            shadow_principle_report(atoms, delta, pair),
-            shadow_nesting_report(atoms, pair),
-            quasi_invariance_report(atoms, pair),
-            shadow_tail_report(atoms, 0.2, delta),
-            shadow_tail_report(atoms, 0.4, delta),
-        ]
 
-    fast = reports()
-    monkeypatch.setattr(measure, "shadow_members", _members_loop)
-    monkeypatch.setattr(measure, "_is_prefix", _is_prefix_scan)
-    assert reports() == fast
+@pytest.mark.parametrize("name", ["atoms3", "wide_tiny"])
+def test_small_blocks_match_per_apex_path(shadow_sets, name, monkeypatch):
+    """Cone chunks and screen blocks of a few pairs give the same values."""
+    pair, _, atoms = shadow_sets[name]
+    monkeypatch.setattr(measure, "SHADOW_BLOCK", 5 * len(atoms) // 2)
+    _assert_members_match(atoms, _apex_sample(atoms), 8.0 * atoms.scale)
+    assert shadow_nesting_report(atoms, pair) == _nesting_loop(atoms, pair)
+    assert quasi_invariance_report(atoms, pair) == _quasi_loop(atoms, pair)
+
+
+@pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
+def test_cone_products_match_per_apex_products(shadow_sets, name):
+    """Batched cone products equal _products apex by apex, length 3 included."""
+    _, _, atoms = shadow_sets[name]
+    apexes = _apex_sample(atoms)
+    assert np.any(atoms.lengths[apexes] == 3)
+    first = atoms.letters[apexes, 0]
+    for a in np.unique(first).tolist():
+        rows = apexes[first == a]
+        cone = _extension_rows(atoms, (a,))
+        prods, ext = _cone_products(atoms, rows, cone)
+        for i, row in enumerate(rows.tolist()):
+            g = atoms.words[row]
+            assert np.array_equal(prods[i], _products(atoms, g, cone)), g
+            assert np.array_equal(ext[i], _is_prefix_scan(atoms, g)[cone]), g
+
+
+def test_nesting_without_outside_atoms_keeps_inf(pair3):
+    """One atom, its own apex: nothing lies outside any cone."""
+    atoms = ps_atoms(_stub_stage([3.0], pair3), 0.5)
+    report = shadow_nesting_report(atoms, pair3)
+    assert report == _nesting_loop(atoms, pair3)
+    assert report["min_product_outside"] == math.inf
+    assert report["n_apexes"] == 1
+    assert report["n_inside"] == 1
+    assert report["ok"]
+
+
+def test_nesting_keeps_pairings_that_overflow(pair3):
+    """Letters past radius 355 pair to NaN, and the screen keeps them."""
+    atoms = ps_atoms(_stub_stage([360.0, 340.0, 375.0], pair3), 0.01)
+    assert np.isnan(apex_products(atoms, (1,))).any()
+    assert shadow_nesting_report(atoms, pair3) == _nesting_loop(atoms, pair3)
+
+
+def test_letter_apexes_cone_equals_extensions(atoms3, pair3, monkeypatch):
+    """A letter's cone is its extension set, so only the branch screen
+    decides the minimum outside."""
+    letters = np.flatnonzero(atoms3.lengths == 1)
+    for a in letters.tolist():
+        cone = _extension_rows(atoms3, atoms3.words[a])
+        _, ext = _cone_products(atoms3, np.array([a]), cone)
+        assert ext.all()
+    order = np.argsort(atoms3.norms, kind="stable")
+    n = int(np.argmax(atoms3.lengths[order] > 1))
+    assert n > 1
+    monkeypatch.setattr(measure, "MAX_APEXES", n)
+    report = shadow_nesting_report(atoms3, pair3)
+    assert report["n_apexes"] == n
+    assert report == _nesting_loop(atoms3, pair3)
+    assert math.isfinite(report["min_product_outside"])
+
+
+def test_wide_tiny_nesting_fails_like_the_per_apex_loop(wide_tiny):
+    """The wide-torus tiny stage is outside the nesting regime."""
+    pair, _, atoms = wide_tiny
+    report = shadow_nesting_report(atoms, pair)
+    assert not report["ok"]
+    assert len(report["violations"]) == 390
+    assert report["violations"] == _nesting_loop(atoms, pair)["violations"]
+    assert report["min_product_outside"] < report["bound"]
+
+
+def test_reports_make_no_apex_products_call(wide_tiny, monkeypatch):
+    """No pipeline report falls back to the one-apex products."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apex_products called")
+
+    monkeypatch.setattr(measure, "apex_products", refuse)
+    principle, nesting, quasi, tail02, tail04 = _five_reports(*wide_tiny)
+    assert not nesting["ok"]
+    assert quasi["all_ok"]
 
 
 # -- shadow principle -------------------------------------------------------
