@@ -19,32 +19,30 @@ one extra row product) or a pair of family words branching at their
 first letter (norm read off the Minkowski pairing of stored matrix
 columns, accurate because branching words overlap only a bounded amount).
 
-Every shadow report runs one screened pass over a batch of apexes.  The
-atoms of an apex's first-letter cone get exact products, computed for a
-block of apexes at once.  Atoms with another first letter branch from
-the apex at position 0, and their product is (|g| + arcosh c - |f|) / 2
-with c the pairing of the apex and atom columns.  Since
+Every shadow report runs one pass over a batch of apexes on the word
+tree of the family.  An atom f whose indices first differ from g's at
+position p has product (|g| + arcosh c - |f|) / 2, c the pairing of the
+quotient column q = col(g[p:]) with the tail column col(f[p:]).  Since
 
     log c <= arcosh c <= log 2c    (c >= 1),
 
-that product lies between (|g| + log(c e^{-|f|})) / 2 and the same plus
-log 2 / 2.  For a block of apexes, c e^{-|f|} is one product with the
-atom columns scaled by e^{-|f|}, whose time coordinate is at most one.
-The screen keeps a branch atom when c e^{-|f|} <= e^{2t - |g|}, widened by
-a relative 1e-9 and an absolute 1e-12 g_0, far above the roundoff of
-either side's c; so it drops only atoms whose exact product exceeds t,
-and every atom it keeps goes through the exact products.  Shadow
-membership (:func:`shadow_members`) screens at t = r.  The nesting
+that product is at most t only if c e^{-|f|} <= e^{2t - |g|}.  Each tree
+node boxes the scaled tail columns col(f[p:]) e^{-|f|} of its atoms in
+[lo, hi], spatial part negated so that q times one is c e^{-|f|}, and
+sum_i min(q_i lo_i, q_i hi_i) bounds c e^{-|f|} below on the subtree.
+At each branch position of g the pass skips the sibling subtrees whose
+bound exceeds e^{2t - |g|}, widened by a relative 1e-9 and an absolute
+1e-12 q_0, far above the roundoff of either side; a NaN bound expands.
+g's prefixes and extensions and every expanded subtree get exact
+products by the formulas of :func:`apex_products`, bit for bit.
+
+Shadow membership (:func:`shadow_members`) tests at t = r.  The nesting
 report needs every product below 9C and the smallest product outside
-the apex's extensions, so it screens at
-
-    t = max(9C, min(m_cone, (|g| + log(2 min c e^{-|f|})) / 2)),
-
-with m_cone the exact minimum over the cone minus the extensions and the
-inner minimum over the branch atoms: the atom reaching that minimum has
-its product below the second term, so no dropped atom can be the
-smallest.  Where |g| + |f| nears 700 the exact c may overflow to NaN,
-which the report must see, so there the nesting screen keeps every atom.
+the extensions.  The least exact product U of the first atoms of the
+sibling subtrees is at least that smallest one, so t = max(9C, U)
+expands the subtree holding it and every atom below 9C.  Where
+|g| + |f| passes 700 the exact pairing may overflow to NaN, which the
+report must see, so there every subtree expands.
 
 Ray statistics (conical profiles, Myrberg witnesses) run against an
 enumerated reference ball and are censored at its reliability horizon.
@@ -54,7 +52,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,8 +114,8 @@ QUASI_LETTERS = 4
 AUDIT_SIZE = 16
 # the nesting report checks the words over this many lowest-norm apexes
 MAX_APEXES = 200
-# entries of one apex-by-atom block of the screened apex pass (the
-# cosh-domain screen and the exact cone products): 8 MB of pairings
+# entries of one block of the apex pass (the sibling box bounds of a chunk
+# of apexes, the exact products of a run of whole apexes): 8 MB of floats
 SHADOW_BLOCK = 1 << 20
 # conical profiles: ray sample step, and the window share before the tail
 PROFILE_STEP = 0.1
@@ -216,6 +217,11 @@ class PSAtomSet:
 
     def __len__(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def tree(self) -> SimpleNamespace:
+        """Boxes over the word tree of the atoms, built on first use."""
+        return _word_tree(self)
 
     def row_of(self, word: tuple) -> int:
         row = int(self._atom_row[self.family.row_of(word)])
@@ -378,153 +384,171 @@ def _is_prefix(atoms: PSAtomSet, g: tuple) -> np.ndarray:
     return ok
 
 
-def _screen_columns(columns: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Columns scaled by e^{-|f|}, spatial part negated: an apex column
-    times their transpose is the pairing c e^{-|f|}."""
-    out = columns * np.exp(-norms)[:, None]
-    out[:, 1:] *= -1.0
+def _screen_bound(q0, g_norms, t) -> np.ndarray:
+    """Bound above c e^{-|f|} of every atom f with product at most t off an
+    apex of norm |g| through a quotient column with time coordinate q0,
+    widened past the roundoff of both pairings."""
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * t - g_norms) * (1.0 + 1e-9) + 1e-12 * q0
+
+
+def _box_bound(q, lo, hi) -> np.ndarray:
+    """Sum over the first axis of min(q_i lo_i, q_i hi_i): at most q . s
+    for every s in the box [lo, hi], broadcast over the other axes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(np.minimum(q[i] * lo[i], q[i] * hi[i]) for i in range(len(q)))
+
+
+def _word_tree(atoms: PSAtomSet) -> SimpleNamespace:
+    """Boxes over the word tree of the atoms.
+
+    ``tails[p]``: family row of each atom's tail f[p:], -1 past its end.
+    A word v of d letters is node ``base[d] + local(v)``, local(v) the
+    base-n value of v; ``order[starts[k]:starts[k + 1]]`` are the atom
+    rows under node k in atom order, and below the cap ``box[:, :, k]``
+    holds the lows and highs of their scaled tail columns (module
+    docstring).  Each depth ends with a spare node, so k + 1 is a node.
+    """
+    fam, n, cap, dim = atoms.family, atoms.family.n_letters, atoms.cap, atoms.dim
+    tails = np.stack([fam.rows_after(-1, atoms.letters[:, p:]) for p in range(cap + 1)])
+    base = np.cumsum([0, 0] + [n**d + 1 for d in range(1, cap)])
+    first_row = np.cumsum([0, 0] + [n**d for d in range(1, cap)])
+    local = atoms.family_rows - first_row[atoms.lengths]
+    # coordinate-major family columns with the spatial part negated
+    cols = fam.columns.T * np.where(np.arange(dim + 1), -1.0, 1.0)[:, None]
+    scale = np.exp(-atoms.norms)
+    order, starts = [], []
+    box = np.zeros((2, dim + 1, base[cap]))
+    for d in range(1, cap + 1):
+        rows = np.flatnonzero(atoms.lengths >= d)
+        keys = local[rows] // n ** (atoms.lengths[rows] - d)
+        sort = np.argsort(keys, kind="stable")
+        rows, keys = rows[sort], keys[sort]
+        cut = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n**d))])
+        starts.append(cut + sum(o.size for o in order))
+        order.append(rows)
+        if d < cap:
+            full = np.flatnonzero(cut[:-1] < cut[1:])
+            scaled = cols[:, tails[d - 1, rows]] * scale[rows]
+            box[0][:, base[d] + full] = np.minimum.reduceat(scaled, cut[full], axis=1)
+            box[1][:, base[d] + full] = np.maximum.reduceat(scaled, cut[full], axis=1)
+    order, starts = np.concatenate(order), np.concatenate(starts)
+    return SimpleNamespace(tails=tails, base=base, order=order, starts=starts, box=box)
+
+
+def _pair_products(atoms: PSAtomSet, g, f, p) -> np.ndarray:
+    """Products of the atoms f against the apexes g, pair by pair, with p
+    the length of their common index prefix: a pure tail (f extends g, or
+    f is g[:p]) reads a head norm, and a branch pairs the tail columns.
+    These are the formulas of :func:`_products`, so every value equals
+    it bit for bit."""
+    tails = atoms.tree.tails
+    q, t = tails[p, g], tails[p, f]
+    quot = atoms.family_head[np.where(t >= 0, t, q)]
+    branch = (q >= 0) & (t >= 0)
+    cols = atoms.family.columns
+    quot[branch] = stable_arcosh(_pairing(cols[q[branch]], cols[t[branch]]))
+    out = 0.5 * (atoms.norms[g] + quot - atoms.norms[f])
+    out[g == f] = 0.0
     return out
 
 
-def _screen_bound(gcols: np.ndarray, g_norms: np.ndarray, r) -> np.ndarray:
-    """Per-apex bound above c e^{-|f|} of every first-letter branch atom
-    with product at most r (a scalar or one value per apex), widened past
-    the roundoff of both pairings."""
-    return np.exp(2.0 * r - g_norms) * (1.0 + 1e-9) + 1e-12 * gcols[:, 0]
-
-
-def _nesting_threshold(r: float, cone_min, screen_min, g_norms) -> np.ndarray:
-    """Per-apex product past which no branch atom can matter to the nesting
-    report: max(r, min(cone_min, (|g| + log(2 screen_min)) / 2)).
-
-    ``cone_min`` is the exact minimum over the apex's cone minus its
-    extensions and ``screen_min`` the smallest c e^{-|f|} over its branch
-    atoms, so the second term bounds that branch atom's product from above
-    (arcosh c <= log 2c).  NaN in either input propagates, and a NaN
-    threshold keeps every branch atom.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = 0.5 * (g_norms + np.log(2.0 * screen_min))
-    return np.maximum(r, np.minimum(cone_min, upper))
-
-
-def _cone_products(atoms: PSAtomSet, apex_rows: np.ndarray, cone: np.ndarray):
-    """Exact products of the atoms at ``cone`` against every apex at
-    ``apex_rows``, all with the cone's first letter, and the mask of the
-    pairs where the atom extends the apex.
-
-    Row i of the products equals ``_products(atoms, g_i, cone)`` bit for
-    bit: the same formulas, with one product of the apexes' quotient
-    columns g[p:] against the atoms' tail columns f[p:] per position p.
-    """
-    fam = atoms.family
-    lengths, letters = atoms.lengths[cone], atoms.letters[cone]
-    norms = atoms.norms[cone]
-    g_len, g_let = atoms.lengths[apex_rows], atoms.letters[apex_rows]
-    ng = atoms.norms[apex_rows][:, None]
-    out = np.empty((apex_rows.shape[0], cone.shape[0]))
-    # pairs whose words agree on every position so far
-    match = np.ones(out.shape, dtype=bool)
-    for p in range(1, int(g_len.max())):
-        live = g_len > p
-        g_rows = fam.rows_after(-1, g_let[live, p:])
-        m = match[live]
-        cont = m & (letters[:, p] == g_let[live, p, None])
-        stop = m & ~cont
-        sub = out[live]
-        short = stop & (lengths == p)
-        head = atoms.family_head[g_rows][:, None]
-        sub[short] = (0.5 * (ng[live] + head - norms))[short]
-        branch = stop & (lengths > p)
-        if branch.any():
-            tails = fam.columns[fam.rows_after(-1, letters[:, p:])]
-            quot = stable_arcosh(_pairing(fam.columns[g_rows][:, None], tails))
-            sub[branch] = (0.5 * (ng[live] + quot - norms))[branch]
-        out[live] = sub
-        match[live] = cont
-    for n in np.unique(g_len).tolist():
-        same = g_len == n
-        sub = out[same]
-        m = match[same]
-        sub[m & (lengths == n)] = 0.0
-        head = atoms.family_head[fam.rows_after(-1, letters[:, n:])]
-        sub[m & (lengths > n)] = (0.5 * (ng[same] + head - norms))[m & (lengths > n)]
-        out[same] = sub
-    return out, match
-
-
-def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, *, nesting: bool = False):
+def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, work, *, nesting=False):
     """Exact products of every atom that can bear on S(g x0, r), for the
     atom g at each of ``apex_rows``.
 
-    Yields (i, rows, products, ext) once per apex, grouped by first
-    letter: i indexes ``apex_rows``, ``rows`` are the apex's first-letter
-    cone (in atom order) followed by the branch atoms the screen keeps
-    (in atom order), and ``ext`` marks the rows that extend g.  Cone
-    products come from :func:`_cone_products`.  Branch atoms, those
-    outside the cone, are screened in the cosh domain at threshold r, or
-    with ``nesting`` at :func:`_nesting_threshold` (module docstring), and
-    the kept pairs of a block are decided in one array pass.  Every
-    temporary holds at most :data:`SHADOW_BLOCK` apex-atom pairs.
+    Yields (i, rows, products, ext) per apex: i indexes ``apex_rows``,
+    and ``ext`` marks the rows that extend g.  The rows, each once, are
+    g's prefixes and extensions and every sibling subtree of its path
+    whose box bound is at most :func:`_screen_bound` at t = r, or with
+    ``nesting`` at max(r, U) (module docstring).  ``work`` counts box
+    tests, expanded subtrees and exact products.  Box arrays hold at most
+    :data:`SHADOW_BLOCK` entries, exact products that plus one apex's.
     """
+    tree, n = atoms.tree, atoms.family.n_letters
     apex_rows = np.asarray(apex_rows, dtype=np.int64)
-    scaled = _screen_columns(atoms.columns, atoms.norms)
     top = float(atoms.norms.max(initial=0.0))
-    first = atoms.letters[apex_rows, 0]
-    step = max(1, SHADOW_BLOCK // len(atoms))
-    for a in np.unique(first).tolist():
-        cone = _extension_rows(atoms, (a,))
-        group = np.flatnonzero(first == a)
-        cone_step = max(1, SHADOW_BLOCK // cone.shape[0])
-        for c0 in range(0, group.shape[0], cone_step):
-            part = group[c0 : c0 + cone_step]
-            prods, ext = _cone_products(atoms, apex_rows[part], cone)
-            for s0 in range(0, part.shape[0], step):
-                block = slice(s0, s0 + step)
-                g_rows = apex_rows[part[block]]
-                gcols, g_norms = atoms.columns[g_rows], atoms.norms[g_rows]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    screen = gcols @ scaled.T
-                t = r
-                if nesting:
-                    cone_min = np.where(ext[block], np.inf, prods[block]).min(axis=1)
-                    screen[:, cone] = np.inf
-                    low = screen.min(axis=1)
-                    t = _nesting_threshold(r, cone_min, low, g_norms)
-                    # past here the exact pairing may overflow to NaN, which
-                    # the report must see: keep every branch atom
-                    t[g_norms + top > 700.0] = np.inf
-                # NaN pairings and thresholds compare false and stay in
-                near = ~(screen > _screen_bound(gcols, g_norms, t)[:, None])
-                near[:, cone] = False
-                hit_apex, hit_atom = np.divmod(np.flatnonzero(near), len(atoms))
-                # the branch-at-0 products of _products, pair by pair
-                c = _pairing(gcols[hit_apex], atoms.columns[hit_atom])
-                branch = 0.5 * (
-                    g_norms[hit_apex] + stable_arcosh(c) - atoms.norms[hit_atom]
-                )
-                cuts = np.searchsorted(hit_apex, np.arange(g_rows.shape[0] + 1))
-                for j, i in enumerate(part[block].tolist()):
-                    cut = slice(cuts[j], cuts[j + 1])
-                    kept = hit_atom[cut]
-                    yield (
-                        i,
-                        np.concatenate([cone, kept]),
-                        np.concatenate([prods[s0 + j], branch[cut]]),
-                        np.concatenate([ext[s0 + j], np.zeros(kept.shape, bool)]),
-                    )
+    step = max(1, SHADOW_BLOCK // (n * (atoms.dim + 1)))
+    for c0 in range(0, apex_rows.shape[0], step):
+        g = apex_rows[c0 : c0 + step]
+        ng, glen, glet = atoms.norms[g], atoms.lengths[g], atoms.letters[g]
+        # segments (apex, start and end in tree.order, branch position)
+        segs, tests = [], []
+        node = np.zeros(g.shape, dtype=np.int64)
+        for p in range(int(glen.max(initial=0)) + 1):
+            live = np.flatnonzero(glen >= p)
+            if p:
+                # at p = |g| the whole subtree of g; below it g[:p] alone,
+                # when an atom, which comes first under its node
+                s0 = tree.starts[tree.base[p] + node[live]]
+                s1 = tree.starts[tree.base[p] + node[live] + 1]
+                first = tree.order[np.minimum(s0, tree.order.size - 1)]
+                own = (s0 < s1) & (atoms.lengths[first] == p)
+                end = np.where(glen[live] == p, s1, s0 + own)
+                segs.append((live, s0, end, np.full(live.size, p)))
+            live = live[glen[live] > p]
+            if not live.size:
+                break
+            # the children of g[:p] are n consecutive nodes from
+            # base[p + 1] + n local(g[:p]): one row of the depth's table
+            kids = np.s_[tree.base[p + 1] : tree.base[p + 1] + n ** (p + 1)]
+            at = node[live]
+            s0 = tree.starts[kids].reshape(-1, n)[at]
+            s1 = tree.starts[kids.start + 1 : kids.stop + 1].reshape(-1, n)[at]
+            q = atoms.family.columns[tree.tails[p, g[live]]].T[:, :, None]
+            bound = np.full(s0.shape, -np.inf)
+            if p + 1 < atoms.cap:
+                lo, hi = tree.box[:, :, kids].reshape(2, len(q), -1, n)[:, :, at]
+                bound = _box_bound(q, lo, hi)
+            a, b = np.nonzero((s0 < s1) & (np.arange(n) != glet[live, p, None]))
+            pa = np.full(a.size, p)
+            tests.append((live[a], s0[a, b], s1[a, b], pa, bound[a, b], q[0, a, 0]))
+            node[live] = node[live] * n + glet[live, p]
+        ta, t0, t1, tp, tb, q0 = (np.concatenate(x) for x in zip(*tests))
+        t = r
+        if nesting:
+            u = np.full(g.shape, np.inf)
+            work["exact_pairs"] += ta.size
+            # a NaN U expands every subtree; so does |g| + |f| past 700,
+            # where the report must see the NaN of an overflowing pairing
+            with np.errstate(invalid="ignore"):
+                np.minimum.at(u, ta, _pair_products(atoms, g[ta], tree.order[t0], tp))
+                t = np.where(ng + top > 700.0, np.inf, np.maximum(r, u))[ta]
+        keep = ~(tb > _screen_bound(q0, ng[ta], t))  # NaN bounds expand
+        work["box_tests"] += ta.size
+        work["expanded_subtrees"] += int(keep.sum())
+        segs.append((ta[keep], t0[keep], t1[keep], tp[keep]))
+        sa, s0, s1, sp = (np.concatenate(x) for x in zip(*segs))
+        o = np.argsort(sa, kind="stable")
+        sa, s0, sp, size = sa[o], s0[o], sp[o], (s1 - s0)[o]
+        # blocks of whole apexes, each starting within SHADOW_BLOCK pairs
+        per = np.bincount(sa, weights=size, minlength=g.size).astype(np.int64)
+        block = (np.cumsum(per) - per) // SHADOW_BLOCK
+        for a0 in np.flatnonzero(np.diff(block, prepend=-1)).tolist():
+            a1 = int(np.searchsorted(block, block[a0] + 1))
+            s = slice(*np.searchsorted(sa, [a0, a1]))
+            pos = np.repeat(s0[s] - np.cumsum(size[s]) + size[s], size[s])
+            pos += np.arange(pos.size)
+            ka, pa = np.repeat(sa[s], size[s]), np.repeat(sp[s], size[s])
+            rows = tree.order[pos]
+            prods = _pair_products(atoms, g[ka], rows, pa)
+            work["exact_pairs"] += rows.size
+            cuts = np.searchsorted(ka, np.arange(a0, a1 + 1)).tolist()
+            for j in range(a0, a1):
+                c = slice(cuts[j - a0], cuts[j - a0 + 1])
+                yield c0 + j, rows[c], prods[c], pa[c] == glen[j]
 
 
-def shadow_members(atoms: PSAtomSet, apex_rows, r: float) -> list:
+def shadow_members(atoms: PSAtomSet, apex_rows, r: float, work=None) -> list:
     """Atom rows in S(g x0, r), in atom order, for the atom g at each of
     ``apex_rows``: ``np.flatnonzero(apex_products(atoms, g) <= r)``.
 
-    One :func:`_apex_pass` at threshold r: atoms whose first letter
-    differs from g's are screened in the cosh domain, and the apex's
-    first-letter cone plus every atom the screen keeps get exact products.
+    One :func:`_apex_pass` at threshold r; ``work`` (a ``Counter``) adds
+    up its box tests, expanded subtrees and exact products.
     """
     out = [None] * len(apex_rows)
-    for i, rows, prods, _ in _apex_pass(atoms, apex_rows, r):
+    work = Counter() if work is None else work
+    for i, rows, prods, _ in _apex_pass(atoms, apex_rows, r, work):
         out[i] = np.sort(rows[prods <= r])
     return out
 
@@ -544,13 +568,11 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
     mass and its literal constant is astronomically loose, so measured
     minima are reported, never asserted.
 
-    All shadows come from one :func:`shadow_members` pass.  Its screen
-    drops an atom f branching from g at the first letter only when
-    c e^{-|f|} exceeds e^{2r - |g|} (1 + 1e-9) + 1e-12 g_0, with c the
-    Minkowski pairing of the two columns.  Every member passes: arcosh c
-    >= log c gives c e^{-|f|} <= e^{2r - |g|} in exact arithmetic, and
-    since e^{-|f|} f_0 <= 1 the roundoff of either side's c e^{-|f|}
-    stays near 1e-16 g_0.  So each mass is the per-apex one, bit for bit.
+    All shadows come from one :func:`shadow_members` pass, which skips a
+    sibling subtree of g's path only when its box bound on c e^{-|f|}
+    exceeds e^{2r - |g|} (1 + 1e-9) + 1e-12 q_0 (module docstring), so
+    each mass is the per-apex one, bit for bit.  ``screen`` carries the
+    pass's box tests, expanded subtrees and exact products.
     """
     c = pair.scale
     r = 8.0 * c
@@ -571,7 +593,8 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
         }
     )
     apexes = np.flatnonzero(atoms.lengths <= PREFIX_DEPTH)
-    for i, member in zip(apexes.tolist(), shadow_members(atoms, apexes, r)):
+    work = Counter()
+    for i, member in zip(apexes.tolist(), shadow_members(atoms, apexes, r, work)):
         mass = float(atoms.weights[member].sum())
         ng = float(atoms.norms[i])
         rows.append(
@@ -605,6 +628,7 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
             delta_F * 1e7 * c / math.log(10.0)
         ),
         "mass_drop": atoms.mass_drop,
+        "screen": dict(work),
     }
 
 
@@ -688,25 +712,32 @@ def shadow_nesting_report(atoms: PSAtomSet, pair) -> dict:
     pairs below 9C, ``violations`` lists those where v is no prefix (none
     is expected), apex by apex in atom order, and ``min_product_outside``
     is the smallest product of a word that does not extend its apex (inf
-    when every atom extends every apex).
+    when every atom extends every apex).  An apex whose products outside
+    its extensions include a NaN (a pairing past the float range) has a
+    NaN minimum, which ``min_product_outside`` passes over;
+    ``nan_apexes`` counts those apexes.
 
     One :func:`_apex_pass` in nesting mode decides it: the apex's
-    first-letter cone gets exact products, and a branch atom only when
-    its cosh-domain lower bound is at most the apex's nesting threshold
-    (module docstring); every value is the per-apex one, bit for bit.
+    prefixes and extensions get exact products, and a sibling subtree of
+    its path only when its box bound is at most the nesting threshold
+    max(9C, U) (module docstring).  Every value is the per-apex one, bit
+    for bit, and ``screen`` carries the pass's work.
     """
     bound = 9.0 * pair.scale
     order = np.argsort(atoms.norms, kind="stable")[:MAX_APEXES]
-    n_inside = 0
+    n_inside = nan_apexes = 0
     # min() passes over a NaN apex minimum, so the apex order does not matter
     min_outside = math.inf
     bad = [None] * order.size
-    for i, rows, prods, ext in _apex_pass(atoms, order, bound, nesting=True):
+    work = Counter()
+    for i, rows, prods, ext in _apex_pass(atoms, order, bound, work, nesting=True):
         inside = prods < bound
         n_inside += int(inside.sum())
         bad[i] = np.sort(rows[inside & ~ext])
         if not ext.all():
-            min_outside = min(min_outside, float(prods[~ext].min()))
+            outside = prods[~ext].min()
+            nan_apexes += bool(np.isnan(outside))
+            min_outside = min(min_outside, float(outside))
     violations = [
         {"apex": list(atoms.words[row]), "word": list(atoms.words[j])}
         for row, rows in zip(order.tolist(), bad)
@@ -719,6 +750,8 @@ def shadow_nesting_report(atoms: PSAtomSet, pair) -> dict:
         "violations": violations,
         "ok": not violations,
         "min_product_outside": min_outside,
+        "nan_apexes": nan_apexes,
+        "screen": dict(work),
     }
 
 
@@ -886,13 +919,17 @@ def shadow_tail_report(
         nh = fam.norms[fam.rows_after(-1, atoms.letters[rows, j:])]
         hit = nh > eta * ng
         keys.append(np.floor(ng[hit]).astype(np.int64) * n + rows[hit])
-    shell_of, rows = np.divmod(np.unique(np.concatenate(keys)), n)
-    radii, starts = np.unique(shell_of, return_index=True)
-    shells = dict(zip(radii.tolist(), np.split(rows, starts[1:])))
+    # np.unique by a sort and a neighbour compare (all values are >= 0),
+    # far faster than np.unique itself on these arrays
+    keys = np.sort(np.concatenate(keys))
+    shell_of, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    starts = np.flatnonzero(np.diff(shell_of, prepend=-1))
+    shells = dict(zip(shell_of[starts].tolist(), np.split(rows, starts[1:])))
     rng = np.random.default_rng(seed)
     audit_rows: list = []
     if shells:
-        candidates = np.unique(rows).tolist()
+        candidates = np.sort(rows)
+        candidates = candidates[np.diff(candidates, prepend=-1) != 0].tolist()
         pick = rng.choice(
             len(candidates), size=min(AUDIT_SIZE, len(candidates)), replace=False
         )

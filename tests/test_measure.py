@@ -2,6 +2,7 @@
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,16 +46,14 @@ from kleinian import measure
 from kleinian.measure import (
     TOL_SERIES,
     W_MIN,
-    _cone_products,
+    _apex_pass,
+    _box_bound,
     _extension_rows,
     _is_prefix,
-    _nesting_threshold,
     _pairing,
-    _products,
     _screen_bound,
-    _screen_columns,
 )
-from kleinian.semigroup import SemigroupStage, TruncatedFamily
+from kleinian.semigroup import SemigroupStage, TruncatedFamily, _enumerate_family
 from test_benchmark_contract import _load
 from conftest import golden_section_projection
 
@@ -447,7 +446,7 @@ def test_apex_products_match_letter_reduction(spec3, pair3, seed3, atoms3):
 # -- batched shadow membership ----------------------------------------------
 
 
-def _members_loop(atoms, apex_rows, r):
+def _members_loop(atoms, apex_rows, r, work=None):
     """Reference for shadow_members: one apex_products call per apex."""
     return [
         np.flatnonzero(apex_products(atoms, atoms.words[i]) <= r) for i in apex_rows
@@ -521,8 +520,14 @@ def test_screen_keeps_every_member(rg, rf, angle, offset):
     # the reference product, as apex_products forms it
     cosh_d = _pairing(g, fcols)
     r = float(0.5 * (ng + stable_arcosh(cosh_d) - nf)[0])
-    screened = g[None] @ _screen_columns(fcols, nf).T
-    assert screened[0, 0] <= _screen_bound(g[None], np.array([ng]), r)[0]
+    # a one-atom box: its bound is the atom's own c e^{-|f|}
+    scaled = _scaled(fcols, nf).T
+    assert _box_bound(g, scaled, scaled)[0] <= _screen_bound(g[0], ng, r)
+
+
+def _scaled(cols, norms):
+    """Columns times e^{-|f|} with the spatial part negated, one per row."""
+    return cols * np.exp(-norms)[:, None] * np.where(np.arange(cols.shape[1]), -1, 1)
 
 
 def _plane_pair(dim, angle, tilt):
@@ -536,59 +541,86 @@ def _plane_pair(dim, angle, tilt):
     return u, w
 
 
+def _turned(u, w, offset, spin):
+    """u turned by ``offset`` in a plane through u, spun about u in 3-d."""
+    v = w if u.shape[0] == 2 else math.cos(spin) * w + math.sin(spin) * np.cross(u, w)
+    return math.cos(offset) * u + math.sin(offset) * v
+
+
+# (radius, turn off u, spin about u) of one atom's column
+_BRANCH = st.tuples(
+    st.floats(0.0, 300.0),
+    st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-math.pi, math.pi)),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
     rg=st.floats(0.0, 300.0),
     angle=st.floats(0.0, 2.0 * math.pi),
     tilt=st.floats(-1.5, 1.5),
-    branches=st.lists(
-        st.tuples(
-            st.floats(0.0, 300.0),
-            st.one_of(
-                st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-math.pi, math.pi)
-            ),
-            st.floats(0.0, 2.0 * math.pi),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
+    branches=st.lists(_BRANCH, min_size=1, max_size=5),
     r=st.floats(0.0, 50.0),
-    cone_min=st.one_of(st.just(math.inf), st.floats(0.0, 400.0)),
 )
-def test_nesting_screen_keeps_the_minimum(
-    dim, rg, angle, tilt, branches, r, cone_min
-):
-    """Each branch product lies between the screen's two cosh-domain
-    bounds, and the nesting threshold never drops the smallest one."""
+def test_nesting_screen_keeps_the_minimum(dim, rg, angle, tilt, branches, r):
+    """Each branch product lies between the two cosh-domain bounds, and a
+    threshold max(r, U), U the product of the first branch, keeps the
+    smallest product and every product up to r."""
     u, w = _plane_pair(dim, angle, tilt)
     g = ray_points(u, rg)
     ng = stable_arcosh(g[0])
-    fcols = []
-    for rf, offset, spin in branches:
-        # turn u by offset in a plane through u, spun about u in dimension 3
-        v = w if dim == 2 else math.cos(spin) * w + math.sin(spin) * np.cross(u, w)
-        fcols.append(ray_points(math.cos(offset) * u + math.sin(offset) * v, rf))
-    fcols = np.array(fcols)
+    fcols = np.array([ray_points(_turned(u, w, o, s), rf) for rf, o, s in branches])
     nf = stable_arcosh(fcols[:, 0])
     # the reference products, as apex_products forms them
-    cosh_d = _pairing(g, fcols)
-    prods = 0.5 * (ng + stable_arcosh(cosh_d) - nf)
-    screen = (g[None] @ _screen_columns(fcols, nf).T)[0]
+    prods = 0.5 * (ng + stable_arcosh(_pairing(g, fcols)) - nf)
+    scaled = _scaled(fcols, nf).T
+    screen = _box_bound(g[:, None], scaled, scaled)
     # lower bound (|g| + log s) / 2 and upper bound (|g| + log 2s) / 2,
     # widened like the screen
-    gcol = np.repeat(g[None], len(branches), axis=0)
-    assert np.all(screen <= _screen_bound(gcol, np.full(len(branches), ng), prods))
+    assert np.all(screen <= _screen_bound(g[0], ng, prods))
     assert np.all(
         np.exp(2.0 * prods - ng) <= 2.0 * screen * (1.0 + 1e-9) + 1e-12 * g[0]
     )
     # the pass keeps what does not compare above the bound, NaN included
-    t = _nesting_threshold(r, np.array([cone_min]), screen.min()[None], np.array([ng]))
-    kept = ~(screen > _screen_bound(g[None], np.array([ng]), t)[0])
-    assert min(cone_min, prods[kept].min(initial=math.inf)) == min(
-        cone_min, prods.min()
-    )
+    kept = ~(screen > _screen_bound(g[0], ng, max(r, prods[0])))
+    assert prods[kept].min() == prods.min()
     assert not np.any(~kept & (prods <= r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    rq=st.floats(0.0, 300.0),
+    head=st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    tilt=st.floats(-1.5, 1.5),
+    tails=st.lists(
+        st.tuples(_BRANCH, st.floats(0.0, 300.0)), min_size=1, max_size=4
+    ),
+)
+def test_box_bound_keeps_every_member(dim, rq, head, angle, tilt, tails):
+    """A subtree's box bound is at most each of its atoms' c e^{-|f|}, and
+    at any atom's own product the q_0-widened test expands the subtree.
+
+    The quotient column q = col(g[p:]) sits at radius rq, with
+    |g| = rq + head (p >= 1 when head > 0); each atom's tail column
+    col(f[p:]) at radius rf, directions down to 1e-9 apart, with
+    |f| = rf + its own head.
+    """
+    u, w = _plane_pair(dim, angle, tilt)
+    q = ray_points(u, rq)
+    ng = rq + head
+    cols = np.array([ray_points(_turned(u, w, o, s), rf) for (rf, o, s), _ in tails])
+    nf = stable_arcosh(cols[:, 0]) + np.array([h for _, h in tails])
+    scaled = _scaled(cols, nf)
+    bound = _box_bound(q, scaled.min(axis=0), scaled.max(axis=0))
+    c = _pairing(q, cols)
+    assert np.all(bound <= c * np.exp(-nf) + 1e-12 * q[0])
+    # each atom's product, as apex_products forms it at a branch
+    prods = 0.5 * (ng + stable_arcosh(c) - nf)
+    assert not np.any(bound > _screen_bound(q[0], ng, prods))
 
 
 def _nesting_loop(atoms, pair):
@@ -596,7 +628,7 @@ def _nesting_loop(atoms, pair):
     bound = 9.0 * pair.scale
     order = np.argsort(atoms.norms, kind="stable")[: measure.MAX_APEXES]
     violations = []
-    n_inside = 0
+    n_inside = nan_apexes = 0
     min_outside = math.inf
     for row in order:
         v = atoms.words[int(row)]
@@ -607,6 +639,7 @@ def _nesting_loop(atoms, pair):
         bad = inside & ~ext
         outside_vals = prods[~ext]
         if outside_vals.size:
+            nan_apexes += bool(np.isnan(outside_vals).any())
             min_outside = min(min_outside, float(outside_vals.min()))
         for i in np.flatnonzero(bad):
             violations.append({"apex": list(v), "word": list(atoms.words[int(i)])})
@@ -617,6 +650,7 @@ def _nesting_loop(atoms, pair):
         "violations": violations,
         "ok": not violations,
         "min_product_outside": min_outside,
+        "nan_apexes": nan_apexes,
     }
 
 
@@ -673,13 +707,19 @@ def _quasi_loop(atoms, pair, *, seed=0):
     }
 
 
+def _values(report):
+    """A report without ``screen``, the pass's work counts, which the
+    reference loops do not have."""
+    return {k: v for k, v in report.items() if k != "screen"}
+
+
 def _five_reports(pair, stage, atoms):
     """The five pipeline reports, looked up on the module so a test can
     swap in the reference loops."""
     delta = stage.interval[0]
     return [
-        measure.shadow_principle_report(atoms, delta, pair),
-        measure.shadow_nesting_report(atoms, pair),
+        _values(measure.shadow_principle_report(atoms, delta, pair)),
+        _values(measure.shadow_nesting_report(atoms, pair)),
         measure.quasi_invariance_report(atoms, pair),
         measure.shadow_tail_report(atoms, 0.2, delta),
         measure.shadow_tail_report(atoms, 0.4, delta),
@@ -707,32 +747,45 @@ def test_small_blocks_match_per_apex_path(shadow_sets, name, monkeypatch):
     pair, _, atoms = shadow_sets[name]
     monkeypatch.setattr(measure, "SHADOW_BLOCK", 5 * len(atoms) // 2)
     _assert_members_match(atoms, _apex_sample(atoms), 8.0 * atoms.scale)
-    assert shadow_nesting_report(atoms, pair) == _nesting_loop(atoms, pair)
+    assert _values(shadow_nesting_report(atoms, pair)) == _nesting_loop(atoms, pair)
     assert quasi_invariance_report(atoms, pair) == _quasi_loop(atoms, pair)
 
 
 @pytest.mark.parametrize("name", ["atoms3", "light3", "wide_tiny"])
-def test_cone_products_match_per_apex_products(shadow_sets, name):
-    """Batched cone products equal _products apex by apex, length 3 included."""
-    _, _, atoms = shadow_sets[name]
+def test_walk_expands_every_atom_below_the_threshold(shadow_sets, name):
+    """Brute force, apex by apex, length 3 included: the walk forms each
+    product at most once and equal to apex_products, its rows hold g's
+    prefixes and extensions and every atom with product at most r, and in
+    nesting mode every atom below 9C and the smallest product outside the
+    extensions."""
+    pair, _, atoms = shadow_sets[name]
     apexes = _apex_sample(atoms)
     assert np.any(atoms.lengths[apexes] == 3)
-    first = atoms.letters[apexes, 0]
-    for a in np.unique(first).tolist():
-        rows = apexes[first == a]
-        cone = _extension_rows(atoms, (a,))
-        prods, ext = _cone_products(atoms, rows, cone)
-        for i, row in enumerate(rows.tolist()):
-            g = atoms.words[row]
-            assert np.array_equal(prods[i], _products(atoms, g, cone)), g
-            assert np.array_equal(ext[i], _is_prefix_scan(atoms, g)[cone]), g
+    for t, nesting in ((8.0 * atoms.scale, False), (9.0 * pair.scale, True)):
+        work = Counter()
+        for i, rows, prods, ext in _apex_pass(atoms, apexes, t, work, nesting=nesting):
+            g = atoms.words[apexes[i]]
+            want = apex_products(atoms, g)
+            prefix = _is_prefix_scan(atoms, g)
+            assert np.unique(rows).size == rows.size, g
+            assert np.array_equal(prods, want[rows], equal_nan=True), g
+            assert np.array_equal(ext, prefix[rows]), g
+            # every product at most t, g's extensions and its prefixes
+            heads = [atoms.family.row_of(g[:j]) for j in range(1, len(g))]
+            heads = atoms._atom_row[heads][atoms._atom_row[heads] >= 0]
+            must = np.flatnonzero((want <= t) | prefix).tolist() + heads.tolist()
+            assert set(must) <= set(rows.tolist()), g
+            if nesting and not prefix.all():
+                assert prods[~ext].min() == want[~prefix].min(), g
+        assert work["expanded_subtrees"] < work["box_tests"]
+        assert work["exact_pairs"] < len(apexes) * len(atoms)
 
 
 def test_nesting_without_outside_atoms_keeps_inf(pair3):
     """One atom, its own apex: nothing lies outside any cone."""
     atoms = ps_atoms(_stub_stage([3.0], pair3), 0.5)
     report = shadow_nesting_report(atoms, pair3)
-    assert report == _nesting_loop(atoms, pair3)
+    assert _values(report) == _nesting_loop(atoms, pair3)
     assert report["min_product_outside"] == math.inf
     assert report["n_apexes"] == 1
     assert report["n_inside"] == 1
@@ -740,27 +793,55 @@ def test_nesting_without_outside_atoms_keeps_inf(pair3):
 
 
 def test_nesting_keeps_pairings_that_overflow(pair3):
-    """Letters past radius 355 pair to NaN, and the screen keeps them."""
+    """Letters past radius 355 pair to NaN, the walk keeps them, and the
+    report counts the apexes whose minimum they make NaN."""
     atoms = ps_atoms(_stub_stage([360.0, 340.0, 375.0], pair3), 0.01)
     assert np.isnan(apex_products(atoms, (1,))).any()
-    assert shadow_nesting_report(atoms, pair3) == _nesting_loop(atoms, pair3)
+    report = shadow_nesting_report(atoms, pair3)
+    assert _values(report) == _nesting_loop(atoms, pair3)
+    assert report["nan_apexes"] > 0
+
+
+def test_nesting_expands_every_subtree_where_pairings_overflow(pair3):
+    """Where |g| + max|f| passes 700 every subtree expands.  On this cap-3
+    stage of two letters, pairings past the float range give NaN in
+    subtrees the boxes alone would skip; the report still equals the
+    per-apex loop, NaN count included."""
+    letters = [
+        Isometry(_boost(t, theta), (i + 1,))
+        for i, (t, theta) in enumerate([(216.0, 2.4), (142.0, 0.1)])
+    ]
+    fam = _enumerate_family(letters, pair3.separator, 3, 10_000)
+    stage = SemigroupStage(
+        k=1,
+        alphabet=letters,
+        interval=(0.0, 0.1),
+        R_k=216.0,
+        truncated_F=fam,
+        condition_report={},
+        pair=pair3,
+    )
+    atoms = ps_atoms(stage, 0.01)
+    assert atoms.cap == 3
+    report = shadow_nesting_report(atoms, pair3)
+    assert _values(report) == _nesting_loop(atoms, pair3)
+    assert report["nan_apexes"] > 0
 
 
 def test_letter_apexes_cone_equals_extensions(atoms3, pair3, monkeypatch):
-    """A letter's cone is its extension set, so only the branch screen
-    decides the minimum outside."""
+    """A letter's first-letter cone is its extension set, so only the
+    sibling subtrees at position 0 decide the minimum outside."""
     letters = np.flatnonzero(atoms3.lengths == 1)
     for a in letters.tolist():
-        cone = _extension_rows(atoms3, atoms3.words[a])
-        _, ext = _cone_products(atoms3, np.array([a]), cone)
-        assert ext.all()
+        cone = np.flatnonzero(atoms3.letters[:, 0] == atoms3.letters[a, 0])
+        assert np.array_equal(_extension_rows(atoms3, atoms3.words[a]), cone)
     order = np.argsort(atoms3.norms, kind="stable")
     n = int(np.argmax(atoms3.lengths[order] > 1))
     assert n > 1
     monkeypatch.setattr(measure, "MAX_APEXES", n)
     report = shadow_nesting_report(atoms3, pair3)
     assert report["n_apexes"] == n
-    assert report == _nesting_loop(atoms3, pair3)
+    assert _values(report) == _nesting_loop(atoms3, pair3)
     assert math.isfinite(report["min_product_outside"])
 
 
@@ -1228,3 +1309,6 @@ def test_wide_torus_alphabet_keeps_support_conditions(torus, torus_ball):
     # report without holding it to the chain-regime bound
     principle = shadow_principle_report(atoms, delta, pair)
     assert 0.5 < principle["max_ratio"] < 2.0
+    # the walk forms exact products for a sliver of the apex-atom pairs
+    pairs = (principle["n_prefixes"] - 1) * len(atoms)
+    assert principle["screen"]["exact_pairs"] < 0.01 * pairs
