@@ -453,15 +453,16 @@ def _pair_products(atoms: PSAtomSet, g, f, p) -> np.ndarray:
     return out
 
 
-def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, work, *, nesting=False):
+def _apex_blocks(atoms: PSAtomSet, apex_rows, r: float, work, *, nesting=False):
     """Exact products of every atom that can bear on S(g x0, r), for the
     atom g at each of ``apex_rows``.
 
-    Yields (i, rows, products, ext) per apex: i indexes ``apex_rows``,
-    and ``ext`` marks the rows that extend g.  The rows, each once, are
-    g's prefixes and extensions and every sibling subtree of its path
-    whose box bound is at most :func:`_screen_bound` at t = r, or with
-    ``nesting`` at max(r, U) (module docstring).  ``work`` counts box
+    Yields (j0, j1, ka, rows, products, ext) per block of the apexes
+    j0 <= i < j1 of ``apex_rows``: ``ka`` (ascending) is each row's apex
+    and ``ext`` marks the rows that extend it.  An apex g's rows, each
+    once, are g's prefixes and extensions and every sibling subtree of
+    its path whose box bound is at most :func:`_screen_bound` at t = r,
+    or with ``nesting`` at max(r, U) (module docstring).  ``work`` counts box
     tests, expanded subtrees and exact products.  Box arrays hold at most
     :data:`SHADOW_BLOCK` entries, exact products that plus one apex's.
     """
@@ -533,23 +534,32 @@ def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, work, *, nesting=False):
             rows = tree.order[pos]
             prods = _pair_products(atoms, g[ka], rows, pa)
             work["exact_pairs"] += rows.size
-            cuts = np.searchsorted(ka, np.arange(a0, a1 + 1)).tolist()
-            for j in range(a0, a1):
-                c = slice(cuts[j - a0], cuts[j - a0 + 1])
-                yield c0 + j, rows[c], prods[c], pa[c] == glen[j]
+            yield c0 + a0, c0 + a1, c0 + ka, rows, prods, pa == glen[ka]
+
+
+def _apex_pass(atoms: PSAtomSet, apex_rows, r: float, work, *, nesting=False):
+    """The blocks of :func:`_apex_blocks` apex by apex: yields (i, rows,
+    products, ext), i an index into ``apex_rows``."""
+    for j0, j1, ka, *cols in _apex_blocks(atoms, apex_rows, r, work, nesting=nesting):
+        cuts = np.searchsorted(ka, np.arange(j0 + 1, j1))
+        yield from zip(range(j0, j1), *(np.split(c, cuts) for c in cols))
 
 
 def shadow_members(atoms: PSAtomSet, apex_rows, r: float, work=None) -> list:
     """Atom rows in S(g x0, r), in atom order, for the atom g at each of
     ``apex_rows``: ``np.flatnonzero(apex_products(atoms, g) <= r)``.
 
-    One :func:`_apex_pass` at threshold r; ``work`` (a ``Counter``) adds
-    up its box tests, expanded subtrees and exact products.
+    One :func:`_apex_blocks` pass at threshold r, one sort of (apex, row)
+    keys per block; ``work`` (a ``Counter``) adds up its box tests,
+    expanded subtrees and exact products.
     """
     out = [None] * len(apex_rows)
     work = Counter() if work is None else work
-    for i, rows, prods, _ in _apex_pass(atoms, apex_rows, r, work):
-        out[i] = np.sort(rows[prods <= r])
+    for j0, j1, ka, rows, prods, _ in _apex_blocks(atoms, apex_rows, r, work):
+        # ka ascends, so the sorted keys keep it: their rows are key - ka n
+        ka, rows = ka[prods <= r], rows[prods <= r]
+        rows = np.sort(ka * len(atoms) + rows) - ka * len(atoms)
+        out[j0:j1] = np.split(rows, np.searchsorted(ka, np.arange(j0 + 1, j1)))
     return out
 
 

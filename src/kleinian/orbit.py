@@ -70,6 +70,9 @@ __all__ = [
 GROWTH_WINDOW = 0.6
 GROWTH_MIN_POINTS = 4
 
+# pad of OrbitBall.words, below every signed letter label
+WORD_PAD = np.iinfo(np.int64).min
+
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when a ball would exceed the element budget.
@@ -269,19 +272,29 @@ class OrbitBall:
             return self.mats[:, :, 0]
         return self.mats[indices, :, 0]
 
+    def words(self, rows) -> np.ndarray:
+        """Signed labels of the words of ``rows``, padded on the right by
+        :data:`WORD_PAD` to the longest of them, so that a lexicographic
+        sort orders the rows as tuples do.  One array step per position up
+        the parent chain; the width is the longest word among ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        lengths = self.word_length[rows]
+        out = np.full((rows.size, int(lengths.max(initial=0))), WORD_PAD)
+        cur = rows.copy()
+        for s in range(out.shape[1]):
+            at = np.flatnonzero(lengths > s)
+            out[at, lengths[at] - 1 - s] = self.letter_labels[self.letter[cur[at]]]
+            cur[at] = self.parent[cur[at]]
+        return out
+
     def word(self, i: int) -> tuple:
-        labels = self.letter_labels
-        out = []
-        i = int(i)
-        while i >= 0 and self.parent[i] >= 0:
-            out.append(int(labels[self.letter[i]]))
-            i = int(self.parent[i])
-        return tuple(reversed(out))
+        """The word of row ``i``: the one-row form of :meth:`words`."""
+        return tuple(self.words([i])[0].tolist())
 
     @cached_property
     def letter_labels(self):
         """Signed label of each letter index, read once per ball."""
-        return [lab for lab, _, _ in self.spec.letters()]
+        return np.array([lab for lab, _, _ in self.spec.letters()], dtype=np.int64)
 
     def element(self, i: int) -> Isometry:
         return Isometry(self.mats[int(i)].copy(), self.word(i))
@@ -305,11 +318,10 @@ class OrbitBall:
             writer.writerow(
                 ["word", "norm"] + [f"x{i}" for i in range(self.spec.dim + 1)]
             )
-            for row, i in enumerate(idx):
-                word = ".".join(str(w) for w in self.word(i)) or "e"
+            for i, labels, point in zip(idx, self.words(idx).tolist(), points):
+                word = ".".join(str(w) for w in labels if w != WORD_PAD) or "e"
                 writer.writerow(
-                    [word, repr(float(self.norms[i]))]
-                    + [repr(float(v)) for v in points[row]]
+                    [word, repr(float(self.norms[i]))] + [repr(float(v)) for v in point]
                 )
         return int(idx.shape[0])
 

@@ -71,6 +71,7 @@ from .hyperbolic import (
     stable_arcosh,
 )
 from .orbit import (
+    WORD_PAD,
     EnumerationBudgetError,
     GroupSpec,
     OrbitBall,
@@ -200,8 +201,6 @@ def _letter_matrices(spec: GroupSpec) -> dict:
 
 
 def _word_norm(labels, letter_map: dict, dim: int) -> float:
-    if not labels:
-        return 0.0
     m = np.eye(dim + 1)
     with np.errstate(over="ignore"):
         for lab in labels:
@@ -263,13 +262,13 @@ def _smallest_power(letter: Isometry, threshold: float):
 
 def _branch_products(ball: OrbitBall, window: int) -> float:
     """Largest basepoint Gromov product over first-letter-branching pairs."""
-    members = [int(i) for i in ball.by_norm() if ball.word_length[i] > 0]
-    members = members[:window]
-    first = np.array([ball.word(i)[0] for i in members])
+    members = ball.by_norm()
+    members = members[ball.word_length[members] > 0][:window]
+    first = ball.words(members)[:, 0]
     branch = first[:, None] != first[None, :]
     if not branch.any():
         raise PairNotFoundError("orbit window never branches; group looks cyclic")
-    r, u = radial_split(ball.orbit_points(np.asarray(members, dtype=np.int64)))
+    r, u = radial_split(ball.orbit_points(members))
     r0, u0 = radial_split(basepoint(ball.spec.dim))
     to_base = split_distance(r, u, r0, u0)
     apart = split_distance(r[:, None], u[:, None], r[None, :], u[None, :])
@@ -657,7 +656,8 @@ def concatenate_certificates(
 
 @dataclass
 class SeedAlphabet:
-    """Starting alphabet: straightened images of an annulus, netted."""
+    """Starting alphabet: straightened images of an annulus, netted.
+    ``walk`` holds (radius, candidates, landed images, kept) per radius."""
 
     elements: list
     radius: float
@@ -667,9 +667,37 @@ class SeedAlphabet:
     capped: bool
     candidates: int
     certificates: list = field(repr=False, default_factory=list)
+    walk: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _decorated_words(words: np.ndarray, lengths: np.ndarray, b: tuple, k):
+    """Padded words of decoration ``k`` (g, bg, gb, bgb) of the rows of
+    the padded label array ``words``, whose words have ``lengths``."""
+    b, pre = np.asarray(b), np.where(k % 2 == 1, len(b), 0)
+    out = np.full((k.size, words.shape[1] + 2 * b.size), WORD_PAD, dtype=np.int64)
+    out[np.arange(k.size)[:, None], pre[:, None] + np.arange(words.shape[1])] = words
+    out[pre > 0, : b.size] = b
+    suf = np.flatnonzero(k >= 2)
+    out[suf[:, None], (pre + lengths)[suf, None] + np.arange(b.size)] = b
+    return out
+
+
+def _net_columns(cols: np.ndarray, sep: float, n_cap: int) -> list:
+    """Greedy net of orbit columns in row order: a row is kept when no
+    kept row lies closer than ``sep``.  Each kept row pairs once against
+    the later rows into a running minimum of the distance."""
+    kept, low, i = [], np.full(len(cols), np.inf), 0
+    while i < len(cols) and len(kept) < n_cap:
+        kept.append(i)
+        c, later = cols[i], cols[i + 1 :]
+        cosh_d = later[:, 0] * c[0] - later[:, 1:] @ c[1:]
+        low[i + 1 :] = np.minimum(low[i + 1 :], stable_arcosh(cosh_d))
+        nxt = np.flatnonzero(~(low[i + 1 :] < sep))
+        i += 1 + int(nxt[0]) if nxt.size else len(cols)
+    return kept
 
 
 def build_seed_alphabet(
@@ -687,21 +715,23 @@ def build_seed_alphabet(
 
     Walks the ball radius up from just past the separator norm until the
     net has ``n_min`` elements: straightens every member of the outermost
-    annulus, one chain scale wide, as :func:`phi_map` does, keeps images whose
-    norms stay inside the annulus, and greedily nets them at separation
-    ``0.004 eps R0`` in ascending norm order, capped at ``n_cap``.  The
-    four decorations of the whole annulus are judged in one pass of the
-    closed-form kernel; words and step-form certificates are built only
-    for landing images and kept letters respectively.  Distinctness and
-    separation are judged on freely reduced quotient words.
+    annulus, one chain scale wide, as :func:`phi_map` does, keeps images
+    whose norms stay inside the annulus, and greedily nets them at
+    separation ``0.004 eps R0`` in ascending (norm, word) order, capped
+    at ``n_cap``.  The annulus stays in rows: one closed-form pass judges
+    the four decorations of every member, :meth:`OrbitBall.words` reads
+    the landed rows' words (adjuster word padded on), and one
+    ``np.lexsort`` over words and norms orders the decorated stack's
+    rows.  Only kept letters become ``Isometry`` objects and certificates.
 
     ``separation`` overrides the default net scale.  The boundary-measure
     checks need alphabets whose letters pairwise clear the chain-constant
     regime (around 18 C plus margin); the default scale guarantees that
     only when the annulus radius dwarfs the separator, so those fixtures
-    pass the regime scale explicitly.  Separations of one or more are
-    screened by Minkowski pairing of orbit columns, which is decisively
-    accurate at unit scale; smaller ones use exact word reduction.
+    pass the regime scale explicitly.  Separations of one or more net the
+    orbit columns by Minkowski pairing, decisively accurate at unit scale
+    (:func:`_net_columns`); smaller ones reduce quotient words exactly,
+    building words only for the images the greedy visits.
     """
     letter_map = _letter_matrices(spec)
     dim = spec.dim
@@ -709,6 +739,7 @@ def build_seed_alphabet(
     w = pair.scale
     radius = int(math.ceil(a_norm + w + 1e-9))
     last_candidates = 0
+    walk = []
     while radius <= max_radius:
         ball = enumerate_ball(
             spec, float(radius), prune_margin=2.0, max_elements=max_elements
@@ -725,58 +756,45 @@ def build_seed_alphabet(
         if missing.size:
             raise _uncertified(ball.element(int(sel[missing[0]])), pair)
         image_norms = stable_arcosh(decorated[choice, np.arange(sel.size), 0, 0])
-        landed = (image_norms >= lo) & (image_norms <= radius + 1e-9)
-        images = [
-            _decorate(ball.element(int(sel[i])), pair.adjuster, int(choice[i]))
-            for i in np.flatnonzero(landed)
-        ]
-        images.sort(key=lambda img: (img.norm(), img.word))
+        landed = np.flatnonzero((image_norms >= lo) & (image_norms <= radius + 1e-9))
+        k, rows = choice[landed], sel[landed]
+        words = _decorated_words(
+            ball.words(rows), ball.word_length[rows], pair.adjuster.word, k
+        )
+        order = np.lexsort((*words.T[::-1], image_norms[landed]))
+        mats, words = decorated[k[order], landed[order]], words[order]
         if separation is None:
             sep_eff = max(0.004 * eps * radius, 1e-9)
         else:
             sep_eff = float(separation)
-        kept = []
-        if sep_eff >= 1.0 and images:
-            cols = np.array([img.matrix[:, 0] for img in images])
-            kept_rows: list = []
-            for i in range(len(images)):
-                if kept_rows:
-                    kc = cols[kept_rows]
-                    cosh_d = cols[i, 0] * kc[:, 0] - kc[:, 1:] @ cols[i, 1:]
-                    if float(stable_arcosh(cosh_d).min()) < sep_eff:
-                        continue
-                kept_rows.append(i)
-                if len(kept_rows) == n_cap:
-                    break
-            kept = [images[i] for i in kept_rows]
+        if sep_eff >= 1.0:
+            kept = _net_columns(mats[:, :, 0], sep_eff, n_cap)
         else:
-            kept_words = []
-            for img in images:
-                red = _free_reduce(img.word)
-                admit = True
-                for prev in kept_words:
-                    quotient = _free_reduce(_inverse_word(prev) + red)
-                    if not quotient:
-                        admit = False
-                        break
-                    if _word_norm(quotient, letter_map, dim) < sep_eff:
-                        admit = False
-                        break
-                if admit:
-                    kept.append(img)
-                    kept_words.append(red)
+            kept, kept_words = [], []
+            for i in range(landed.size):
                 if len(kept) == n_cap:
                     break
+                red = _free_reduce(words[i][words[i] != WORD_PAD].tolist())
+                # an empty quotient (the same element) has norm 0
+                quotients = (_free_reduce(_inverse_word(p) + red) for p in kept_words)
+                if not any(_word_norm(q, letter_map, dim) < sep_eff for q in quotients):
+                    kept.append(i)
+                    kept_words.append(red)
+        walk.append((float(radius), last_candidates, int(landed.size), len(kept)))
         if len(kept) >= n_min:
+            elements = [
+                Isometry(mats[i].copy(), words[i][words[i] != WORD_PAD]) for i in kept
+            ]
             return SeedAlphabet(
-                elements=kept,
+                elements=elements,
                 radius=float(radius),
                 width=w,
                 separation=sep_eff,
                 eps=eps,
                 capped=len(kept) == n_cap,
                 candidates=last_candidates,
-                certificates=[_step_certificate(g, pair, True) for g in kept],
+                certificates=[_step_certificate(g, pair, True) for g in elements],
+                walk=walk,
             )
         radius += 1
     raise EnumerationBudgetError(

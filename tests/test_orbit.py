@@ -20,6 +20,7 @@ from kleinian.hyperbolic import (
     stable_arcosh,
 )
 from kleinian.orbit import (
+    WORD_PAD,
     DiscretenessWarning,
     EnumerationBudgetError,
     GroupSpec,
@@ -156,15 +157,20 @@ def test_torus_commutator_is_parabolic():
     assert np.isclose(sl2_norm(a), math.acosh(3.5))
 
 
-def test_merging_enumeration():
+def _ray_semigroup_ball():
     """Three same-axis boosts 1.0, 0.5, 1.5: the semigroup they generate is
-    the 0.5-step ray, so the walk must merge heavily."""
+    the 0.5-step ray."""
     spec = GroupSpec(
         [boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)],
         2,
         semigroup=True,
     )
-    ball = enumerate_ball(spec, 3.0, prune_margin=0.0, dedup_tol=1e-7)
+    return enumerate_ball(spec, 3.0, prune_margin=0.0, dedup_tol=1e-7)
+
+
+def test_merging_enumeration():
+    """The 0.5-step ray semigroup: the walk must merge heavily."""
+    ball = _ray_semigroup_ball()
     assert ball.dedup_mode == "binned"
     assert ball.n_members == 7
     assert np.allclose(np.sort(ball.norms), np.arange(7) * 0.5, atol=1e-10)
@@ -447,6 +453,46 @@ def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
     monkeypatch.setattr(orbit, "_binned_level", _PerCandidateDedup())
     ref = enumerate_ball(spec, 2.1, prune_margin=0.0, dedup_tol=tol)
     assert np.array_equal(ball.norms, ref.norms) and ball.merged == ref.merged
+
+
+def _walk_word(ball, i):
+    """The word of row i, one parent at a time."""
+    labels = [lab for lab, _, _ in ball.spec.letters()]
+    out = []
+    while ball.parent[i] >= 0:
+        out.append(labels[ball.letter[i]])
+        i = ball.parent[i]
+    return tuple(reversed(out))
+
+
+WORD_BALLS = {
+    "torus-8": lambda: enumerate_ball(punctured_torus(), 8.0, prune_margin=2.0),
+    "schottky3-6": lambda: enumerate_ball(schottky(2.0, dim=3), 6.0),
+    "ray-semigroup": _ray_semigroup_ball,
+    "psl2z-8": lambda: enumerate_ball(_psl2z(), 8.0, dedup="binned"),
+}
+
+
+@pytest.mark.parametrize("name", list(WORD_BALLS))
+def test_words_match_per_row_walk(name):
+    """The padded reader against the one-row reader and a parent walk, on
+    every row; the pad sorts a shorter word first, as tuples do."""
+    with warnings.catch_warnings():
+        # the S-fixed basepoint trips the discreteness check
+        warnings.simplefilter("ignore", DiscretenessWarning)
+        ball = WORD_BALLS[name]()
+    assert name in ("torus-8", "schottky3-6") or ball.merged > 0
+    rows = np.arange(len(ball))[::-1]
+    words = ball.words(rows)
+    assert words.shape == (len(ball), ball.word_length.max())
+    walked = {}
+    for i, padded in zip(rows.tolist(), words.tolist()):
+        walked[i] = _walk_word(ball, i)
+        assert ball.word(i) == walked[i]
+        pad = [WORD_PAD] * (words.shape[1] - len(walked[i]))
+        assert padded == list(walked[i]) + pad
+    by_tuple = sorted(rows.tolist(), key=walked.get)
+    assert np.array_equal(rows[np.lexsort(words.T[::-1])], by_tuple)
 
 
 def _per_query_orbit_distance(ball, points):

@@ -43,7 +43,7 @@ from kleinian.hyperbolic import (
     split_distance,
     stable_arcosh,
 )
-from kleinian.orbit import GroupSpec, orbit_distance
+from kleinian.orbit import GroupSpec, OrbitBall, orbit_distance
 from kleinian.semigroup import (
     EXTENSION_TOL,
     SemigroupError,
@@ -428,9 +428,11 @@ def _reference_phi(element, pair):
 def _reference_seed(spec, pair, eps, *, n_min=4, n_cap=12, max_radius=40.0,
                     separation=None):
     """The seed walk with one reference straightening per annulus member;
-    returns (radius, candidates, [(image, certificate)])."""
+    returns (walk, [(image, certificate)]), a walk row per radius tried:
+    (radius, candidates, landed images, kept letters)."""
     w = pair.scale
     radius = int(math.ceil(pair.separator.norm() + w + 1e-9))
+    walk = []
     while radius <= max_radius:
         ball = enumerate_ball(spec, float(radius), prune_margin=2.0)
         members = ball.by_norm()
@@ -455,34 +457,91 @@ def _reference_seed(spec, pair, eps, *, n_min=4, n_cap=12, max_radius=40.0,
                 ]
             if all(gap >= sep for gap in gaps):
                 kept.append((img, cert))
+        walk.append((float(radius), int(sel.size), len(images), len(kept)))
         if len(kept) >= n_min:
-            return float(radius), int(sel.size), kept
+            return walk, kept
         radius += 1
     raise AssertionError("reference walk found no seed")
 
 
-@pytest.mark.parametrize("name", ["chain", "torus", "seed3"])
+# seed walks of the benchmark workloads (full and tiny sizes), keyed by
+# annulus fixture: n_min, n_cap, max_radius, separation - 18 C (None for
+# the default separation)
+SEED_WALKS = {
+    "chain": ("chain_annulus", 5, 200, 13.0, 4.15),
+    "chain_tiny": ("chain_annulus", 2, 200, 9.0, 4.15),
+    "torus": ("torus_annulus", 38, 38, 12.0, 0.5),
+    "torus_tiny": ("torus_annulus", 4, 6, 9.0, 0.5),
+    "torus_default": ("torus_annulus", 38, 38, 12.0, None),
+}
+
+
+def _seed_walk(request, name):
+    """(spec, pair, build_seed_alphabet keywords) of a SEED_WALKS entry."""
+    annulus, n_min, n_cap, max_radius, offset = SEED_WALKS[name]
+    spec, pair, _, _ = request.getfixturevalue(annulus)
+    separation = None if offset is None else 18.0 * pair.scale + offset
+    return spec, pair, dict(
+        n_min=n_min, n_cap=n_cap, max_radius=max_radius, separation=separation
+    )
+
+
+@pytest.mark.parametrize("name", [*SEED_WALKS, "seed3"])
 def test_seed_matches_per_element_straightening(request, name):
     if name == "seed3":
         spec, pair = request.getfixturevalue("spec3"), request.getfixturevalue("pair3")
         kwargs = {}
     else:
-        spec, pair, _, _ = request.getfixturevalue(f"{name}_annulus")
-        kwargs = {
-            "chain": dict(n_min=5, n_cap=200, max_radius=13.0,
-                          separation=18.0 * pair.scale + 4.15),
-            "torus": dict(n_min=38, n_cap=38, max_radius=12.0,
-                          separation=18.0 * pair.scale + 0.5),
-        }[name]
+        spec, pair, kwargs = _seed_walk(request, name)
     seed = build_seed_alphabet(spec, pair, 0.45, **kwargs)
-    radius, candidates, kept = _reference_seed(spec, pair, 0.45, **kwargs)
-    assert (seed.radius, seed.candidates) == (radius, candidates)
+    walk, kept = _reference_seed(spec, pair, 0.45, **kwargs)
+    assert seed.walk == walk
+    assert (seed.radius, seed.candidates) == walk[-1][:2]
     assert [g.word for g in seed.elements] == [g.word for g, _ in kept]
     for g, (ref, ref_cert), cert in zip(seed.elements, kept, seed.certificates):
         assert np.array_equal(g.matrix, ref.matrix)
         assert cert.ok
+        assert np.array_equal(cert.gaps, ref_cert.gaps)
         assert np.array_equal(cert.products, ref_cert.products)
     assert len(seed.certificates) == len(kept)
+
+
+def test_chain_annulus_images_tie_in_norm(chain_annulus):
+    """The 2,464 landed images of the radius-10 chain annulus take only
+    232 distinct norms: 2,232 tie the image before them in norm order, so
+    the seed order rests on its word key."""
+    spec, pair, ball, sel = chain_annulus
+    choice, decorated = _first_certified(ball.mats[sel], pair)
+    norms = np.sort(stable_arcosh(decorated[choice, np.arange(sel.size), 0, 0]))
+    norms = norms[(norms >= 10.0 - pair.scale) & (norms <= 10.0 + 1e-9)]
+    assert norms.size == 2464
+    assert int(np.count_nonzero(np.diff(norms) == 0.0)) == 2232
+
+
+def test_seed_builds_objects_for_kept_letters_only(request, monkeypatch):
+    """The chain-seed walk (three radii, seven letters at radius 10) makes
+    no call of OrbitBall.word, OrbitBall.element or _decorate; only the
+    error path of _uncertified calls them."""
+    spec, pair, kwargs = _seed_walk(request, "chain")
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kw):
+            calls.append(name)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(OrbitBall, "word")
+    counted(OrbitBall, "element")
+    counted(semigroup, "_decorate")
+    seed = build_seed_alphabet(spec, pair, 0.45, **kwargs)
+    assert calls == []
+    assert [row[0] for row in seed.walk] == [8.0, 9.0, 10.0]
+    assert seed.walk[-1] == (10.0, 2936, 2464, 7)
+    assert (seed.candidates, len(seed)) == (2936, 7)
 
 
 def test_seed_walk_raises_fact_counterexample(spec3, pair3):
