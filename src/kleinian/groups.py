@@ -1,13 +1,11 @@
 """Built-in example groups and the Schottky cap validator.
 
-Three families cover the regimes the rest of the package cares about:
+Two families cover the regimes the rest of the package cares about:
 
 * :func:`schottky` -- convex-cocompact free groups built from axis boosts,
   with explicit ping-pong caps on the boundary circle;
 * :func:`punctured_torus` -- the cusped surface group generated by two
-  integer matrices whose commutator is parabolic;
-* :func:`cyclic` -- a single boost, the degenerate baseline (growth
-  exponent zero, two-point limit set).
+  integer matrices whose commutator is parabolic.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ from .orbit import GroupSpec, sl2_to_so21
 __all__ = [
     "schottky",
     "punctured_torus",
-    "cyclic",
     "validate_schottky_caps",
-    "BUILTIN_GROUPS",
-    "build_group",
 ]
 
 # boundary directions sampled when validating Schottky cap containment
@@ -162,38 +157,3 @@ def punctured_torus() -> GroupSpec:
             "commutator_word": (1, 2, -1, -2),
         },
     )
-
-
-def cyclic(length: float = 1.0) -> GroupSpec:
-    """Infinite cyclic group of a single boost of H^2: growth exponent 0
-    and a two-point limit set, the degenerate end of every estimate here."""
-    if length <= 0:
-        raise ValueError("translation length must be positive")
-    e1 = np.array([1.0, 0.0])
-    return GroupSpec(
-        [boost(2, 1, length)],
-        2,
-        name=f"cyclic(t={length:g})",
-        free=True,
-        metadata={
-            "critical_exponent": 0.0,
-            "limit_directions": np.stack([e1, -e1]),
-        },
-    )
-
-
-BUILTIN_GROUPS = {
-    "schottky": schottky,
-    "punctured-torus": punctured_torus,
-    "cyclic": cyclic,
-}
-
-
-def build_group(name: str, **kwargs) -> GroupSpec:
-    """Look up a builtin by name and construct it with keyword overrides."""
-    try:
-        builder = BUILTIN_GROUPS[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_GROUPS))
-        raise ValueError(f"unknown group {name!r}; builtins: {known}") from None
-    return builder(**kwargs)

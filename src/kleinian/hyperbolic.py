@@ -57,17 +57,13 @@ __all__ = [
     "ray_coordinates",
     "segment_foot",
     "ray_distance",
-    "unit_tangent",
     "boundary_action",
-    "visual_angle",
-    "boundary_direction",
     "basepoint",
     "form_matrix",
     "validate_isometry",
     "form_residual",
     "reorthogonalize",
     "boost",
-    "rotation",
     "identity_isometry",
     "point_on_sheet",
 ]
@@ -377,20 +373,6 @@ def ray_distance(h, t, s):
     return split_distance(h, e[0], np.abs(s - t), e[1])
 
 
-def boundary_direction(p) -> BoundaryPoint:
-    """Radial direction of a point as seen from the basepoint.
-
-    For a sequence of points escaping to infinity these directions form a
-    Cauchy sequence on the sphere; the limit is the visual boundary point.
-    """
-    c = np.asarray(_coords(p), dtype=float)
-    spatial = c[1:]
-    n = np.linalg.norm(spatial)
-    if n <= TOL_POINT:
-        raise DegenerateDirectionError("point is at the basepoint; no direction")
-    return BoundaryPoint(spatial / n)
-
-
 def boundary_action(matrix: np.ndarray, directions):
     """Induced action of an isometry on boundary directions.
 
@@ -405,23 +387,6 @@ def boundary_action(matrix: np.ndarray, directions):
     img = cone @ np.asarray(matrix, dtype=float).T
     out = img[:, 1:] / img[:, :1]
     return out[0] if single else out
-
-
-def visual_angle(u: BoundaryPoint, v: BoundaryPoint) -> float:
-    """Angle between two boundary directions seen from the basepoint."""
-    c = float(np.dot(u.direction, v.direction))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def unit_tangent(x, y):
-    """Unit tangent vector at x pointing toward y (Minkowski-orthogonal to x)."""
-    xc = np.asarray(_coords(x), dtype=float)
-    yc = np.asarray(_coords(y), dtype=float)
-    inner = np.asarray(minkowski_inner(xc, yc), dtype=float)
-    s = np.sinh(stable_arcosh(-inner))
-    if np.any(s == 0.0):
-        raise DegenerateDirectionError("coincident points have no tangent direction")
-    return (yc + inner[..., None] * xc) / s[..., None]
 
 
 def geodesic_point(x, y, t):
@@ -574,18 +539,6 @@ def boost(dim: int, axis: int, t: float) -> Isometry:
     m = np.eye(dim + 1)
     m[0, 0] = m[axis, axis] = np.cosh(t)
     m[0, axis] = m[axis, 0] = np.sinh(t)
-    return Isometry(m)
-
-
-def rotation(dim: int, i: int, j: int, theta: float) -> Isometry:
-    """Rotation by ``theta`` in the spatial (i, j) coordinate plane (1-based)."""
-    if not (1 <= i <= dim and 1 <= j <= dim and i != j):
-        raise GeometryError(f"bad rotation plane ({i}, {j}) for H^{dim}")
-    m = np.eye(dim + 1)
-    c, s = np.cos(theta), np.sin(theta)
-    m[i, i] = m[j, j] = c
-    m[i, j] = -s
-    m[j, i] = s
     return Isometry(m)
 
 

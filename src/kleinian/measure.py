@@ -50,7 +50,6 @@ enumerated reference ball and are censored at its reliability horizon.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -62,9 +61,6 @@ import numpy as np
 from .hyperbolic import (
     BoundaryPoint,
     Isometry,
-    Point,
-    basepoint,
-    gromov_product,
     radial_split,
     ray_coordinates,
     ray_distance,
@@ -81,10 +77,8 @@ __all__ = [
     "ExponentRegimeError",
     "HorizonError",
     "PSAtomSet",
-    "Shadow",
     "ConicalProfile",
     "ps_atoms",
-    "shadow_contains",
     "apex_products",
     "shadow_members",
     "shadow_principle_report",
@@ -93,9 +87,6 @@ __all__ = [
     "conical_profile",
     "myrberg_witness",
     "shadow_tail_report",
-    "sublinear_shadow_tail",
-    "write_atoms_csv",
-    "write_profile_csv",
 ]
 
 # atoms below this weight cannot move any statistic reported at TOL_SERIES
@@ -104,8 +95,6 @@ TOL_SERIES = 1e-6
 # spacing of the samples of [x0, g x0] that a Myrberg witness must carry
 # into the tube
 MYRBERG_STEP = 0.5
-# radius of the far-point proxy of a boundary point in shadow_contains
-PROXY_RADIUS = 32.0
 # the principle report measures shadows at every index word up to this length
 PREFIX_DEPTH = 2
 # the quasi-invariance report transports the shadows of this many letters
@@ -138,37 +127,6 @@ class HorizonError(MeasureError):
     time t once it reaches ``radius - t``, so inside that horizon every
     orbit distance below ``prune_margin`` comes back uncensored.
     """
-
-
-@dataclass
-class Shadow:
-    """Region behind an apex: points z with (z | x0)_apex at most r."""
-
-    apex: np.ndarray
-    r: float
-    apex_norm: float = 0.0
-
-    def __post_init__(self):
-        self.apex = np.asarray(self.apex, dtype=float)
-        if self.apex_norm == 0.0:
-            self.apex_norm = float(stable_arcosh(self.apex[0]))
-
-
-def shadow_contains(z, shadow: Shadow) -> bool:
-    """Membership test; boundary points enter via a far-point proxy.
-
-    Coordinate arithmetic is reliable here only while the apex and the
-    proxy stay at moderate radii; the report functions below use the
-    word-level quotient route for far apexes instead.
-    """
-    if isinstance(z, BoundaryPoint):
-        pt = z.ray_point(PROXY_RADIUS)
-    elif isinstance(z, Point):
-        pt = z.coords
-    else:
-        pt = np.asarray(z, dtype=float)
-    x0 = basepoint(pt.shape[0] - 1)
-    return float(gromov_product(pt, x0, shadow.apex)) <= shadow.r
 
 
 # ---------------------------------------------------------------------------
@@ -879,11 +837,9 @@ def myrberg_witness(
     inside = members[ok][in_tube(moved).all(axis=1)]
     if inside.size == 0:
         return None
-    row = min(
-        inside.tolist(),
-        key=lambda i: (int(ref_ball.word_length[i]), ref_ball.word(int(i))),
-    )
-    return ref_ball.element(int(row))
+    words = ref_ball.words(inside)
+    first = np.lexsort((*words.T[::-1], ref_ball.word_length[inside]))[0]
+    return ref_ball.element(int(inside[first]))
 
 
 # ---------------------------------------------------------------------------
@@ -983,37 +939,3 @@ def shadow_tail_report(
         "audited_mass_gap": float(audited_mass_gap),
         "n_audited": len(audit_rows),
     }
-
-
-def sublinear_shadow_tail(atoms: PSAtomSet, eta: float, delta_F: float) -> float:
-    """Largest shell mass relative to the decay bound; 0 for empty families."""
-    return shadow_tail_report(atoms, eta, delta_F)["max_shell_ratio"]
-
-
-# ---------------------------------------------------------------------------
-# Exports.
-
-
-def write_atoms_csv(atoms: PSAtomSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dirs = [f"u{i}" for i in range(1, atoms.dim + 1)]
-        writer.writerow(dirs + ["weight", "norm", "word"])
-        for i, w in enumerate(atoms.words):
-            _, u = radial_split(atoms.columns[i])
-            writer.writerow(
-                [f"{x:.17g}" for x in u]
-                + [
-                    f"{atoms.weights[i]:.17g}",
-                    f"{atoms.norms[i]:.17g}",
-                    ".".join(str(j) for j in w),
-                ]
-            )
-
-
-def write_profile_csv(profile: ConicalProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value", "censored"])
-        for t, v, c in zip(profile.ts, profile.values, profile.censored):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}", int(c)])

@@ -30,7 +30,6 @@ kept.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,7 +56,6 @@ __all__ = [
     "EnumerationBudgetError",
     "DiscretenessWarning",
     "enumerate_ball",
-    "poincare_partial",
     "estimate_critical_exponent",
     "growth_fit",
     "orbit_distance",
@@ -309,22 +307,6 @@ class OrbitBall:
         members = self.members
         return members[np.argsort(self.norms[members], kind="stable")]
 
-    def write_csv(self, path) -> int:
-        """Dump members as delimited text: word, norm, then the orbit point."""
-        idx = self.members
-        points = self.orbit_points(idx)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["word", "norm"] + [f"x{i}" for i in range(self.spec.dim + 1)]
-            )
-            for i, labels, point in zip(idx, self.words(idx).tolist(), points):
-                word = ".".join(str(w) for w in labels if w != WORD_PAD) or "e"
-                writer.writerow(
-                    [word, repr(float(self.norms[i]))] + [repr(float(v)) for v in point]
-                )
-        return int(idx.shape[0])
-
 
 def _resolve_dedup(spec: GroupSpec, dedup: str) -> str:
     if dedup != "auto":
@@ -549,21 +531,6 @@ def _sanity_check(ball: OrbitBall, anomalies: list) -> None:
     if not sane:
         for msg in anomalies:
             warnings.warn(msg, DiscretenessWarning, stacklevel=3)
-
-
-def poincare_partial(ball: OrbitBall, s, radius: float | None = None):
-    """Partial Poincare sum over members: sum of exp(-s * norm).
-
-    ``s`` may be scalar or an array (summed along the last axis against the
-    member norms).  ``radius`` restricts to a smaller ball.
-    """
-    norms = ball.norms[ball.member_mask]
-    if radius is not None:
-        norms = norms[norms <= radius]
-    s = np.asarray(s, dtype=float)
-    return np.exp(-s[..., None] * norms).sum(axis=-1) if s.ndim else float(
-        np.exp(-s * norms).sum()
-    )
 
 
 def growth_fit(sorted_norms, radii) -> CriticalExponentEstimate:

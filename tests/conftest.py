@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kleinian.hyperbolic import (
+    GeometryError,
     Isometry,
     boost,
     distance,
@@ -13,14 +14,32 @@ from kleinian.hyperbolic import (
     identity_isometry,
     radial_split,
     reorthogonalize,
-    rotation,
     split_distance,
 )
+from kleinian.orbit import GroupSpec
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def cyclic(length: float) -> GroupSpec:
+    """Infinite cyclic group of one boost of H^2: growth exponent 0 and a
+    two-point limit set, the degenerate end of every estimate."""
+    return GroupSpec([boost(2, 1, length)], 2, name=f"cyclic(t={length:g})", free=True)
+
+
+def rotation(dim: int, i: int, j: int, theta: float) -> Isometry:
+    """Rotation by ``theta`` in the spatial (i, j) coordinate plane (1-based)."""
+    if not (1 <= i <= dim and 1 <= j <= dim and i != j):
+        raise GeometryError(f"bad rotation plane ({i}, {j}) for H^{dim}")
+    m = np.eye(dim + 1)
+    c, s = np.cos(theta), np.sin(theta)
+    m[i, i] = m[j, j] = c
+    m[i, j] = -s
+    m[j, i] = s
+    return Isometry(m)
 
 
 def random_isometry(rng, dim, n_factors=6, scale=2.0):

@@ -18,7 +18,6 @@ from kleinian import (
     check_chain,
     fellow_travel_check,
     nearest_point_on_geodesic,
-    rotation,
 )
 from kleinian.hyperbolic import (
     basepoint,
@@ -33,6 +32,7 @@ from conftest import (
     random_chain,
     random_isometry,
     random_point,
+    rotation,
 )
 
 LN2 = math.log(2.0)

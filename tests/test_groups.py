@@ -1,4 +1,4 @@
-"""Builtin groups: ping-pong caps, cusp data, registry."""
+"""Builtin groups: ping-pong caps and cusp data."""
 
 import math
 
@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from kleinian.groups import (
-    build_group,
-    cyclic,
     punctured_torus,
     schottky,
     validate_schottky_caps,
 )
 from kleinian.hyperbolic import boundary_action, stable_arcosh
 from kleinian.orbit import enumerate_ball
+
+from conftest import cyclic
 
 
 def test_schottky_default_is_valid():
@@ -85,23 +85,6 @@ def test_punctured_torus_data():
     # parabolic: fixes no point inside, displacement has no positive lower
     # bound but the element is not the identity
     assert not np.allclose(comm, np.eye(3), atol=1e-6)
-
-
-def test_cyclic_degenerate_data():
-    spec = cyclic(0.8)
-    assert spec.metadata["critical_exponent"] == 0.0
-    dirs = spec.metadata["limit_directions"]
-    assert dirs.shape == (2, 2)
-    assert np.allclose(dirs[0], -dirs[1])
-    with pytest.raises(ValueError):
-        cyclic(0.0)
-
-
-def test_build_group_registry():
-    spec = build_group("cyclic", length=2.0)
-    assert spec.name == "cyclic(t=2)"
-    with pytest.raises(ValueError):
-        build_group("nonesuch")
 
 
 def test_caps_are_plausible_for_orbit_directions():

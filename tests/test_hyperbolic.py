@@ -17,7 +17,6 @@ from kleinian.hyperbolic import (
     Point,
     basepoint,
     boost,
-    boundary_direction,
     distance,
     form_matrix,
     form_residual,
@@ -31,12 +30,9 @@ from kleinian.hyperbolic import (
     ray_distance,
     ray_points,
     reorthogonalize,
-    rotation,
     split_distance,
     stable_arcosh,
-    unit_tangent,
     validate_isometry,
-    visual_angle,
 )
 
 from kleinian import hyperbolic
@@ -45,6 +41,7 @@ from conftest import (
     pairwise_distance,
     random_isometry,
     random_point,
+    rotation,
 )
 
 X0_2 = basepoint(2)
@@ -171,33 +168,13 @@ def test_geodesic_degenerate():
         geodesic_point(X0_2, X0_2, 0.5)
 
 
-def test_unit_tangent(rng):
-    x = random_point(rng, 3)
-    y = random_point(rng, 3)
-    v = unit_tangent(x, y)
-    assert np.isclose(minkowski_inner(v, v), 1.0, atol=1e-9)
-    assert np.isclose(minkowski_inner(x, v), 0.0, atol=1e-9)
-    t = 0.37 * distance(x, y)
-    assert np.allclose(geodesic_point(x, y, t), np.cosh(t) * x + np.sinh(t) * v)
-
-
-def test_visual_angle_and_boundary_direction():
-    a = boundary_direction(boost(2, 1, 3.0).apply(X0_2))
-    b = boundary_direction(boost(2, 2, 3.0).apply(X0_2))
-    assert np.isclose(visual_angle(a, b), math.pi / 2)
-    assert visual_angle(a, a) == 0.0
-    assert np.allclose(a.direction, [1.0, 0.0])
-    with pytest.raises(DegenerateDirectionError):
-        boundary_direction(X0_2)
-    with pytest.raises(DegenerateDirectionError):
-        BoundaryPoint(np.zeros(2))
-
-
 def test_boundary_ray_point():
     u = BoundaryPoint(np.array([0.6, 0.8]))
     p = Point(u.ray_point(5.0))
     assert np.isclose(p.norm(), 5.0)
-    assert np.allclose(boundary_direction(p).direction, [0.6, 0.8])
+    assert np.allclose(radial_split(p.coords)[1], [0.6, 0.8])
+    with pytest.raises(DegenerateDirectionError):
+        BoundaryPoint(np.zeros(2))
 
 
 def test_validate_isometry():

@@ -1,6 +1,5 @@
 """Atomic boundary measures, shadow reports, and direction statistics."""
 
-import csv
 import math
 from collections import Counter
 
@@ -12,9 +11,7 @@ from kleinian import (
     BoundaryPoint,
     ExponentRegimeError,
     HorizonError,
-    Shadow,
     apex_products,
-    build_group,
     build_seed_alphabet,
     build_stage,
     conical_profile,
@@ -22,15 +19,13 @@ from kleinian import (
     find_ping_pong_pair,
     myrberg_witness,
     ps_atoms,
+    punctured_torus,
     quasi_invariance_report,
-    shadow_contains,
+    schottky,
     shadow_members,
     shadow_nesting_report,
     shadow_principle_report,
     shadow_tail_report,
-    sublinear_shadow_tail,
-    write_atoms_csv,
-    write_profile_csv,
 )
 from kleinian.hyperbolic import (
     Isometry,
@@ -39,6 +34,8 @@ from kleinian.hyperbolic import (
     gromov_product,
     minkowski_inner,
     radial_split,
+    ray_coordinates,
+    ray_distance,
     ray_points,
     stable_arcosh,
 )
@@ -63,7 +60,7 @@ from conftest import golden_section_projection
 
 @pytest.fixture(scope="module")
 def spec3():
-    return build_group("schottky", length=3.0)
+    return schottky(length=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +94,7 @@ def chain_regime():
     # densest builtin still satisfying ping-pong; the short translation
     # length keeps junction slack below the separator norm, which is what
     # the shadow-principle upper bound needs
-    spec = build_group("schottky", length=1.8)
+    spec = schottky(length=1.8)
     pair = find_ping_pong_pair(spec, ratio=1.28)
     ball = enumerate_ball(spec, 13.0, prune_margin=2.0)
     seed = build_seed_alphabet(
@@ -118,7 +115,7 @@ def chain_regime():
 
 @pytest.fixture(scope="module")
 def spec22():
-    return build_group("schottky", length=2.2)
+    return schottky(length=2.2)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +130,7 @@ def letters22(spec22):
 
 @pytest.fixture(scope="module")
 def torus():
-    return build_group("punctured-torus")
+    return punctured_torus()
 
 
 @pytest.fixture(scope="module")
@@ -360,17 +357,13 @@ def test_row_of_rejects_dropped_and_foreign_words(atoms3, light3):
 # -- shadows ----------------------------------------------------------------
 
 
-def test_shadow_membership_trivial_cases(seed3):
-    g = seed3.elements[0]
-    col = g.matrix[:, 0]
-    shadow = Shadow(col, 12.0)
-    assert shadow.apex_norm == pytest.approx(g.norm(), rel=1e-12)
-    assert shadow_contains(col, shadow)
-    assert not shadow_contains(basepoint(2), shadow)
-
-
 def test_alphabet_pair_directions_land_in_shadow(seed3, pair3):
+    """The direction of g h lies in the shadow of g at r = 8C: the
+    word-level overlap of g and h and the Gromov product, seen from the
+    apex g x0, of a far proxy point on the direction's ray (radius 32)
+    both stay below r, and a direction away from g x0 stays above it."""
     r = 8.0 * pair3.scale
+    x0 = basepoint(2)
     K = seed3.elements
     for i in (0, 1, 5):
         for j in (2, 7, 11):
@@ -379,20 +372,16 @@ def test_alphabet_pair_directions_land_in_shadow(seed3, pair3):
             overlap = 0.5 * (g.norm() + h.norm() - gh.norm())
             assert overlap < r
             direction = BoundaryPoint(radial_split(gh.matrix[:, 0])[1])
-            shadow = Shadow(g.matrix[:, 0], r, apex_norm=g.norm())
-            assert shadow_contains(direction, shadow)
-    # cross-check one membership against the finite-proxy Gromov product
+            assert gromov_product(direction.ray_point(32.0), x0, g.matrix[:, 0]) <= r
+    # the proxy product tracks the word-level overlap
     g, h = K[0], K[2]
     gh = g @ h
     direction = BoundaryPoint(radial_split(gh.matrix[:, 0])[1])
-    proxy = gromov_product(direction.ray_point(32.0), basepoint(2), g.matrix[:, 0])
+    proxy = gromov_product(direction.ray_point(32.0), x0, g.matrix[:, 0])
     word_level = 0.5 * (g.norm() + h.norm() - gh.norm())
-    assert proxy <= r
     assert proxy == pytest.approx(word_level, abs=1.0)
     outside = BoundaryPoint(np.array([1.0, 0.0]))
-    assert not shadow_contains(
-        outside, Shadow(g.matrix[:, 0], r, apex_norm=g.norm())
-    )
+    assert gromov_product(outside.ray_point(32.0), x0, g.matrix[:, 0]) > r
 
 
 def test_apex_products_match_letter_reduction(spec3, pair3, seed3, atoms3):
@@ -1007,7 +996,6 @@ def test_tiny_family_has_empty_excursion_sum(pair3):
     atoms = ps_atoms(_stub_stage([3.0, 3.0], pair3), 0.7)
     report = shadow_tail_report(atoms, 0.95, 0.5)
     assert report["shells"] == []
-    assert sublinear_shadow_tail(atoms, 0.95, 0.5) == 0.0
 
 
 def test_excursion_fraction_domain(pair3):
@@ -1226,55 +1214,33 @@ def test_myrberg_matches_golden_section_across_tubes(spec22, letters22):
     assert 0 < found < 72
 
 
+@pytest.mark.parametrize("angle, word", [(math.pi / 12, (2, -1)), (-math.pi / 12, (-2, -1))])
+def test_myrberg_shortlex_among_equal_lengths(spec22, letters22, angle, word):
+    """Two one-letter members pass a 2.5 tube; the witness is the
+    tuple-key minimum over the members that pass, checked one by one.
+    At pi/12 that is (-2,), which is not the first passing row."""
+    ball = enumerate_ball(spec22, 10.0, prune_margin=2.0)
+    xi = BoundaryPoint(np.array([math.cos(angle), math.sin(angle)]))
+    g = Isometry(np.linalg.multi_dot([letters22[lab] for lab in word]), word)
+    seg_len = float(g.norm())
+    n_samples = max(int(math.ceil(seg_len / measure.MYRBERG_STEP)) + 1, 2)
+    seg = ray_points(radial_split(g.matrix[:, 0])[1], np.linspace(0.0, seg_len, n_samples))
+    passing = []
+    for row in ball.members.tolist():
+        h, t = ray_coordinates(*radial_split(seg @ ball.mats[row].T), xi.direction)
+        if np.all(ray_distance(h, t, np.clip(t, 0.0, 8.0)) <= 2.5 + 1e-9):
+            passing.append(row)
+    shortest = min(int(ball.word_length[row]) for row in passing)
+    assert sum(int(ball.word_length[row]) == shortest for row in passing) >= 2
+    want = min(passing, key=lambda i: (int(ball.word_length[i]), ball.word(i)))
+    assert myrberg_witness(xi, g, 2.5, ball, 8.0).word == ball.word(want)
+
+
 def test_myrberg_respects_horizon(ball22, letters22):
     g1 = Isometry(letters22[1], (1,))
     xi = BoundaryPoint(np.array([1.0, 0.0]))
     with pytest.raises(HorizonError):
         myrberg_witness(xi, g1, 1.0, ball22, 14.0)
-
-
-# -- exports ----------------------------------------------------------------
-
-
-def test_atoms_csv_roundtrip(tmp_path, pair3):
-    """Also past radius 355, where squared coordinates overflow: the
-    directions must still come out as unit vectors."""
-    for want_norms in ([3.0, 4.0], [400.0, 401.0]):
-        atoms = ps_atoms(_stub_stage(want_norms, pair3), 0.7)
-        path = tmp_path / f"atoms{want_norms[0]:g}.csv"
-        write_atoms_csv(atoms, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, data = rows[0], rows[1:]
-        assert header == ["u1", "u2", "weight", "norm", "word"]
-        assert len(data) == 2
-        weights = np.array([float(r[2]) for r in data])
-        assert np.allclose(np.sort(weights), np.sort(atoms.weights), rtol=0.0)
-        norms = sorted(float(r[3]) for r in data)
-        assert norms == want_norms
-        assert {r[4] for r in data} == {"0", "1"}
-        # _stub_stage boosts letter i toward the angle 0.7 i + 0.3
-        angles = np.array([0.7 * int(r[4]) + 0.3 for r in data])
-        dirs = np.array([[float(r[0]), float(r[1])] for r in data])
-        want = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        assert np.allclose(dirs, want, rtol=0.0, atol=1e-15)
-
-
-def test_profile_csv_roundtrip(tmp_path, ball22):
-    xi = BoundaryPoint(np.array([1.0, 0.0]))
-    profile = conical_profile(xi, ball22, 5.0)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(profile, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "value", "censored"]
-    assert len(rows) - 1 == profile.ts.size
-    ts = np.array([float(r[0]) for r in rows[1:]])
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    flags = np.array([int(r[2]) for r in rows[1:]])
-    assert np.array_equal(ts, profile.ts)
-    assert np.array_equal(vals, profile.values)
-    assert np.array_equal(flags.astype(bool), profile.censored)
 
 
 # -- wide-alphabet contrast --------------------------------------------------

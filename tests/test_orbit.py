@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kleinian import orbit
-from kleinian.groups import cyclic, punctured_torus, schottky
+from kleinian.groups import punctured_torus, schottky
 from kleinian.hyperbolic import (
     REORTH_EVERY,
     boost,
@@ -15,7 +15,6 @@ from kleinian.hyperbolic import (
     radial_split,
     ray_points,
     reorthogonalize,
-    rotation,
     split_distance,
     stable_arcosh,
 )
@@ -27,12 +26,11 @@ from kleinian.orbit import (
     enumerate_ball,
     estimate_critical_exponent,
     orbit_distance,
-    poincare_partial,
     sl2_norm,
     sl2_to_so21,
 )
 
-from conftest import pairwise_distance
+from conftest import cyclic, pairwise_distance, rotation
 
 
 def brute_words(letter_mats, max_len, *, no_backtrack_pairs=None):
@@ -63,17 +61,6 @@ def test_cyclic_ball_exact_counts():
     words = sorted(ball.word(i) for i in ball.members)
     assert ((1, 1, 1) in words) and ((-1, -1, -1) in words)
     assert (1, -1) not in words
-
-
-def test_poincare_partial_geometric_sum():
-    ball = enumerate_ball(cyclic(1.0), 10.5)
-    s = 0.3
-    want = 1.0 + 2.0 * sum(math.exp(-s * n) for n in range(1, 11))
-    assert np.isclose(poincare_partial(ball, s), want, rtol=1e-12)
-    # vector argument and radius restriction
-    got = poincare_partial(ball, np.array([0.3, 1.0]), radius=4.0)
-    want4 = [1.0 + 2.0 * sum(math.exp(-t * n) for n in range(1, 5)) for t in (0.3, 1.0)]
-    assert np.allclose(got, want4)
 
 
 def test_schottky_ball_matches_brute_force():
@@ -315,17 +302,6 @@ def test_groupspec_validation():
             2,
             int_rep=[np.array([[2, 0], [0, 1]])],
         )
-
-
-def test_write_csv(tmp_path):
-    ball = enumerate_ball(cyclic(1.0), 2.5)
-    path = tmp_path / "ball.csv"
-    n = ball.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert n == 5
-    assert lines[0] == "word,norm,x0,x1,x2"
-    assert len(lines) == 6
-    assert lines[1].startswith("e,0.0")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from kleinian import (
     PairNotFoundError,
     SeedAlphabet,
     StageConditionError,
-    build_group,
     build_seed_alphabet,
     build_stage,
     check_property_A,
@@ -31,6 +30,8 @@ from kleinian import (
     find_ping_pong_pair,
     identity_isometry,
     phi_map,
+    punctured_torus,
+    schottky,
 )
 from kleinian import semigroup
 from kleinian.chains import H_GEO, ChainParams, check_chain
@@ -53,10 +54,12 @@ from kleinian.semigroup import (
     _first_certified,
 )
 
+from conftest import cyclic
+
 
 @pytest.fixture(scope="module")
 def spec3():
-    return build_group("schottky", length=3.0)
+    return schottky(length=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +84,7 @@ def ball3(spec3):
 
 @pytest.fixture(scope="module")
 def torus():
-    return build_group("punctured-torus")
+    return punctured_torus()
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +167,7 @@ def test_branching_estimate_against_distance_formula(spec3, pair3):
 
 
 def test_default_schottky_pair():
-    pair = find_ping_pong_pair(build_group("schottky"), ratio=2.5)
+    pair = find_ping_pong_pair(schottky(), ratio=2.5)
     assert pair.separator.word == (1, 1, 1, 1, 1)
     assert pair.adjuster.word == (2, 2)
     assert pair.adjuster.norm() == pytest.approx(4.4, abs=1e-9)
@@ -180,7 +183,7 @@ def test_torus_pair(torus_pair):
 
 def test_cyclic_has_no_pair():
     with pytest.raises(PairNotFoundError):
-        find_ping_pong_pair(build_group("cyclic", length=1.0))
+        find_ping_pong_pair(cyclic(length=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +374,7 @@ def _annulus(spec, ratio, radius):
 
 @pytest.fixture(scope="module")
 def chain_annulus():
-    return _annulus(build_group("schottky", length=1.8), 1.28, 10.0)
+    return _annulus(schottky(length=1.8), 1.28, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -721,7 +724,7 @@ def test_torus_deep_element_deterministic(torus, torus_ball):
 
 
 def test_schottky_stays_shallow():
-    spec = build_group("schottky")
+    spec = schottky()
     ball = enumerate_ball(spec, 12.0, prune_margin=2.0)
     query = find_deep_element(spec, 2.0, ball)
     assert query.result is None
@@ -774,7 +777,7 @@ def test_deep_element_3d_matches_batched_scan():
 
 
 def test_deep_element_3d_benchmark_case_stays_uncertified():
-    spec = build_group("schottky", length=2.0, dim=3)
+    spec = schottky(length=2.0, dim=3)
     ball = enumerate_ball(spec, 10.0, prune_margin=2.0)
     query = find_deep_element(spec, 1.0, ball)
     cand, chosen, certified = _batched_deep_choice(ball, 1.0, batch=512)
