@@ -16,20 +16,16 @@ certified chain and raises a counterexample error with the full
 measurement if they fail; :func:`fellow_travel_check` compares a geodesic
 against another one with nearby endpoints.
 
-Chains are given either as an (n, d+1) array of hyperboloid points or as
-a sequence of :class:`~kleinian.hyperbolic.Isometry` steps, with z_0 the
-basepoint and z_i the image of z_{i-1} under step i.  Raw coordinates can
-only resolve transverse angles down to machine precision, so the points
-form is trustworthy while every pairwise distance keeps one point within
-radius ~27 of the basepoint or a clearly resolved angle between the two;
-long marching chains exceed that quickly.  The step form is not bound
-by that envelope: gaps, skips and the distances d(z_0, z_i), d(z_i, z_N)
-and d(z_0, z_N) all come from top-left entries of step products, whose
-relative error stays near machine precision, and each vertex's foot and
-offset on [z_0, z_N] follow from those three distances in closed form
-(:func:`~kleinian.hyperbolic.segment_foot`).  It is the form to use for
-chains that wander far from the basepoint, up to d(z_0, z_N) near 710,
-where cosh overflows and :func:`chain_shadowing` refuses the chain.
+A chain is a sequence of :class:`~kleinian.hyperbolic.Isometry` steps,
+with z_0 the basepoint and z_i the image of z_{i-1} under step i.  Gaps,
+skips and the distances d(z_0, z_i), d(z_i, z_N) and d(z_0, z_N) all
+come from top-left entries of step products, whose relative error stays
+near machine precision; raw coordinates would stop resolving transverse
+angles near radius 27.  Each vertex's foot and offset on [z_0, z_N]
+follow from those three distances in closed form
+(:func:`~kleinian.hyperbolic.segment_foot`).  Chains stay measurable up
+to d(z_0, z_N) near 710, where cosh overflows and :func:`chain_shadowing`
+refuses the chain.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ import numpy as np
 from .hyperbolic import (
     TOL_POINT,
     Isometry,
-    basepoint,
     distance,
     geodesic_point,
     radial_split,
@@ -61,7 +56,6 @@ __all__ = [
     "ShadowingViolation",
     "ShadowingReport",
     "FellowTravelReport",
-    "chain_points",
     "check_chain",
     "chain_shadowing",
     "fellow_travel_check",
@@ -118,75 +112,62 @@ class ChainParams:
 class ChainCertificate:
     """Outcome of :func:`check_chain`, carrying the chain it certifies.
 
-    ``chain`` keeps the representation handed in (points array or step
-    isometries) so downstream consumers can measure further quantities.
+    ``chain`` keeps the steps handed in so downstream consumers can
+    measure further quantities.
     """
 
     ok: bool
     params: ChainParams
-    chain: object
+    chain: list
     products: np.ndarray
     gaps: np.ndarray
     first_violation: dict | None = None
 
 
-def _step_matrices(chain) -> list | None:
-    """Step matrices if ``chain`` is a sequence of isometries, else None."""
-    if isinstance(chain, np.ndarray):
-        return None
-    seq = list(chain)
-    if seq and all(isinstance(s, Isometry) for s in seq):
-        return [s.matrix for s in seq]
-    return None
+def _step_matrices(chain) -> np.ndarray:
+    """The step matrices of a chain, stacked."""
+    if isinstance(chain, np.ndarray) or not all(isinstance(s, Isometry) for s in chain):
+        raise TypeError("a chain is a sequence of Isometry steps")
+    if not chain:
+        raise ValueError("a chain needs at least one step")
+    return np.stack([s.matrix for s in chain])
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("a chain needs at least two points, shape (n, d+1)")
-    return pts
+def _skips(stack) -> np.ndarray:
+    """d(z_{i-1}, z_{i+1}) = arcosh (M_i M_{i+1})_00 for consecutive steps.
 
-
-def chain_points(steps) -> np.ndarray:
-    """Points visited by a step chain, starting at the basepoint.
-
-    Coordinates lose the transverse geometry once the walk leaves radius
-    ~27, so use this for plotting and desk-scale work only; the chain
-    checks consume the steps themselves.
+    The entry is row 0 of M_i against column 0 of M_{i+1}.  Where the sum
+    overflows, as it does once the two gaps add up past about 710, both
+    are first scaled by their top entries and the skip is formed from the
+    log of the entry, as
+    :func:`~kleinian.hyperbolic.split_distance` does for far point
+    pairs.  A scaled entry that rounds below zero gives NaN, which
+    :func:`check_chain` flags as indeterminate.
     """
-    mats = _step_matrices(steps)
-    if mats is None:
-        raise ValueError("expected a sequence of isometries")
-    dim = mats[0].shape[0] - 1
-    pts = [basepoint(dim)]
-    acc = np.eye(dim + 1)
-    for m in mats:
-        acc = acc @ m
-        pts.append(acc[:, 0].copy())
-    return np.array(pts)
+    row, col = stack[:-1, 0, :], stack[1:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sum(row * col, axis=-1)
+    skips = stable_arcosh(w)
+    far = ~np.isfinite(w)
+    if np.count_nonzero(far):
+        a, b = row[far, 0], col[far, 0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scaled = np.sum(row[far] / a[:, None] * (col[far] / b[:, None]), axis=-1)
+            log_w = np.maximum(np.log(a) + np.log(b) + np.log(scaled), 0.0)
+            # arcosh w = log w + log(1 + sqrt(1 - w^-2)), w clamped at 1 as
+            # stable_arcosh clamps it
+            skips[far] = log_w + np.log1p(np.sqrt(-np.expm1(-2.0 * log_w)))
+    return skips
 
 
 def _gaps_products(chain):
-    """(gaps, products) for either chain representation."""
-    mats = _step_matrices(chain)
-    if mats is not None:
-        stack = np.stack(mats)
-        gaps = stable_arcosh(stack[:, 0, 0])
-        # (M_i M_{i+1})_00: row 0 of M_i against column 0 of M_{i+1}
-        skips = stable_arcosh(np.sum(stack[:-1, 0, :] * stack[1:, :, 0], axis=-1))
-        return gaps, 0.5 * (gaps[:-1] + gaps[1:] - skips)
-    pts = _as_points(chain)
-    r, u = radial_split(pts)
-    gaps = split_distance(r[:-1], u[:-1], r[1:], u[1:])
-    if pts.shape[0] > 2:
-        skips = split_distance(r[:-2], u[:-2], r[2:], u[2:])
-        # far point pairs can overflow to inf; inf - inf marks the product
-        # as indeterminate and the check below must flag it, not skip it
-        with np.errstate(invalid="ignore"):
-            products = 0.5 * (gaps[:-1] + gaps[1:] - skips)
-    else:
-        products = np.empty(0)
-    return gaps, products
+    """(gaps, interior products) of a step chain."""
+    stack = _step_matrices(chain)
+    gaps = stable_arcosh(stack[:, 0, 0])
+    # gaps past cosh's range are inf, and inf - inf marks the product as
+    # indeterminate for check_chain to flag
+    with np.errstate(invalid="ignore"):
+        return gaps, 0.5 * (gaps[:-1] + gaps[1:] - _skips(stack))
 
 
 def check_chain(chain, params: ChainParams) -> ChainCertificate:
@@ -275,10 +256,9 @@ def nearest_point_on_geodesic(x, y, points):
 class ShadowingReport:
     """Measured shadowing data for the interior vertices of a chain.
 
-    ``nearest_points`` holds the projections y_i for point chains; step
-    chains report feet (arclengths along [z_0, z_N]) only, since far
-    coordinates would not be faithful.  ``ok`` is judged against the
-    rounded public bounds C + 1.5 and C + 6; ``sharp_ok`` against the
+    ``feet`` are arclengths along [z_0, z_N], not coordinates, which far
+    from the basepoint would not be faithful.  ``ok`` is judged against
+    the rounded public bounds C + 1.5 and C + 6; ``sharp_ok`` against the
     sharp ones C + 2 log 2 and C + 8 log 2.
     """
 
@@ -286,7 +266,6 @@ class ShadowingReport:
     endpoint_products: np.ndarray
     offsets: np.ndarray
     feet: np.ndarray
-    nearest_points: np.ndarray | None
     product_bound: float
     offset_bound: float
     sharp_product_bound: float
@@ -314,32 +293,17 @@ def _endpoint_distances(mats):
 
 
 def _shadowing_data(chain):
-    """(endpoint products, offsets, feet, nearest points) for interior vertices."""
-    mats = _step_matrices(chain)
-    if mats is not None:
-        start, end = _endpoint_distances(mats)
-        total = start[-1]
-        if not np.isfinite(total):
-            raise ChainRegimeError(
-                "chain endpoints too far apart: cosh d(z_0, z_N) overflows, "
-                "so stable_arcosh gives inf (distances past about 710)"
-            )
-        d_start, d_end = start[1:-1], end[1:-1]
-        feet, offsets = segment_foot(d_start, d_end, total)
-        return 0.5 * (d_start + d_end - total), offsets, feet, None
-    pts = _as_points(chain)
-    if pts.shape[0] == 2:
-        empty = np.empty(0)
-        return empty, empty, empty, np.empty((0, pts.shape[1]))
-    r, u = radial_split(pts)
-    d_start = split_distance(r[0], u[0], r[1:-1], u[1:-1])
-    d_end = split_distance(r[-1], u[-1], r[1:-1], u[1:-1])
-    total = split_distance(r[0], u[0], r[-1], u[-1])
-    products = 0.5 * (d_start + d_end - total)
-    feet, offsets = nearest_point_on_geodesic(pts[0], pts[-1], pts[1:-1])
-    feet = np.atleast_1d(feet)
-    nearest = geodesic_point(pts[0], pts[-1], feet)
-    return products, np.atleast_1d(offsets), feet, nearest
+    """(endpoint products, offsets, feet) for interior vertices."""
+    start, end = _endpoint_distances(_step_matrices(chain))
+    total = start[-1]
+    if not np.isfinite(total):
+        raise ChainRegimeError(
+            "chain endpoints too far apart: cosh d(z_0, z_N) overflows, "
+            "so stable_arcosh gives inf (distances past about 710)"
+        )
+    d_start, d_end = start[1:-1], end[1:-1]
+    feet, offsets = segment_foot(d_start, d_end, total)
+    return 0.5 * (d_start + d_end - total), offsets, feet
 
 
 def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingReport:
@@ -347,12 +311,10 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
 
     Requires ``cert.ok`` and the well-separated regime D >= 2C + 15; both
     are preconditions of the conclusion, so violations raise
-    :class:`ChainRegimeError`, as does a step chain whose d(z_0, z_N) is
-    past the float range of cosh (about 710).  Step chains are measured
-    from each vertex's distances to z_0 and z_N and their sum's excess
-    over d(z_0, z_N), with feet and offsets in closed form; point chains
-    project their vertices with :func:`nearest_point_on_geodesic`.  The
-    conclusions:
+    :class:`ChainRegimeError`, as does a chain whose d(z_0, z_N) is past
+    the float range of cosh (about 710).  The chain is measured from each
+    vertex's distances to z_0 and z_N and their sum's excess over
+    d(z_0, z_N), with feet and offsets in closed form.  The conclusions:
 
     * endpoint products (z_0 | z_N)_{z_i} < C + 1.5,
     * offsets d(z_i, [z_0, z_N]) <= C + 6,
@@ -374,29 +336,16 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
             "shadowing needs gap_bound >= 2 * product_bound + 15; got "
             f"C={params.product_bound}, D={params.gap_bound}"
         )
-    products, offsets, feet, nearest = _shadowing_data(cert.chain)
+    products, offsets, feet = _shadowing_data(cert.chain)
     c = params.product_bound
     product_bound = c + 1.5
     offset_bound = c + 6.0
     sharp_product_bound = c + PRODUCT_SLACK
     sharp_offset_bound = c + OFFSET_SLACK
-    if products.shape[0] == 0:
-        return ShadowingReport(
-            ok=True,
-            endpoint_products=products,
-            offsets=offsets,
-            feet=feet,
-            nearest_points=nearest,
-            product_bound=product_bound,
-            offset_bound=offset_bound,
-            sharp_product_bound=sharp_product_bound,
-            sharp_offset_bound=sharp_offset_bound,
-            sharp_ok=True,
-            feet_monotone=True,
-        )
     monotone = bool(np.all(np.diff(feet) >= -TOL_POINT))
-    max_product = float(np.max(products))
-    max_offset = float(np.max(offsets))
+    # a one-step chain has no interior vertex and passes every bound
+    max_product = float(np.max(products, initial=-np.inf))
+    max_offset = float(np.max(offsets, initial=0.0))
     ok = (
         max_product < product_bound + TOL_POINT
         and max_offset <= offset_bound + TOL_POINT
@@ -412,7 +361,6 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
         endpoint_products=products,
         offsets=offsets,
         feet=feet,
-        nearest_points=nearest,
         product_bound=product_bound,
         offset_bound=offset_bound,
         sharp_product_bound=sharp_product_bound,

@@ -60,7 +60,6 @@ __all__ = [
     "growth_fit",
     "orbit_distance",
     "sl2_to_so21",
-    "sl2_norm",
 ]
 
 # the growth fit runs over unit-spaced radii from this share of the ball
@@ -113,14 +112,6 @@ def sl2_to_so21(m):
     out[:, 1, 2] = a * b - c * d
     out[:, 2, 2] = a * d + b * c
     return out[0] if single else out
-
-
-def sl2_norm(m):
-    """Basepoint displacement of an SL(2,R) element acting on the upper half
-    plane with basepoint i: arcosh of half the sum of squared entries."""
-    arr = np.asarray(m, dtype=float)
-    w = 0.5 * np.sum(arr * arr, axis=(-2, -1))
-    return stable_arcosh(w)
 
 
 @dataclass
@@ -296,11 +287,6 @@ class OrbitBall:
 
     def element(self, i: int) -> Isometry:
         return Isometry(self.mats[int(i)].copy(), self.word(i))
-
-    def counts_at(self, radii) -> np.ndarray:
-        """#\\{members with norm <= r\\} for each r (vectorized)."""
-        member_norms = np.sort(self.norms[self.member_mask])
-        return np.searchsorted(member_norms, np.asarray(radii, dtype=float), side="right")
 
     def by_norm(self) -> np.ndarray:
         """Member indices sorted by norm (stable, so BFS order breaks ties)."""

@@ -25,16 +25,17 @@ element far outside float range; they survive only as numbers in the
 reports (``literal_bound`` and ``literal_pass`` of stage condition 1,
 ``literal_lower_constant_log10`` of the shadow principle report).
 
-Certificate chains are stored in step form (see :mod:`kleinian.chains`):
-raw coordinates stop resolving transverse angles near radius ~27, far
-short of where the staged elements live.  The stored steps produce the
-``a``-translate of the defining chain, which starts at the basepoint and
-has identical gaps and products.  The interior marks use a Cartan frame
-of ``g`` (rotation, axis boost, rotation); the far flank step is the
-rotation residue times ``a``, a product of orthogonal factors that stays
-accurate at any norm.  In dimension 3 and up the frame is determined
-only up to a twist about the travel axis, which moves no gap and no
-product, so certificates are unaffected.
+Certificate chains are sequences of isometry steps (see
+:mod:`kleinian.chains`), since raw coordinates stop resolving transverse
+angles near radius ~27, far short of where the staged elements live.
+The stored steps produce the ``a``-translate of the defining chain,
+which starts at the basepoint and has identical gaps and products.  The
+interior marks use a Cartan frame of ``g`` (rotation, axis boost,
+rotation); the far flank step is the rotation residue times ``a``, a
+product of orthogonal factors that stays accurate at any norm.  In
+dimension 3 and up the frame is determined only up to a twist about the
+travel axis, which moves no gap and no product, so certificates are
+unaffected.
 
 Straightening never walks those steps to reach a verdict.  The interior
 gaps of a canonical chain are all |g| / n and its interior products are
@@ -69,6 +70,7 @@ from .hyperbolic import (
     ray_points,
     split_distance,
     stable_arcosh,
+    _word_inverse,
 )
 from .orbit import (
     WORD_PAD,
@@ -190,10 +192,6 @@ def _free_reduce(labels) -> tuple:
         else:
             out.append(int(lab))
     return tuple(out)
-
-
-def _inverse_word(labels) -> tuple:
-    return tuple(-int(lab) for lab in reversed(labels))
 
 
 def _letter_matrices(spec: GroupSpec) -> dict:
@@ -345,8 +343,7 @@ class PropertyACertificate:
     """Chain verdict for one element against one pair.
 
     ``chain`` holds the step isometries of the basepoint-translate of
-    the defining chain; :meth:`chain_points` renders coordinates for
-    plotting, with the usual far-radius caveat.
+    the defining chain.
     """
 
     element: Isometry
@@ -356,11 +353,6 @@ class PropertyACertificate:
     violation: dict | None
     gaps: np.ndarray
     products: np.ndarray
-
-    def chain_points(self) -> np.ndarray:
-        from .chains import chain_points
-
-        return chain_points(self.chain)
 
 
 def _rotation_to_e1(u: np.ndarray) -> np.ndarray:
@@ -776,7 +768,7 @@ def build_seed_alphabet(
                     break
                 red = _free_reduce(words[i][words[i] != WORD_PAD].tolist())
                 # an empty quotient (the same element) has norm 0
-                quotients = (_free_reduce(_inverse_word(p) + red) for p in kept_words)
+                quotients = (_free_reduce(_word_inverse(p) + red) for p in kept_words)
                 if not any(_word_norm(q, letter_map, dim) < sep_eff for q in quotients):
                     kept.append(i)
                     kept_words.append(red)
@@ -907,7 +899,7 @@ def family_separation(
     lengths = fam.lengths
     if (first != first[0]).any():
         bi, bj = _closest_branching_pair(cols, first)
-        branch_quotient = _free_reduce(_inverse_word(labels[bi]) + labels[bj])
+        branch_quotient = _free_reduce(_word_inverse(labels[bi]) + labels[bj])
         min_branch = _word_norm(branch_quotient, letter_map, dim)
         branch_pair = (words[bi], words[bj])
     else:

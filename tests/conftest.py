@@ -15,6 +15,7 @@ from kleinian.hyperbolic import (
     radial_split,
     reorthogonalize,
     split_distance,
+    stable_arcosh,
 )
 from kleinian.orbit import GroupSpec
 
@@ -28,6 +29,14 @@ def cyclic(length: float) -> GroupSpec:
     """Infinite cyclic group of one boost of H^2: growth exponent 0 and a
     two-point limit set, the degenerate end of every estimate."""
     return GroupSpec([boost(2, 1, length)], 2, name=f"cyclic(t={length:g})", free=True)
+
+
+def sl2_norm(m):
+    """Basepoint displacement of an SL(2,R) element acting on the upper half
+    plane with basepoint i: arcosh of half the sum of squared entries."""
+    arr = np.asarray(m, dtype=float)
+    w = 0.5 * np.sum(arr * arr, axis=(-2, -1))
+    return stable_arcosh(w)
 
 
 def rotation(dim: int, i: int, j: int, theta: float) -> Isometry:

@@ -13,7 +13,6 @@ from kleinian import (
     ChainRegimeError,
     ShadowingViolation,
     boost,
-    chain_points,
     chain_shadowing,
     check_chain,
     fellow_travel_check,
@@ -38,12 +37,9 @@ from conftest import (
 LN2 = math.log(2.0)
 
 
-def collinear_points(gap, n_points):
-    ks = gap * np.arange(n_points)
-    pts = np.zeros((n_points, 3))
-    pts[:, 0] = np.cosh(ks)
-    pts[:, 1] = np.sinh(ks)
-    return pts
+def collinear_chain(gap, n_points):
+    """Steps of a chain through n_points evenly spaced on one geodesic."""
+    return [boost(2, 1, gap)] * (n_points - 1)
 
 
 def test_params_validation():
@@ -57,8 +53,8 @@ def test_params_validation():
 
 
 def test_collinear_points_pass():
-    pts = collinear_points(20.0, 5)
-    cert = check_chain(pts, ChainParams(1.0, 20.0 - 1e-9))
+    steps = collinear_chain(20.0, 5)
+    cert = check_chain(steps, ChainParams(1.0, 20.0 - 1e-9))
     assert cert.ok
     assert cert.first_violation is None
     assert cert.gaps.shape == (4,)
@@ -77,12 +73,11 @@ def test_collinear_steps_pass():
     assert np.max(np.abs(report.endpoint_products)) < 1e-8
     assert np.max(report.offsets) < 1e-6
     assert np.allclose(report.feet, [25.0, 50.0, 75.0], atol=1e-5)
-    assert report.nearest_points is None
 
 
 def test_gap_violation_reported_first():
-    pts = collinear_points(20.0, 4)
-    cert = check_chain(pts, ChainParams(1.0, 25.0))
+    steps = collinear_chain(20.0, 4)
+    cert = check_chain(steps, ChainParams(1.0, 25.0))
     assert not cert.ok
     assert cert.first_violation["kind"] == "gap"
     assert cert.first_violation["index"] == 0
@@ -110,12 +105,13 @@ def test_param_monotonicity():
 
 
 def test_reversal_symmetry():
+    """The reversed chain z_N, ..., z_0, translated to start at the
+    basepoint, steps by the inverses of the steps in reverse order."""
     rng = np.random.default_rng(29)
     steps, _, _ = random_chain(rng, 5, 0.7, 4.0, gap_spread=1.0)
-    pts = chain_points(steps)
     params = ChainParams(0.7 + 1e-7, 4.0 - 1e-7)
-    cert = check_chain(pts, params)
-    cert_rev = check_chain(pts[::-1].copy(), params)
+    cert = check_chain(steps, params)
+    cert_rev = check_chain([s.inverse() for s in reversed(steps)], params)
     assert cert.ok and cert_rev.ok
     assert np.allclose(cert.gaps, cert_rev.gaps[::-1], atol=1e-9)
     assert np.allclose(cert.products, cert_rev.products[::-1], atol=1e-9)
@@ -127,7 +123,7 @@ def test_two_point_chain_has_no_products():
     assert cert.ok
     assert cert.products.shape == (0,)
     report = chain_shadowing(cert)
-    assert report.ok
+    assert report.ok and report.sharp_ok and report.feet_monotone
     assert report.offsets.shape == (0,)
 
 
@@ -139,30 +135,6 @@ def test_generator_hits_its_targets():
         assert cert.ok
         assert np.max(np.abs(cert.gaps - gaps)) < 1e-8
         assert np.max(np.abs(cert.products - targets)) < 1e-8
-
-
-def test_step_and_point_forms_agree_at_desk_scale():
-    # n = 3 keeps every pair's inner radius <= 15, inside the coordinate
-    # resolution envelope, so the two representations must agree
-    rng = np.random.default_rng(3)
-    steps, gaps, targets = random_chain(
-        rng, 3, 0.05, 15.2, dim=2, gap_spread=0.5
-    )
-    pts = chain_points(steps)
-    assert pts.shape == (3, 3)
-    assert np.allclose(pts[0], basepoint(2))
-    params = ChainParams(0.05 + 1e-9, 15.2 - 1e-9)
-    cert_s = check_chain(steps, params)
-    cert_p = check_chain(pts, params)
-    assert cert_s.ok and cert_p.ok
-    assert np.allclose(cert_s.gaps, cert_p.gaps, atol=1e-8)
-    assert np.allclose(cert_s.products, cert_p.products, atol=1e-8)
-    rep_s = chain_shadowing(cert_s)
-    rep_p = chain_shadowing(cert_p)
-    assert np.allclose(rep_s.endpoint_products, rep_p.endpoint_products, atol=1e-7)
-    assert np.allclose(rep_s.offsets, rep_p.offsets, atol=1e-5)
-    assert np.allclose(rep_s.feet, rep_p.feet, atol=1e-5)
-    assert rep_p.nearest_points.shape == (1, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,17 +234,30 @@ def test_nearest_point_degenerate_segment_raises():
 
 
 def test_shadowing_preconditions():
-    pts = collinear_points(20.0, 4)
-    bad_cert = check_chain(pts, ChainParams(1.0, 25.0))
+    steps = collinear_chain(20.0, 4)
+    bad_cert = check_chain(steps, ChainParams(1.0, 25.0))
     with pytest.raises(ChainRegimeError):
         chain_shadowing(bad_cert)
-    narrow = check_chain(pts, ChainParams(3.0, 19.0))
+    narrow = check_chain(steps, ChainParams(3.0, 19.0))
     assert narrow.ok
     assert not narrow.params.shadowing_regime
     with pytest.raises(ChainRegimeError):
         chain_shadowing(narrow)
     with pytest.raises(TypeError):
+        chain_shadowing(steps)
+
+
+def test_points_are_not_a_chain():
+    """A chain is a sequence of isometry steps: point coordinates, as an
+    array or as a list of rows, are refused, and so is an empty chain."""
+    pts = np.array([basepoint(2), boost(2, 1, 20.0).matrix[:, 0]])
+    for chain in (pts, list(pts), [boost(2, 1, 20.0), pts[1]]):
+        with pytest.raises(TypeError):
+            check_chain(chain, ChainParams(1.0, 19.0))
+    with pytest.raises(TypeError):
         chain_shadowing(pts)
+    with pytest.raises(ValueError):
+        check_chain([], ChainParams(1.0, 19.0))
 
 
 def test_shadowing_counterexample_raises_with_report():
@@ -337,10 +322,10 @@ def test_far_step_chains_shadow(n_steps):
 
 
 def test_far_chain_feet_match_mpmath():
-    """Feet and offsets of the 27-step chain against 50 digits.  The
-    truth comes from the half-angle law and the right-angle relations
-    sinh h = sinh d1 sin α, cosh d1 = cosh t cosh h; the second right
-    triangle, cosh d2 = cosh(L - t) cosh h, confirms it."""
+    """Endpoint products, feet and offsets of the 27-step chain against
+    50 digits.  The truth comes from the half-angle law and the
+    right-angle relations sinh h = sinh d1 sin α, cosh d1 = cosh t cosh h;
+    the second right triangle, cosh d2 = cosh(L - t) cosh h, confirms it."""
     steps = zigzag_chain(27)
     report = chain_shadowing(check_chain(steps, ChainParams(1.0, 20.0)))
     with mp.workdps(50):
@@ -359,8 +344,26 @@ def test_far_chain_feet_match_mpmath():
             h = mp.asinh(mp.sinh(d1) * 2 * mp.sqrt(tau2) / (1 + tau2))
             t = mp.acosh(mp.cosh(d1) / mp.cosh(h))
             assert abs(mp.cosh(total - t) * mp.cosh(h) / mp.cosh(d2) - 1) < mp.mpf(10) ** -40
+            assert abs(report.endpoint_products[i] - float(g)) <= 1e-10
             assert abs(report.feet[i] - float(t)) <= 1e-10
             assert abs(report.offsets[i] - float(h)) <= 1e-10
+
+
+@pytest.mark.parametrize("length", [300.0, 360.0, 400.0])
+def test_turns_between_far_steps_are_measured(length):
+    """A right-angle turn between two steps of ``length`` has Gromov
+    product (log 2) / 2 at any length.  Past 355 the skip entry
+    (M_1 M_2)_00 = cosh^2 ``length`` overflows, so it is formed in the
+    log domain rather than read as inf, which made the product -inf and
+    passed the chain.  A step straight back stays a violation."""
+    step = boost(2, 1, length)
+    cert = check_chain([step, rotation(2, 1, 2, math.pi / 2) @ step], ChainParams(0.2, 10.0))
+    assert not cert.ok
+    assert cert.first_violation["kind"] == "gromov"
+    assert cert.first_violation["index"] == 1
+    assert cert.products[0] == pytest.approx(LN2 / 2, abs=1e-9)
+    back = check_chain([step, boost(2, 1, 1.0 - length)], ChainParams(0.2, 0.5))
+    assert back.first_violation["kind"] == "gromov"
 
 
 def test_chain_past_float_range_is_refused():

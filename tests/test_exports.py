@@ -1,14 +1,15 @@
-"""Every exported name of the package is read by code outside the tests.
+"""Every public name of the package is read by code outside the tests.
 
-A stdlib ``ast`` scan in the style of ``test_options.py``: a name in
-``kleinian.__all__`` must be read by some module of ``src/kleinian/`` or
-``perfbench/``.  A read is a ``Name`` or ``Attribute`` load, an
-``ImportFrom`` of the name, or a string constant equal to it (the
-benchmark rebinds ``apex_products`` by name).  A read in the module that
-defines the name counts; reads in ``__init__.py`` and in any ``__all__``
-list do not, since they only re-export.  A name nothing reads is dead
-public surface: delete it with the tests that only exercise it, or list
-it in ``TESTED_ONLY`` with the reason it stays.
+A stdlib ``ast`` scan in the style of ``test_options.py``: a name in the
+``__all__`` list of ``kleinian`` or of any of its modules, and a public
+method of any class of the package, must be read by some module of
+``src/kleinian/`` or ``perfbench/``.  A read is a ``Name`` or
+``Attribute`` load, an ``ImportFrom`` of the name, or a string constant
+equal to it (the benchmark rebinds ``apex_products`` by name).  A read in
+the module that defines the name counts; reads in ``__init__.py`` and in
+any ``__all__`` list do not, since they only re-export.  A name nothing
+reads is dead public surface: delete it with the tests that only
+exercise it, or list it in ``TESTED_ONLY`` with the reason it stays.
 """
 
 import ast
@@ -57,16 +58,23 @@ def read_names(source: str) -> set:
     return names
 
 
-def exported(init_source: str) -> list:
-    """The ``__all__`` list of a package's ``__init__.py``."""
-    values = _all_lists(ast.parse(init_source))
-    return [name for value in values for name in ast.literal_eval(value)]
+def public_names(source: str) -> list:
+    """A module's ``__all__`` names and the public methods of its classes."""
+    tree = ast.parse(source)
+    names = [name for value in _all_lists(tree) for name in ast.literal_eval(value)]
+    return names + [
+        node.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
 
 
-def unread_exports(init_source: str, readers: list) -> list:
-    """Sorted names of ``__all__`` that no source in ``readers`` reads."""
+def unread_exports(sources: list, readers: list) -> list:
+    """Sorted public names of ``sources`` that no source in ``readers`` reads."""
     read = set().union(*(read_names(source) for source in readers))
-    return sorted(name for name in exported(init_source) if name not in read)
+    return sorted({name for source in sources for name in public_names(source)} - read)
 
 
 def test_scan_sees_an_unread_export():
@@ -75,22 +83,29 @@ def test_scan_sees_an_unread_export():
         "__all__ = ['f', 'g', 'h', 'k', 'K']\n"
         "f(g)\n"
     )
-    readers = [
-        "__all__ = ['f', 'g', 'h', 'k', 'K']\n"
+    module = (
+        "__all__ = ['f', 'g', 'h', 'j', 'k', 'K']\n"
         "def f(x):\n    return k(x)\n"
         "def g():\n    pass\n"
         "def h():\n    pass\n"
+        "def j():\n    pass\n"
         "def k(x):\n    return x\n"
-        "class K:\n    pass\n",
-        "from pkg.m import h\n"
-        "setattr(obj, 'K', None)\n",
-    ]
-    assert unread_exports(init, readers) == ["f", "g"]
+        "class K:\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+    )
+    readers = [module, "from pkg.m import h\nsetattr(obj, 'K', None)\nobj.used()\n"]
+    assert unread_exports([init], readers) == ["f", "g"]
+    # a module's own __all__ and its classes' public methods are scanned too
+    assert unread_exports([init, module], readers) == ["f", "g", "j", "unused"]
 
 
 def test_every_export_is_read_outside_the_tests():
     unread = unread_exports(
-        (PACKAGE / "__init__.py").read_text(), [p.read_text() for p in READERS]
+        [p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+        [p.read_text() for p in READERS],
     )
     assert sorted(set(unread) - set(TESTED_ONLY)) == []
     # the table goes stale when one of its names gains a reader or leaves

@@ -170,7 +170,7 @@ def test_geodesic_degenerate():
 
 def test_boundary_ray_point():
     u = BoundaryPoint(np.array([0.6, 0.8]))
-    p = Point(u.ray_point(5.0))
+    p = Point(ray_points(u.direction, 5.0))
     assert np.isclose(p.norm(), 5.0)
     assert np.allclose(radial_split(p.coords)[1], [0.6, 0.8])
     with pytest.raises(DegenerateDirectionError):
@@ -253,17 +253,18 @@ def test_pairwise_distance_matches_scalar(rng):
             assert np.isclose(mat[i, j], distance(a[i], b[j]), atol=1e-10)
 
 
-def test_min_distance_to_set(rng):
+def test_min_distance_to_set(rng, monkeypatch):
     pts = np.stack([random_point(rng, 3) for _ in range(6)])
     cloud = np.stack([random_point(rng, 3) for _ in range(40)])
-    vals, args = min_distance_to_set(pts, cloud, chunk=50)
+    monkeypatch.setattr(hyperbolic, "SCREEN_BLOCK", 50)
+    vals, args = min_distance_to_set(pts, cloud)
     full = pairwise_distance(pts, cloud)
     assert np.allclose(vals, full.min(axis=1))
     assert np.array_equal(args, full.argmin(axis=1))
 
 
 def test_min_distance_blocks_stay_within_chunk(rng, monkeypatch):
-    """Every block of the cosh screen holds at most ``chunk`` pairs,
+    """Every block of the cosh screen holds at most ``SCREEN_BLOCK`` pairs,
     whichever of the two sets is the larger, and screens each pair
     exactly once; values and first-row argmins equal the brute-force
     minimum."""
@@ -283,7 +284,8 @@ def test_min_distance_blocks_stay_within_chunk(rng, monkeypatch):
     monkeypatch.setattr(hyperbolic, "_screen_block", recording)
     for chunk in (1, 5, 12, 64, 1000, 100_000):
         blocks.clear()
-        vals, args = min_distance_to_set(pts, cloud, chunk=chunk)
+        monkeypatch.setattr(hyperbolic, "SCREEN_BLOCK", chunk)
+        vals, args = min_distance_to_set(pts, cloud)
         assert 0 < max(r.size * c.size for r, c in blocks) <= chunk
         seen = np.zeros(full.shape, dtype=np.int64)
         for rows, cols in blocks:
@@ -294,7 +296,8 @@ def test_min_distance_blocks_stay_within_chunk(rng, monkeypatch):
     # exact ties across blocks go to the first cloud row
     twice = np.concatenate([cloud, cloud])
     for chunk in (1, 13, 64, 1000):
-        _, args = min_distance_to_set(pts, twice, chunk=chunk)
+        monkeypatch.setattr(hyperbolic, "SCREEN_BLOCK", chunk)
+        _, args = min_distance_to_set(pts, twice)
         assert np.array_equal(args, full.argmin(axis=1))
 
 
@@ -330,9 +333,10 @@ def test_min_distance_screen_matches_brute_force(seed, dim, chunk):
     pairings overflow keep every member, and exact ties and members
     1e-9 apart all survive the screen."""
     pts, cloud = _screen_case(seed, dim)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
-        vals, args = min_distance_to_set(pts, cloud, chunk=chunk)
+        patch.setattr(hyperbolic, "SCREEN_BLOCK", chunk)
+        vals, args = min_distance_to_set(pts, cloud)
     full = pairwise_distance(pts, cloud)
     assert np.array_equal(vals, full.min(axis=1))
     assert np.array_equal(args, full.argmin(axis=1))

@@ -371,17 +371,17 @@ def test_alphabet_pair_directions_land_in_shadow(seed3, pair3):
             gh = g @ h
             overlap = 0.5 * (g.norm() + h.norm() - gh.norm())
             assert overlap < r
-            direction = BoundaryPoint(radial_split(gh.matrix[:, 0])[1])
-            assert gromov_product(direction.ray_point(32.0), x0, g.matrix[:, 0]) <= r
+            direction = radial_split(gh.matrix[:, 0])[1]
+            assert gromov_product(ray_points(direction, 32.0), x0, g.matrix[:, 0]) <= r
     # the proxy product tracks the word-level overlap
     g, h = K[0], K[2]
     gh = g @ h
-    direction = BoundaryPoint(radial_split(gh.matrix[:, 0])[1])
-    proxy = gromov_product(direction.ray_point(32.0), x0, g.matrix[:, 0])
+    direction = radial_split(gh.matrix[:, 0])[1]
+    proxy = gromov_product(ray_points(direction, 32.0), x0, g.matrix[:, 0])
     word_level = 0.5 * (g.norm() + h.norm() - gh.norm())
     assert proxy == pytest.approx(word_level, abs=1.0)
-    outside = BoundaryPoint(np.array([1.0, 0.0]))
-    assert gromov_product(outside.ray_point(32.0), x0, g.matrix[:, 0]) > r
+    outside = np.array([1.0, 0.0])
+    assert gromov_product(ray_points(outside, 32.0), x0, g.matrix[:, 0]) > r
 
 
 def test_apex_products_match_letter_reduction(spec3, pair3, seed3, atoms3):
@@ -1089,7 +1089,7 @@ def test_extension_checkpoints_stay_close(spec3, pair3, seed3):
     xi = BoundaryPoint(radial_split(word.matrix[:, 0])[1])
     profile = conical_profile(xi, ball, 17.5)
     t_mark, offset = golden_section_projection(
-        basepoint(2), xi.ray_point(17.5), K[0].matrix[:, 0]
+        basepoint(2), ray_points(xi.direction, 17.5), K[0].matrix[:, 0]
     )
     assert 0.0 < t_mark < 17.5
     assert t_mark == pytest.approx(15.1097, rel=1e-3)
@@ -1147,7 +1147,7 @@ def _golden_section_myrberg(xi, g, K_nbhd, ref_ball, t_max, h_seg=0.5):
     closed form, with a golden-section search for every foot on the
     window and a shortlex loop over the prefilter survivors."""
     x0 = basepoint(ref_ball.spec.dim)
-    far = xi.ray_point(t_max)
+    far = ray_points(xi.direction, t_max)
     gx0 = g.orbit_point().coords
     seg_len = float(g.norm())
     if seg_len <= 1e-12:

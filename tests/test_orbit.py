@@ -26,11 +26,15 @@ from kleinian.orbit import (
     enumerate_ball,
     estimate_critical_exponent,
     orbit_distance,
-    sl2_norm,
     sl2_to_so21,
 )
 
-from conftest import cyclic, pairwise_distance, rotation
+from conftest import cyclic, pairwise_distance, rotation, sl2_norm
+
+
+def member_counts(ball, radii):
+    """#{members with norm <= r} for each r."""
+    return np.searchsorted(np.sort(ball.norms[ball.members]), radii, side="right")
 
 
 def brute_words(letter_mats, max_len, *, no_backtrack_pairs=None):
@@ -81,7 +85,7 @@ def test_schottky_ball_matches_brute_force():
     brute_norms = np.sort([stable_arcosh(m[0, 0]) for _, m in brute])
     probe = np.array([2.0, 4.0, 6.0, 8.0, 9.5, 10.0])
     want = np.searchsorted(brute_norms, probe, side="right")
-    assert np.array_equal(ball.counts_at(probe), want)
+    assert np.array_equal(member_counts(ball, probe), want)
     assert float(ball.norms[ball.members].min()) == 0.0
     # stored matrices equal the product of their word letters
     lab_to_mat = dict(zip(labels, mats))
@@ -113,7 +117,7 @@ def test_torus_ball_exact_dedup_matches_brute_force():
     brute_norms = np.sort([sl2_norm(np.array(k).reshape(2, 2)) for k in seen])
     probe = np.array([2.0, 4.0, 5.5, 7.0, 9.0, 11.0])
     want = np.searchsorted(brute_norms, probe, side="right")
-    assert np.array_equal(ball.counts_at(probe), want)
+    assert np.array_equal(member_counts(ball, probe), want)
     # free group: every distinct word is a distinct element
     assert len(seen) == len(brute)
 
