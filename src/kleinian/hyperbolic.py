@@ -417,20 +417,23 @@ def validate_isometry(matrix: np.ndarray) -> bool:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return form_residual(m) <= TOL_ISO and m[0, 0] >= 1.0 - TOL_ISO
+    return bool(form_residual(m) <= TOL_ISO and m[0, 0] >= 1.0 - TOL_ISO)
 
 
-def form_residual(matrix: np.ndarray) -> float:
+def form_residual(matrix: np.ndarray):
     """Drift of M from the isometry group: max |M^T J M - J| over scale^2.
 
-    The residual is relative to the squared entry scale because M^T J M
-    carries rounding noise of that order even for exact group elements; an
-    absolute measure would condemn every matrix of large displacement.
+    Takes one matrix or a stack, and gives one residual per matrix over
+    the last two axes.  The residual is relative to the squared entry
+    scale because M^T J M carries rounding noise of that order even for
+    exact group elements; an absolute measure would condemn every matrix
+    of large displacement.
     """
     m = np.asarray(matrix, dtype=float)
-    j = form_matrix(m.shape[0] - 1)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return float(np.max(np.abs(m.T @ j @ m - j))) / (scale * scale)
+    j = form_matrix(m.shape[-1] - 1)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    drift = np.max(np.abs(np.swapaxes(m, -1, -2) @ j @ m - j), axis=(-2, -1))
+    return drift / (scale * scale)
 
 
 # beyond this entry scale the form residual of even an exact element is

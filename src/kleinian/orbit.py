@@ -7,6 +7,19 @@ passing slightly outside the ball are still explored).  The result is a
 column store (norms, matrices, parent/letter links) that the growth and
 measure layers consume.
 
+Each BFS level is formed by one GEMM: the letters' transposes, stacked
+as (n_letters * k, k) rows, times the transposed (frontier * k, k)
+frontier.  The product is read in place: the norms come from a strided
+view of its (0, 0) entries (the arcosh only of those at most
+cosh(cutoff), the others being pruned), and one ``np.take`` gathers only
+the kept (parent, letter) blocks, straight into row-major order, so no
+copy of all candidates is made.  The operand order is the one
+``np.einsum("mij,ljk->mlik")`` hands to BLAS, and it is fixed because it
+keeps every matrix bit-identical to the einsum path: ``np.matmul`` over
+the broadcast stacks, one GEMM per letter, or the transposed GEMM
+(frontier times letters) changes the last bit of some chain-ball
+matrices.
+
 Deduplication strategies, chosen per group:
 
 * ``"none"``    -- the generators are known to generate freely, so reduced
@@ -30,6 +43,7 @@ kept.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -375,6 +389,13 @@ def enumerate_ball(
     at most ``radius + prune_margin``.  The margin covers words that dip
     outside the ball before coming back; callers can validate a choice by
     re-running with a larger margin and comparing member counts.
+
+    A level is one GEMM in einsum's operand order, read in place: norms
+    from a strided view of its (0, 0) entries, then one gather of only the
+    kept blocks, with no copy of all candidates.  The operand order keeps
+    the matrices bit-identical to the einsum path, which other BLAS
+    layouts do not.  Exact dedup forms the integer lifts with
+    ``np.matmul``, which is exact.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -382,16 +403,25 @@ def enumerate_ball(
     if prune_margin is None:
         prune_margin = 2.0 * spec.max_generator_norm()
     cutoff = radius + prune_margin
+    # no (0, 0) entry above this bound has its norm within the cutoff, so
+    # the arcosh runs only on the entries below it
+    x00_bound = math.cosh(cutoff) * (1.0 + 1e-9) if cutoff < 700.0 else math.inf
     k = spec.dim + 1
     letters = spec.letters()
     n_letters = len(letters)
     letter_mats = np.stack([m for _, m, _ in letters])
-    labels = [lab for lab, _, _ in letters]
-    # index of the letter undoing letter j, for backtrack skipping
-    inverse_of = np.array(
-        [labels.index(-lab) if -lab in labels else -1 for lab in labels],
-        dtype=np.int64,
+    # row (j, c) holds column c of letter j: one GEMM against the transposed
+    # frontier forms every product, in einsum's own operand order
+    letter_rows = np.ascontiguousarray(letter_mats.transpose(0, 2, 1)).reshape(
+        n_letters * k, k
     )
+    labels = [lab for lab, _, _ in letters]
+    # allowed[p + 1, j]: letter j may follow letter p (p = -1 at the root);
+    # a group walk never takes a step straight back
+    allowed = np.ones((n_letters + 1, n_letters), dtype=bool)
+    if not spec.semigroup:
+        for j, lab in enumerate(labels):
+            allowed[labels.index(-lab) + 1, j] = False
     use_int = mode == "exact"
     if use_int:
         letter_ints = np.stack([lift for _, _, lift in letters]).astype(np.int64)
@@ -404,7 +434,6 @@ def enumerate_ball(
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
     letter_levels = [np.full(1, -1, dtype=np.int16)]
-    length_levels = [np.zeros(1, dtype=np.int32)]
     total = 1
     merged = 0
     level = 0
@@ -417,52 +446,62 @@ def enumerate_ball(
         # the frontier is the last level
         f_mats = mats_levels[-1]
         m = f_mats.shape[0]
-        # parent-major candidate block: index i*n_letters + j is frontier i, letter j
+        # every candidate product; flat index i*n_letters + j is frontier i,
+        # letter j
         if use_int:
-            cand_int = np.einsum(
-                "mij,ljk->mlik", f_ints, letter_ints, optimize=True
-            ).reshape(m * n_letters, 2, 2)
+            cand_int = np.matmul(f_ints[:, None], letter_ints[None]).reshape(
+                m * n_letters, 2, 2
+            )
             if np.max(np.abs(cand_int)) > 2**31:
                 raise EnumerationBudgetError(
                     "integer lifts exceeded the exact-arithmetic range",
                     total,
                     level,
                 )
-            cand = sl2_to_so21(cand_int)
+            product = sl2_to_so21(cand_int)
+            x00 = product[:, 0, 0]
         else:
-            cand = np.einsum("mij,ljk->mlik", f_mats, letter_mats, optimize=True)
-            cand = cand.reshape(m * n_letters, k, k)
-        norms = stable_arcosh(cand[:, 0, 0])
-        keep = norms <= cutoff
+            # row (j, c), column (i, r) holds entry (r, c) of frontier i
+            # times letter j
+            product = letter_rows @ f_mats.reshape(m * k, k).T
+            x00 = product[::k, ::k].T.ravel()
+        keep = x00 <= x00_bound
         if not spec.semigroup:
-            # never take a step straight back
-            prev = letter_levels[-1][:, None]
-            keep &= ((prev < 0) | (inverse_of != prev)).ravel()
+            keep &= allowed[letter_levels[-1] + 1].ravel()
         idx = np.flatnonzero(keep)
+        norms = stable_arcosh(x00[idx])
+        inside = norms <= cutoff
+        idx, norms = idx[inside], norms[inside]
         if idx.shape[0] == 0:
             break
+        parents, letter = np.divmod(idx, n_letters)
         # one row filter per level: the dedup marks which kept rows are fresh
+        if mode != "none":
+            if use_int:
+                keys = _psl_keys(cand_int[idx])
+                fresh = np.ones(len(keys), dtype=bool)
+                for i, key in enumerate(keys):
+                    if key in seen:
+                        fresh[i] = False
+                    else:
+                        seen.add(key)
+            else:
+                # column 0 of each kept block is one row of the product
+                points = product.reshape(n_letters, k, m, k)[letter, 0, parents]
+                fresh, window = _binned_level(window, norms, points, dedup_tol)
+            merged += int(np.count_nonzero(~fresh))
+            idx, norms = idx[fresh], norms[fresh]
+            parents, letter = parents[fresh], letter[fresh]
         if use_int:
-            keys = _psl_keys(cand_int[idx])
-            fresh = np.ones(len(keys), dtype=bool)
-            for i, key in enumerate(keys):
-                if key in seen:
-                    fresh[i] = False
-                else:
-                    seen.add(key)
-        elif mode == "binned":
-            fresh, window = _binned_level(
-                window, norms[idx], cand[idx, :, 0], dedup_tol
-            )
-        else:
-            fresh = np.ones(idx.shape[0], dtype=bool)
-        merged += int(np.count_nonzero(~fresh))
-        idx = idx[fresh]
-        cand = cand[idx]
-        norms = norms[idx]
-        if use_int:
+            cand = product[idx]
             f_ints = cand_int[idx]
-        elif reorth_every and level % reorth_every == 0:
+        else:
+            # gather the kept blocks straight into row-major order
+            corner = letter * (k * m * k) + parents * k
+            cell = np.arange(k)[:, None] + m * k * np.arange(k)
+            cand = np.take(product, corner[:, None, None] + cell)
+        del product, x00  # free the full product before the next level forms its own
+        if not use_int and reorth_every and level % reorth_every == 0:
             cand = reorthogonalize(cand, iterations=3)
             norms = stable_arcosh(cand[:, 0, 0])
         n_new = cand.shape[0]
@@ -477,11 +516,11 @@ def enumerate_ball(
             )
         mats_levels.append(cand)
         norms_levels.append(norms)
-        parent_levels.append(total - m + idx // n_letters)
-        letter_levels.append((idx % n_letters).astype(np.int16))
-        length_levels.append(np.full(n_new, level, dtype=np.int32))
+        parent_levels.append(total - m + parents)
+        letter_levels.append(letter.astype(np.int16))
         total += n_new
 
+    sizes = [lev.shape[0] for lev in norms_levels]
     ball = OrbitBall(
         spec=spec,
         radius=float(radius),
@@ -490,7 +529,7 @@ def enumerate_ball(
         mats=np.concatenate(mats_levels),
         parent=np.concatenate(parent_levels),
         letter=np.concatenate(letter_levels),
-        word_length=np.concatenate(length_levels),
+        word_length=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
         dedup_mode=mode,
         merged=merged,
     )
@@ -510,7 +549,7 @@ def _sanity_check(ball: OrbitBall, anomalies: list) -> None:
         )
         sane = False
     sample = ball.mats[:: max(1, len(ball) // 64)]
-    worst = max(form_residual(m) for m in sample)
+    worst = float(np.max(form_residual(sample)))
     if worst > 1e-6:
         anomalies.append(f"matrix drift reached {worst:.2e}; raise reorth frequency")
         sane = False

@@ -241,8 +241,19 @@ def test_reorthogonalization_keeps_drift_down():
     # tiny steps force long words, exercising the periodic cleanup
     ball = enumerate_ball(cyclic(0.05), 2.0, reorth_every=8)
     assert int(ball.word_length.max()) >= 40
-    worst = max(form_residual(m) for m in ball.mats)
-    assert worst < 1e-12
+    assert float(np.max(form_residual(ball.mats))) < 1e-12
+
+
+def test_stacked_form_residual_matches_per_matrix_loop(rng):
+    """On drifted torus matrices, from the identity out to norm 11."""
+    ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
+    sample = ball.mats[::10]
+    mats = sample + rng.normal(scale=1e-9, size=sample.shape)
+    got = form_residual(mats)
+    want = np.array([form_residual(m) for m in mats])
+    assert got.shape == (sample.shape[0],)
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert float(np.min(got)) > 0.0
 
 
 def _reorthogonalize_batch(mats, iterations=3):
@@ -278,6 +289,158 @@ def test_reorthogonalize_stack_matches_batch_copy(rng):
     assert np.array_equal(reorthogonalize(far[0]), far[0])
     for i in (0, 1000, ball.mats.shape[0] - 1):
         assert np.array_equal(reorthogonalize(mats[i]), reorthogonalize(mats[i : i + 1])[0])
+
+
+def _enumerate_einsum(
+    spec,
+    radius,
+    *,
+    prune_margin=None,
+    dedup="auto",
+    dedup_tol=1e-7,
+    reorth_every=REORTH_EVERY,
+    max_word_length=None,
+):
+    """Reference: the einsum level loop enumerate_ball ran before each
+    level became one GEMM read in place (no element budget)."""
+    mode = orbit._resolve_dedup(spec, dedup)
+    if prune_margin is None:
+        prune_margin = 2.0 * spec.max_generator_norm()
+    cutoff = radius + prune_margin
+    k = spec.dim + 1
+    letters = spec.letters()
+    n_letters = len(letters)
+    letter_mats = np.stack([m for _, m, _ in letters])
+    labels = [lab for lab, _, _ in letters]
+    inverse_of = np.array(
+        [labels.index(-lab) if -lab in labels else -1 for lab in labels]
+    )
+    use_int = mode == "exact"
+    if use_int:
+        letter_ints = np.stack([lift for _, _, lift in letters]).astype(np.int64)
+        f_ints = np.eye(2, dtype=np.int64)[None]
+        seen = set(orbit._psl_keys(f_ints))
+    elif mode == "binned":
+        window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
+    mats_levels = [np.eye(k)[None]]
+    norms_levels = [np.zeros(1)]
+    parent_levels = [np.full(1, -1, dtype=np.int64)]
+    letter_levels = [np.full(1, -1, dtype=np.int16)]
+    length_levels = [np.zeros(1, dtype=np.int32)]
+    total, merged, level = 1, 0, 0
+    while max_word_length is None or level < max_word_length:
+        level += 1
+        f_mats = mats_levels[-1]
+        m = f_mats.shape[0]
+        if use_int:
+            cand_int = np.einsum(
+                "mij,ljk->mlik", f_ints, letter_ints, optimize=True
+            ).reshape(m * n_letters, 2, 2)
+            cand = sl2_to_so21(cand_int)
+        else:
+            cand = np.einsum("mij,ljk->mlik", f_mats, letter_mats, optimize=True)
+            cand = cand.reshape(m * n_letters, k, k)
+        norms = stable_arcosh(cand[:, 0, 0])
+        keep = norms <= cutoff
+        if not spec.semigroup:
+            prev = letter_levels[-1][:, None]
+            keep &= ((prev < 0) | (inverse_of != prev)).ravel()
+        idx = np.flatnonzero(keep)
+        if idx.shape[0] == 0:
+            break
+        if use_int:
+            keys = orbit._psl_keys(cand_int[idx])
+            fresh = np.ones(len(keys), dtype=bool)
+            for i, key in enumerate(keys):
+                if key in seen:
+                    fresh[i] = False
+                else:
+                    seen.add(key)
+        elif mode == "binned":
+            fresh, window = orbit._binned_level(
+                window, norms[idx], cand[idx, :, 0], dedup_tol
+            )
+        else:
+            fresh = np.ones(idx.shape[0], dtype=bool)
+        merged += int(np.count_nonzero(~fresh))
+        idx = idx[fresh]
+        cand = cand[idx]
+        norms = norms[idx]
+        if use_int:
+            f_ints = cand_int[idx]
+        elif reorth_every and level % reorth_every == 0:
+            cand = reorthogonalize(cand, iterations=3)
+            norms = stable_arcosh(cand[:, 0, 0])
+        if cand.shape[0] == 0:
+            break
+        mats_levels.append(cand)
+        norms_levels.append(norms)
+        parent_levels.append(total - m + idx // n_letters)
+        letter_levels.append((idx % n_letters).astype(np.int16))
+        length_levels.append(np.full(cand.shape[0], level, dtype=np.int32))
+        total += cand.shape[0]
+    ball = orbit.OrbitBall(
+        spec=spec,
+        radius=float(radius),
+        prune_margin=float(prune_margin),
+        norms=np.concatenate(norms_levels),
+        mats=np.concatenate(mats_levels),
+        parent=np.concatenate(parent_levels),
+        letter=np.concatenate(letter_levels),
+        word_length=np.concatenate(length_levels),
+        dedup_mode=mode,
+        merged=merged,
+    )
+    orbit._sanity_check(ball, ball.anomalies)
+    return ball
+
+
+GEMM_BALLS = {
+    # np.matmul(f[:, None], L[None]) moves 6 of these matrices in the last bit
+    "chain-10": (lambda: schottky(1.8), 10.0, {"prune_margin": 2.0}),
+    "torus-9": (punctured_torus, 9.0, {"prune_margin": 2.0}),
+    "schottky3-8": (lambda: schottky(2.0, dim=3), 8.0, {}),
+    "torus-binned-5": (punctured_torus, 5.0, {"dedup": "binned"}),
+    "psl2z-exact-6": (lambda: _psl2z(), 6.0, {}),
+    "psl2z-binned-6": (lambda: _psl2z(), 6.0, {"dedup": "binned"}),
+    "ray-semigroup": (
+        lambda: GroupSpec(
+            [boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)], 2, semigroup=True
+        ),
+        3.0,
+        {"prune_margin": 0.0},
+    ),
+    "free-semigroup": (
+        lambda: GroupSpec(
+            [boost(2, 1, 2.0), boost(2, 2, 2.0)], 2, semigroup=True, free=True
+        ),
+        14.0,
+        {},
+    ),
+    "chain-words-5": (lambda: schottky(1.8), 10.0, {"max_word_length": 5}),
+    "torus-reorth-3": (punctured_torus, 7.0, {"reorth_every": 3}),
+    # a cutoff past the float range of cosh
+    "cyclic-margin-800": (
+        lambda: cyclic(1.0), 3.5, {"prune_margin": 800.0, "max_word_length": 6}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GEMM_BALLS))
+def test_gemm_levels_match_einsum_reference(name):
+    """Every field bit for bit, dtypes included, against the einsum loop."""
+    build, radius, options = GEMM_BALLS[name]
+    spec = build()
+    with warnings.catch_warnings():
+        # the S-fixed basepoint trips the discreteness check in both runs
+        warnings.simplefilter("ignore", DiscretenessWarning)
+        ball = enumerate_ball(spec, radius, **options)
+        want = _enumerate_einsum(spec, radius, **options)
+    assert len(ball) > 1
+    for column in ("norms", "mats", "parent", "letter", "word_length"):
+        got, ref = getattr(ball, column), getattr(want, column)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), column
+    assert (ball.merged, ball.anomalies) == (want.merged, want.anomalies)
 
 
 def test_sl2_conversion_consistency(rng):
