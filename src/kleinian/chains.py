@@ -306,7 +306,7 @@ def _shadowing_data(chain):
     return 0.5 * (d_start + d_end - total), offsets, feet
 
 
-def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingReport:
+def chain_shadowing(cert: ChainCertificate) -> ShadowingReport:
     """Assert the shadowing conclusions for a certified chain.
 
     Requires ``cert.ok`` and the well-separated regime D >= 2C + 15; both
@@ -321,8 +321,8 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
     * nearest-point feet advance monotonically,
 
     each with ``TOL_POINT`` slack.  A measured violation raises
-    :class:`ShadowingViolation` carrying the report (pass strict=False to
-    get the failing report back instead); there is no silent failure mode.
+    :class:`ShadowingViolation`, whose ``report`` is the failing report;
+    there is no silent failure mode.
     """
     if not isinstance(cert, ChainCertificate):
         raise TypeError("chain_shadowing consumes the result of check_chain")
@@ -368,7 +368,7 @@ def chain_shadowing(cert: ChainCertificate, strict: bool = True) -> ShadowingRep
         sharp_ok=sharp_ok,
         feet_monotone=monotone,
     )
-    if strict and not ok:
+    if not ok:
         raise ShadowingViolation(
             "shadowing bound failed: max product "
             f"{max_product:.6g} (bound {product_bound:.6g}), max offset "

@@ -32,22 +32,22 @@ def _cap_angle(u, center) -> np.ndarray:
     return np.arccos(c)
 
 
-def schottky(length: float = 2.2, dim: int = 2, cap_radius: float | None = None) -> GroupSpec:
+def schottky(length: float = 2.2, dim: int = 2) -> GroupSpec:
     """Free group on two boosts along orthogonal axes.
 
     Each generator translates by ``length`` along its axis; the four
-    boundary caps of angular radius ``cap_radius`` around the fixed points
-    form a ping-pong table.  A pure boost of length L maps the complement
-    of its repelling cap inside its attracting cap exactly when
-    cos(radius) <= tanh(L/2), so caps exist (inside the disjointness bound
-    pi/4 for this layout) once L > 2 atanh(cos pi/4) ~ 1.7627.  The builder
-    checks the caps numerically and refuses invalid data.
+    boundary caps around the fixed points form a ping-pong table.  A pure
+    boost of length L maps the complement of its repelling cap inside its
+    attracting cap exactly when cos(radius) <= tanh(L/2), so caps exist
+    (inside the disjointness bound pi/4 for this layout) once
+    L > 2 atanh(cos pi/4) ~ 1.7627; the radius is fixed at the midpoint of
+    acos tanh(L/2) and pi/4.  The builder checks the caps numerically and
+    refuses invalid data.
     """
     if dim < 2:
         raise ValueError("need at least two spatial axes for two generators")
     rho_min = math.acos(math.tanh(0.5 * length)) if math.tanh(0.5 * length) < 1 else 0.0
-    if cap_radius is None:
-        cap_radius = 0.5 * (rho_min + math.pi / 4)
+    cap_radius = 0.5 * (rho_min + math.pi / 4)
     g1 = boost(dim, 1, length)
     g2 = boost(dim, 2, length)
     e1 = np.zeros(dim)

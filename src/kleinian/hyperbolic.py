@@ -29,16 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Shared numeric constants: the sheet tolerance of points, the drift
-# tolerance of isometries, and the BFS levels between reorthogonalizations.
+# Shared numeric constants: the sheet tolerance of points and the drift
+# tolerance of isometries.
 TOL_POINT = 1e-9
 TOL_ISO = 1e-8
-REORTH_EVERY = 64
 
 __all__ = [
     "TOL_POINT",
     "TOL_ISO",
-    "REORTH_EVERY",
     "GeometryError",
     "OffSheetError",
     "DegenerateDirectionError",
@@ -427,13 +425,16 @@ def form_residual(matrix: np.ndarray):
     the last two axes.  The residual is relative to the squared entry
     scale because M^T J M carries rounding noise of that order even for
     exact group elements; an absolute measure would condemn every matrix
-    of large displacement.
+    of large displacement.  Dividing M by a power of two at its scale is
+    exact and keeps M^T J M finite for every finite M.
     """
     m = np.asarray(matrix, dtype=float)
     j = form_matrix(m.shape[-1] - 1)
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    drift = np.max(np.abs(np.swapaxes(m, -1, -2) @ j @ m - j), axis=(-2, -1))
-    return drift / (scale * scale)
+    unit = np.ldexp(1.0, np.frexp(scale)[1])[..., None, None]
+    m = m / unit
+    drift = np.abs(np.swapaxes(m, -1, -2) @ j @ m - j / unit / unit)
+    return np.max(drift, axis=(-2, -1)) / np.square(scale / unit[..., 0, 0])
 
 
 # beyond this entry scale the form residual of even an exact element is

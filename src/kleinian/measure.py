@@ -194,12 +194,12 @@ class PSAtomSet:
         return float(self.weights.sum())
 
 
-def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtomSet:
+def ps_atoms(stage: SemigroupStage, s: float) -> PSAtomSet:
     """Weight the truncated family of ``stage`` at exponent ``s``.
 
     ``s`` must sit strictly above the stage's measured growth rate, or
     the weights concentrate on the truncation horizon and the series
-    normalization means nothing.  Atoms under ``w_min`` are dropped with
+    normalization means nothing.  Atoms under :data:`W_MIN` are dropped with
     the lost mass recorded; words whose matrices overflowed never had
     computable weights and are counted separately.
     """
@@ -217,7 +217,7 @@ def ps_atoms(stage: SemigroupStage, s: float, *, w_min: float = W_MIN) -> PSAtom
     finite = np.isfinite(fam.norms)
     weights = np.zeros(len(fam.words))
     weights[finite] = np.exp(-s * fam.norms[finite]) / z
-    keep = finite & (weights >= w_min)
+    keep = finite & (weights >= W_MIN)
     rows = np.flatnonzero(keep)
     return PSAtomSet(
         s=float(s),

@@ -28,8 +28,8 @@ Deduplication strategies, chosen per group:
                    SL(2,Z)); elements are compared by normalized integer
                    tuples, immune to rounding;
 * ``"binned"``  -- generic float path: candidates whose orbit point is
-                   within ``dedup_tol`` of an existing element (in the
-                   stable distance kernel) are merged.
+                   within :data:`DEDUP_TOL` of an existing element (in
+                   the stable distance kernel) are merged.
 
 Direct float comparison of far elements is hopeless (coordinates live at
 scale e^r), which is why the binned path works on sorted norms plus the
@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .hyperbolic import (
-    REORTH_EVERY,
+    GeometryError,
     Isometry,
     form_matrix,
     form_residual,
@@ -83,6 +83,11 @@ GROWTH_MIN_POINTS = 4
 
 # pad of OrbitBall.words, below every signed letter label
 WORD_PAD = np.iinfo(np.int64).min
+
+# binned dedup merges orbit points closer than this, and every
+# REORTH_EVERY-th BFS level is reorthogonalized
+DEDUP_TOL = 1e-7
+REORTH_EVERY = 64
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -378,17 +383,16 @@ def enumerate_ball(
     *,
     prune_margin: float | None = None,
     dedup: str = "auto",
-    dedup_tol: float = 1e-7,
-    reorth_every: int = REORTH_EVERY,
     max_elements: int = 1_500_000,
-    max_word_length: int | None = None,
 ) -> OrbitBall:
     """Enumerate the ball B_radius = {g : d(x0, g x0) <= radius}.
 
     Breadth-first over words; a word survives while its displacement stays
     at most ``radius + prune_margin``.  The margin covers words that dip
     outside the ball before coming back; callers can validate a choice by
-    re-running with a larger margin and comparing member counts.
+    re-running with a larger margin and comparing member counts.  Binned
+    dedup merges at :data:`DEDUP_TOL`.  A cutoff that a generator carries
+    past cosh's float range (about 710.48) raises :class:`GeometryError`.
 
     A level is one GEMM in einsum's operand order, read in place: norms
     from a strided view of its (0, 0) entries, then one gather of only the
@@ -403,9 +407,12 @@ def enumerate_ball(
     if prune_margin is None:
         prune_margin = 2.0 * spec.max_generator_norm()
     cutoff = radius + prune_margin
+    reach = cutoff + spec.max_generator_norm()
+    if reach > math.acosh(np.finfo(float).max):
+        raise GeometryError(f"products reach norm {reach:.6g}, past cosh's float range")
     # no (0, 0) entry above this bound has its norm within the cutoff, so
     # the arcosh runs only on the entries below it
-    x00_bound = math.cosh(cutoff) * (1.0 + 1e-9) if cutoff < 700.0 else math.inf
+    x00_bound = math.cosh(cutoff) * (1.0 + 1e-9)
     k = spec.dim + 1
     letters = spec.letters()
     n_letters = len(letters)
@@ -441,8 +448,6 @@ def enumerate_ball(
 
     while True:
         level += 1
-        if max_word_length is not None and level > max_word_length:
-            break
         # the frontier is the last level
         f_mats = mats_levels[-1]
         m = f_mats.shape[0]
@@ -488,7 +493,7 @@ def enumerate_ball(
             else:
                 # column 0 of each kept block is one row of the product
                 points = product.reshape(n_letters, k, m, k)[letter, 0, parents]
-                fresh, window = _binned_level(window, norms, points, dedup_tol)
+                fresh, window = _binned_level(window, norms, points, DEDUP_TOL)
             merged += int(np.count_nonzero(~fresh))
             idx, norms = idx[fresh], norms[fresh]
             parents, letter = parents[fresh], letter[fresh]
@@ -501,7 +506,7 @@ def enumerate_ball(
             cell = np.arange(k)[:, None] + m * k * np.arange(k)
             cand = np.take(product, corner[:, None, None] + cell)
         del product, x00  # free the full product before the next level forms its own
-        if not use_int and reorth_every and level % reorth_every == 0:
+        if not use_int and level % REORTH_EVERY == 0:
             cand = reorthogonalize(cand, iterations=3)
             norms = stable_arcosh(cand[:, 0, 0])
         n_new = cand.shape[0]

@@ -54,6 +54,7 @@ well-conditioned matrix products to measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -348,7 +349,6 @@ class PropertyACertificate:
 
     element: Isometry
     chain: list
-    params_used: ChainParams
     ok: bool
     violation: dict | None
     gaps: np.ndarray
@@ -473,13 +473,8 @@ def _chain_verdicts(mats: np.ndarray, pair: PingPongPair):
     return ok, gap, first, last
 
 
-def check_property_A(
-    element: Isometry,
-    pair: PingPongPair,
-    *,
-    params: ChainParams | None = None,
-) -> PropertyACertificate:
-    """Certify the canonical chain of ``element`` against the pair.
+def check_property_A(element: Isometry, pair: PingPongPair) -> PropertyACertificate:
+    """Certify the canonical chain of ``element`` at the pair's chain constants.
 
     A sufficient-condition verifier: passing certifies the element,
     failing only says this particular marking failed.  The identity gets
@@ -489,13 +484,12 @@ def check_property_A(
     take their verdicts from the closed form of :func:`_chain_verdicts`
     and call this only for the certificates they return.
     """
-    use = params if params is not None else pair.chain_params()
-    steps = _canonical_steps(element, pair.separator, use.gap_bound)
-    cert = check_chain(steps, use)
+    params = pair.chain_params()
+    steps = _canonical_steps(element, pair.separator, params.gap_bound)
+    cert = check_chain(steps, params)
     return PropertyACertificate(
         element=element,
         chain=steps,
-        params_used=use,
         ok=cert.ok,
         violation=cert.first_violation,
         gaps=cert.gaps,
@@ -628,13 +622,11 @@ def concatenate_certificates(
     trusted.
     """
     steps = list(first.chain) + list(second.chain)[1:]
-    use = pair.chain_params()
-    cert = check_chain(steps, use)
+    cert = check_chain(steps, pair.chain_params())
     element = first.element @ pair.separator @ second.element
     return PropertyACertificate(
         element=element,
         chain=steps,
-        params_used=use,
         ok=cert.ok,
         violation=cert.first_violation,
         gaps=cert.gaps,
@@ -700,7 +692,6 @@ def build_seed_alphabet(
     n_min: int = 4,
     n_cap: int = 12,
     max_radius: float = 40.0,
-    max_elements: int = 1_500_000,
     separation: float | None = None,
 ) -> SeedAlphabet:
     """Net the straightened annulus of an enumerated ball into an alphabet.
@@ -733,9 +724,7 @@ def build_seed_alphabet(
     last_candidates = 0
     walk = []
     while radius <= max_radius:
-        ball = enumerate_ball(
-            spec, float(radius), prune_margin=2.0, max_elements=max_elements
-        )
+        ball = enumerate_ball(spec, float(radius), prune_margin=2.0)
         members = ball.by_norm()
         norms = ball.norms[members]
         lo = radius - w
@@ -1140,8 +1129,9 @@ class TruncatedFamily:
     word at row r gives row ``n (r + 1) + j`` (n letters), and the empty
     word sits at row -1.  ``letters`` holds each word's indices padded
     with -1, column-major so that per-position passes read contiguous
-    memory; ``columns`` holds the orbit points f x0.  ``words`` and
-    ``lengths`` are read off ``letters``.  Norms whose matrices overflow
+    memory; ``columns`` holds the orbit points f x0.  ``lengths`` is read
+    off ``letters``; ``words`` is the row order in closed form, one
+    ``itertools.product`` per length.  Norms whose matrices overflow
     become inf and drop out of every series sum (undercounting, the
     conservative direction), with the count recorded.
     """
@@ -1160,11 +1150,12 @@ class TruncatedFamily:
     def __post_init__(self):
         self.letters = np.asfortranarray(self.letters, dtype=np.int64)
         self.lengths = np.count_nonzero(self.letters >= 0, axis=1)
-        self.words = [
-            tuple(row[:n])
-            for row, n in zip(self.letters.tolist(), self.lengths.tolist())
-        ]
         self.n_letters = int(np.count_nonzero(self.lengths == 1))
+        self.words = [
+            word
+            for n in range(1, self.cap + 1)
+            for word in itertools.product(range(self.n_letters), repeat=n)
+        ]
 
     def rows_after(self, start: int, letters: np.ndarray) -> np.ndarray:
         """Rows of the word at row ``start`` (-1: the empty word) extended by

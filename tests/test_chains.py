@@ -279,8 +279,6 @@ def test_shadowing_counterexample_raises_with_report():
     report = err.value.report
     assert not report.ok
     assert np.max(report.endpoint_products) > report.product_bound
-    lenient = chain_shadowing(forged, strict=False)
-    assert not lenient.ok
 
 
 def test_shadowing_bounds_on_random_chains():

@@ -46,10 +46,14 @@ def test_schottky_cap_boundary_criterion():
     # just inside passes, just outside fails
     L = 2.2
     rho_crit = math.acos(math.tanh(L / 2.0))
-    ok = schottky(L, cap_radius=rho_crit + 0.01)
-    assert ok.metadata["ping_pong"]["min_margin"] > 0.0
-    with pytest.raises(ValueError):
-        schottky(L, cap_radius=rho_crit - 0.01)
+    spec = schottky(L)
+    centers = {label: center for label, (center, _) in spec.metadata["caps"].items()}
+    for rho, valid in ((rho_crit + 0.01, True), (rho_crit - 0.01, False)):
+        spec.metadata["caps"] = {label: (c, rho) for label, c in centers.items()}
+        report = validate_schottky_caps(spec)
+        assert report["valid"] is valid
+        assert report["min_gap"] > 0.0
+        assert (report["min_margin"] > 0.0) is valid
 
 
 def test_validate_requires_cap_data():

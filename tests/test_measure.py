@@ -84,9 +84,16 @@ def atoms3(stage3):
     return ps_atoms(stage3, stage3.interval[0] + 0.1)
 
 
+def _floored_atoms(stage, s, w_min):
+    """``ps_atoms`` under the weight floor ``w_min``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measure, "W_MIN", w_min)
+        return ps_atoms(stage, s)
+
+
 @pytest.fixture(scope="module")
 def light3(stage3):
-    return ps_atoms(stage3, stage3.interval[0] + 0.1, w_min=1e-6)
+    return _floored_atoms(stage3, stage3.interval[0] + 0.1, 1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +264,12 @@ def test_exponent_at_or_below_growth_rate_is_rejected(stage3):
 
 def test_weight_floor_drop_is_accounted(stage3):
     s = stage3.interval[0] + 0.1
-    light = ps_atoms(stage3, s, w_min=1e-6)
+    light = _floored_atoms(stage3, s, 1e-6)
     assert light.dropped_floor == 20736
     assert len(light) == 1884
     assert light.mass_drop == pytest.approx(1.5642600137444362e-4, rel=1e-9)
     assert abs(1.0 - light.total_mass()) <= light.mass_drop + 1e-15
-    heavy = ps_atoms(stage3, s, w_min=1e-5)
+    heavy = _floored_atoms(stage3, s, 1e-5)
     assert heavy.dropped_floor > light.dropped_floor
     assert heavy.mass_drop > light.mass_drop
     assert light.dropped_overflow == 0

@@ -1,23 +1,31 @@
-"""Every keyword option of the package is set by some call.
+"""Every keyword option of the package is set by code outside the tests.
 
 A stdlib ``ast`` scan in the style of ``test_imports.py``: a parameter
 with a default, on a function or method of ``src/kleinian/``, must be set
-by at least one call in ``src/kleinian/``, ``tests/`` or ``perfbench/``.
-A call sets a parameter when it passes it by keyword, or by position past
-the required parameters.  Calls resolve by name, ``f(...)`` and
-``x.f(...)`` alike; the benchmark's ``t.call(span, fn, *args, **kw)``
-counts as a call of ``fn``, and a call that unpacks ``**`` sets every
-option.  An option no call sets is a constant in disguise.
+by at least one call in ``src/kleinian/`` or ``perfbench/``.  A call sets
+a parameter when it passes it by keyword, or by position past the
+required parameters.  Calls resolve by name, ``f(...)`` and ``x.f(...)``
+alike; the benchmark's ``t.call(span, fn, *args, **kw)`` counts as a call
+of ``fn``, and a call that unpacks ``**`` sets every option.  An option
+that only the tests set is a constant in disguise: the tests monkeypatch
+a module constant instead.  The lemma checks and oracles of
+``test_exports.TESTED_ONLY`` have only the tests as callers, so their
+options are exempt.
 """
 
 import ast
 from pathlib import Path
 
+from test_exports import TESTED_ONLY
+
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = sorted((ROOT / "src" / "kleinian").glob("*.py"))
-CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py")
-)
+PACKAGE = ROOT / "src" / "kleinian"
+
+
+def caller_paths(root: Path) -> list:
+    """The modules whose calls count: the package's and the benchmark's."""
+    package = sorted((root / "src" / "kleinian").glob("*.py"))
+    return package + sorted((root / "perfbench").glob("*.py"))
 
 
 def _options(tree):
@@ -92,21 +100,35 @@ def unset_options(package: dict, callers: list) -> list:
     return sorted(unset)
 
 
-def test_scan_sees_an_unset_option():
-    package = {
-        "m": (
-            "def f(a, b=1, *, c=2, d=3):\n    pass\n"
-            "class K:\n    def g(self, x, y=0, z=0):\n        pass\n"
-            "def h(q=0):\n    pass\n"
-            "def k(q=0):\n    pass\n"
-        )
+def test_scan_sees_an_unset_option(tmp_path):
+    source = (
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "class K:\n    def g(self, x, y=0, z=0):\n        pass\n"
+        "def h(q=0):\n    pass\n"
+        "def k(q=0):\n    pass\n"
+        "def j(q=0):\n    pass\n"
+    )
+    files = {
+        "src/kleinian/m.py": source,
+        "perfbench/run.py": (
+            "f(0, 5, d=4)\nK().g(1, 2)\nopts = {}\nh(**opts)\n"
+            "t.call('span', k, *rest)\n"
+        ),
+        # an option that only a test sets is still unset
+        "tests/test_m.py": "j(q=1)\nf(0, c=1)\n",
     }
-    callers = [
-        "f(0, 5, d=4)\nK().g(1, 2)\nopts = {}\nh(**opts)\nt.call('span', k, *rest)\n"
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    callers = [p.read_text() for p in caller_paths(tmp_path)]
+    assert unset_options({"m": source}, callers) == [
+        ("m", "f", "c"),
+        ("m", "g", "z"),
+        ("m", "j", "q"),
     ]
-    assert unset_options(package, callers) == [("m", "f", "c"), ("m", "g", "z")]
 
 
 def test_every_option_is_set_by_a_call():
-    package = {p.stem: p.read_text() for p in PACKAGE}
-    assert unset_options(package, [p.read_text() for p in CALLERS]) == []
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unset = unset_options(package, [p.read_text() for p in caller_paths(ROOT)])
+    assert [u for u in unset if u[1] not in TESTED_ONLY] == []

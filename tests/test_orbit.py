@@ -9,7 +9,7 @@ import pytest
 from kleinian import orbit
 from kleinian.groups import punctured_torus, schottky
 from kleinian.hyperbolic import (
-    REORTH_EVERY,
+    GeometryError,
     boost,
     form_residual,
     radial_split,
@@ -19,6 +19,7 @@ from kleinian.hyperbolic import (
     stable_arcosh,
 )
 from kleinian.orbit import (
+    REORTH_EVERY,
     WORD_PAD,
     DiscretenessWarning,
     EnumerationBudgetError,
@@ -98,7 +99,10 @@ def test_schottky_ball_matches_brute_force():
 
 def test_torus_ball_exact_dedup_matches_brute_force():
     spec = punctured_torus()
-    ball = enumerate_ball(spec, 12.0, max_word_length=6, prune_margin=4.0, dedup="exact")
+    # every word of length <= 6 has norm <= 6 * 1.925 < 11.6, so the cutoff
+    # prunes none, and BFS levels up to 6 depend on no longer word
+    ball = enumerate_ball(spec, 11.6, prune_margin=0.0, dedup="exact")
+    assert 6 * spec.max_generator_norm() < 11.6
     letters = spec.letters()
     ints = [lift for _, _, lift in letters]
     labels = [lab for lab, _, _ in letters]
@@ -117,7 +121,9 @@ def test_torus_ball_exact_dedup_matches_brute_force():
     brute_norms = np.sort([sl2_norm(np.array(k).reshape(2, 2)) for k in seen])
     probe = np.array([2.0, 4.0, 5.5, 7.0, 9.0, 11.0])
     want = np.searchsorted(brute_norms, probe, side="right")
-    assert np.array_equal(member_counts(ball, probe), want)
+    short = np.sort(ball.norms[ball.word_length <= 6])
+    assert np.array_equal(np.searchsorted(short, probe, side="right"), want)
+    assert short.shape == brute_norms.shape
     # free group: every distinct word is a distinct element
     assert len(seen) == len(brute)
 
@@ -156,7 +162,7 @@ def _ray_semigroup_ball():
         2,
         semigroup=True,
     )
-    return enumerate_ball(spec, 3.0, prune_margin=0.0, dedup_tol=1e-7)
+    return enumerate_ball(spec, 3.0, prune_margin=0.0)
 
 
 def test_merging_enumeration():
@@ -177,9 +183,11 @@ def test_dihedral_relations_handled_by_binned_dedup():
     r1 = t1 @ half_turn @ t1.inverse()
     r2 = t2 @ half_turn @ t2.inverse()
     spec = GroupSpec([r1, r2], 2)
-    ball = enumerate_ball(spec, 6.0, max_word_length=7)
+    ball = enumerate_ball(spec, 6.0)
     # oracle: walk all words, greedy matrix dedup (duplicates agree to ~1e-12
-    # at this scale while distinct elements differ by ~1e-2)
+    # at this scale while distinct elements differ by ~1e-2); every element
+    # within 6 has a word of length at most 4, and the walk ends at level 6
+    assert int(ball.word_length.max()) <= 7
     letters = [m for _, m, _ in spec.letters()]
     kept = []
     for word, mat in brute_words(letters, 7):
@@ -237,15 +245,17 @@ def test_orbit_distance_and_censoring():
     assert censored_far
 
 
-def test_reorthogonalization_keeps_drift_down():
+def test_reorthogonalization_keeps_drift_down(monkeypatch):
     # tiny steps force long words, exercising the periodic cleanup
-    ball = enumerate_ball(cyclic(0.05), 2.0, reorth_every=8)
+    monkeypatch.setattr(orbit, "REORTH_EVERY", 8)
+    ball = enumerate_ball(cyclic(0.05), 2.0)
     assert int(ball.word_length.max()) >= 40
     assert float(np.max(form_residual(ball.mats))) < 1e-12
 
 
 def test_stacked_form_residual_matches_per_matrix_loop(rng):
-    """On drifted torus matrices, from the identity out to norm 11."""
+    """On drifted torus matrices, from the identity out to norm 11; bit for
+    bit the unscaled residual there, and finite on boosts out to 709."""
     ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
     sample = ball.mats[::10]
     mats = sample + rng.normal(scale=1e-9, size=sample.shape)
@@ -254,6 +264,12 @@ def test_stacked_form_residual_matches_per_matrix_loop(rng):
     assert got.shape == (sample.shape[0],)
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
     assert float(np.min(got)) > 0.0
+    j = np.diag([-1.0, 1.0, 1.0])
+    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(-2, -1)))
+    unscaled = np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j)
+    assert np.array_equal(got, np.max(unscaled, axis=(-2, -1)) / (scale * scale))
+    far = np.stack([boost(2, 1, t).matrix for t in (400.0, 709.0)])
+    assert float(np.max(form_residual(far))) < 1e-15
 
 
 def _reorthogonalize_batch(mats, iterations=3):
@@ -291,16 +307,7 @@ def test_reorthogonalize_stack_matches_batch_copy(rng):
         assert np.array_equal(reorthogonalize(mats[i]), reorthogonalize(mats[i : i + 1])[0])
 
 
-def _enumerate_einsum(
-    spec,
-    radius,
-    *,
-    prune_margin=None,
-    dedup="auto",
-    dedup_tol=1e-7,
-    reorth_every=REORTH_EVERY,
-    max_word_length=None,
-):
+def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
     """Reference: the einsum level loop enumerate_ball ran before each
     level became one GEMM read in place (no element budget)."""
     mode = orbit._resolve_dedup(spec, dedup)
@@ -328,7 +335,7 @@ def _enumerate_einsum(
     letter_levels = [np.full(1, -1, dtype=np.int16)]
     length_levels = [np.zeros(1, dtype=np.int32)]
     total, merged, level = 1, 0, 0
-    while max_word_length is None or level < max_word_length:
+    while True:
         level += 1
         f_mats = mats_levels[-1]
         m = f_mats.shape[0]
@@ -358,7 +365,7 @@ def _enumerate_einsum(
                     seen.add(key)
         elif mode == "binned":
             fresh, window = orbit._binned_level(
-                window, norms[idx], cand[idx, :, 0], dedup_tol
+                window, norms[idx], cand[idx, :, 0], orbit.DEDUP_TOL
             )
         else:
             fresh = np.ones(idx.shape[0], dtype=bool)
@@ -368,7 +375,7 @@ def _enumerate_einsum(
         norms = norms[idx]
         if use_int:
             f_ints = cand_int[idx]
-        elif reorth_every and level % reorth_every == 0:
+        elif level % orbit.REORTH_EVERY == 0:
             cand = reorthogonalize(cand, iterations=3)
             norms = stable_arcosh(cand[:, 0, 0])
         if cand.shape[0] == 0:
@@ -417,20 +424,20 @@ GEMM_BALLS = {
         14.0,
         {},
     ),
-    "chain-words-5": (lambda: schottky(1.8), 10.0, {"max_word_length": 5}),
-    "torus-reorth-3": (punctured_torus, 7.0, {"reorth_every": 3}),
-    # a cutoff past the float range of cosh
-    "cyclic-margin-800": (
-        lambda: cyclic(1.0), 3.5, {"prune_margin": 800.0, "max_word_length": 6}
-    ),
+    # reorthogonalized every third level
+    "torus-reorth-3": (punctured_torus, 7.0, {}),
+    # a cutoff near the float range of cosh
+    "cyclic-margin-705": (lambda: cyclic(1.0), 3.5, {"prune_margin": 705.0}),
 }
 
 
 @pytest.mark.parametrize("name", list(GEMM_BALLS))
-def test_gemm_levels_match_einsum_reference(name):
+def test_gemm_levels_match_einsum_reference(name, monkeypatch):
     """Every field bit for bit, dtypes included, against the einsum loop."""
     build, radius, options = GEMM_BALLS[name]
     spec = build()
+    if name == "torus-reorth-3":
+        monkeypatch.setattr(orbit, "REORTH_EVERY", 3)
     with warnings.catch_warnings():
         # the S-fixed basepoint trips the discreteness check in both runs
         warnings.simplefilter("ignore", DiscretenessWarning)
@@ -441,6 +448,18 @@ def test_gemm_levels_match_einsum_reference(name):
         got, ref = getattr(ball, column), getattr(want, column)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), column
     assert (ball.merged, ball.anomalies) == (want.merged, want.anomalies)
+
+
+def test_balls_past_the_float_range_are_refused():
+    """A cutoff that one more letter carries past arcosh of the largest
+    float (about 710.48) is refused before the walk, not left to overflow."""
+    for spec, radius, margin in (
+        (cyclic(300.0), 650.0, None),
+        (cyclic(1.0), 3.5, 800.0),
+        (cyclic(1.0), 3.5, 706.0),
+    ):
+        with pytest.raises(GeometryError):
+            enumerate_ball(spec, radius, prune_margin=margin)
 
 
 def test_sl2_conversion_consistency(rng):
@@ -588,13 +607,14 @@ def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
     spec = GroupSpec(
         [boost(2, 1, 1.0 + k * 0.6 * tol) for k in range(3)], 2, semigroup=True
     )
-    ball = enumerate_ball(spec, 2.1, prune_margin=0.0, dedup_tol=tol)
+    monkeypatch.setattr(orbit, "DEDUP_TOL", tol)
+    ball = enumerate_ball(spec, 2.1, prune_margin=0.0)
     want = [0.0, 1.0, 1.0 + 1.2 * tol, 2.0, 2.0 + 1.2 * tol, 2.0 + 2.4 * tol]
     assert ball.norms.shape == (len(want),)
     assert np.allclose(ball.norms, want, rtol=0.0, atol=1e-12)
     assert ball.merged == 4
     monkeypatch.setattr(orbit, "_binned_level", _PerCandidateDedup())
-    ref = enumerate_ball(spec, 2.1, prune_margin=0.0, dedup_tol=tol)
+    ref = enumerate_ball(spec, 2.1, prune_margin=0.0)
     assert np.array_equal(ball.norms, ref.norms) and ball.merged == ref.merged
 
 
