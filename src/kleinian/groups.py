@@ -113,7 +113,7 @@ def validate_schottky_caps(spec: GroupSpec) -> dict:
         grid /= np.linalg.norm(grid, axis=1, keepdims=True)
     min_margin = math.inf
     per_letter = {}
-    for label, matrix, _ in spec.letters():
+    for label, matrix in spec.letters():
         if label not in caps or -label not in caps:
             raise ValueError(f"cap data missing for letter {label}")
         center_att, rho_att = caps[label]

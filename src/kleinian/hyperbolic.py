@@ -440,9 +440,11 @@ def form_residual(matrix: np.ndarray):
 # beyond this entry scale the form residual of even an exact element is
 # swamped by rounding, so correction iterations have nothing to work with
 _REORTH_SCALE_CAP = 1e6
+# Newton-Schulz steps per correction; each squares a small residual
+_REORTH_ITERATIONS = 3
 
 
-def reorthogonalize(matrix: np.ndarray, iterations: int = 4) -> np.ndarray:
+def reorthogonalize(matrix: np.ndarray) -> np.ndarray:
     """Project slightly drifted matrices back to the isometry group.
 
     Takes one matrix or a stack.  Computes M (J M^T J M)^{-1/2} with a
@@ -459,7 +461,7 @@ def reorthogonalize(matrix: np.ndarray, iterations: int = 4) -> np.ndarray:
     b = j @ (np.swapaxes(sub, -1, -2) @ j @ sub)
     y = np.broadcast_to(np.eye(n), sub.shape).copy()
     eye3 = 3.0 * np.eye(n)
-    for _ in range(iterations):
+    for _ in range(_REORTH_ITERATIONS):
         y = 0.5 * (y @ (eye3 - b @ y @ y))
     out = np.array(m, copy=True)
     out[fits] = sub @ y

@@ -55,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 
@@ -747,7 +748,7 @@ class ConicalProfile:
     window_max: float
     tail_min: float
     tail_max_ratio: float
-    caveat: str = "finite-window proxy"
+    caveat: ClassVar[str] = "finite-window proxy"
 
     @property
     def samples(self) -> list:
@@ -756,8 +757,7 @@ class ConicalProfile:
 
 def _check_horizon(ref_ball: OrbitBall, t_max: float) -> None:
     """Raise :class:`HorizonError` past ``radius - prune_margin``."""
-    margin = ref_ball.prune_margin if ref_ball.prune_margin else 0.0
-    horizon = ref_ball.radius - margin
+    horizon = ref_ball.radius - ref_ball.prune_margin
     if t_max > horizon + 1e-9:
         raise HorizonError(
             f"window {t_max:.3g} exceeds the reliable radius {horizon:.3g}"

@@ -25,8 +25,11 @@ Deduplication strategies, chosen per group:
 * ``"none"``    -- the generators are known to generate freely, so reduced
                    words already enumerate the group without repeats;
 * ``"exact"``   -- the group carries exact 2x2 integer lifts (subgroups of
-                   SL(2,Z)); elements are compared by normalized integer
-                   tuples, immune to rounding;
+                   SL(2,Z)); the float walk then forms every element's
+                   image exactly, and elements are compared by the bytes
+                   of those images, immune to rounding (the image of
+                   PSL(2,R) in SO(2,1) is faithful, so no sign
+                   normalization is needed);
 * ``"binned"``  -- generic float path: candidates whose orbit point is
                    within :data:`DEDUP_TOL` of an existing element (in
                    the stable distance kernel) are merged.
@@ -137,18 +140,19 @@ def sl2_to_so21(m):
 class GroupSpec:
     """A marked group of hyperbolic isometries.
 
-    ``generators`` act on H^dim.  When ``semigroup`` is set, inverses are
-    not adjoined and words are positive.  ``free`` asserts that the
-    generators generate freely (as a group, or as a semigroup when
-    ``semigroup`` is set); the enumerator then skips deduplication.
-    ``int_rep`` optionally carries exact 2x2 integer lifts of the
-    generators (dim 2 only), enabling exact deduplication.
+    ``generators`` act on H^dim.  ``free`` asserts that the generators
+    generate freely; the enumerator then skips deduplication.
+    ``int_rep`` optionally carries 2x2 integer lifts of the generators
+    (dim 2 only).  Each lifted generator becomes the exact image
+    ``sl2_to_so21(lift)``, half-integer in every entry, so the lifts
+    certify that float products of generators are exact images too, within
+    the range :func:`enumerate_ball` checks; that enables exact
+    deduplication.
     """
 
     generators: list
     dim: int
     name: str = ""
-    semigroup: bool = False
     free: bool = False
     int_rep: list | None = None
     metadata: dict = field(default_factory=dict)
@@ -172,42 +176,28 @@ class GroupSpec:
             if len(self.int_rep) != len(gens):
                 raise ValueError("need one integer lift per generator")
             reps = []
-            for lift, g in zip(self.int_rep, gens):
+            for i, (lift, g) in enumerate(zip(self.int_rep, gens)):
                 lift = np.asarray(lift, dtype=np.int64)
                 if lift.shape != (2, 2) or round(np.linalg.det(lift)) != 1:
                     raise ValueError("integer lifts must be 2x2 with determinant 1")
-                if np.max(np.abs(sl2_to_so21(lift) - g.matrix)) > 1e-9:
+                image = sl2_to_so21(lift)
+                if np.max(np.abs(image - g.matrix)) > 1e-9:
                     raise ValueError("integer lift disagrees with its generator")
+                gens[i] = Isometry(image, g.word)
                 reps.append(lift)
             self.int_rep = reps
 
-    @property
-    def n_letters(self) -> int:
-        k = len(self.generators)
-        return k if self.semigroup else 2 * k
-
     def letters(self):
-        """Alphabet of one-step moves: (signed label, matrix, int lift or None).
+        """Alphabet of one-step moves: (signed label, matrix) pairs.
 
-        Generators come first (labels 1..k), then inverses (-1..-k) unless
-        this is a semigroup.  Label order fixes the enumeration order, which
-        makes ball layouts reproducible.
+        Generators come first (labels 1..k), then inverses (-1..-k).  Label
+        order fixes the enumeration order, which makes ball layouts
+        reproducible.  J g^T J only moves and negates entries, so the
+        inverse of an exact image is exact.
         """
-        out = []
-        for i, g in enumerate(self.generators):
-            lift = None if self.int_rep is None else self.int_rep[i]
-            out.append((i + 1, g.matrix, lift))
-        if not self.semigroup:
-            j = form_matrix(self.dim)
-            for i, g in enumerate(self.generators):
-                inv = j @ g.matrix.T @ j
-                lift = None
-                if self.int_rep is not None:
-                    m = self.int_rep[i]
-                    lift = np.array(
-                        [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64
-                    )
-                out.append((-(i + 1), inv, lift))
+        j = form_matrix(self.dim)
+        out = [(i + 1, g.matrix) for i, g in enumerate(self.generators)]
+        out += [(-(i + 1), j @ g.matrix.T @ j) for i, g in enumerate(self.generators)]
         return out
 
     def max_generator_norm(self) -> float:
@@ -223,19 +213,6 @@ class CriticalExponentEstimate:
     residual: float
     radii: np.ndarray
     counts: np.ndarray
-
-
-def _psl_keys(int_mats):
-    """Sign-normalized byte keys for PSL(2,Z) elements."""
-    flat = int_mats.reshape(-1, 4)
-    lead = flat[:, 0].copy()
-    for col in range(1, 4):
-        zero = lead == 0
-        if not np.any(zero):
-            break
-        lead[zero] = flat[zero, col]
-    normalized = np.where(lead[:, None] < 0, -flat, flat)
-    return [row.tobytes() for row in normalized]
 
 
 @dataclass
@@ -255,9 +232,9 @@ class OrbitBall:
     parent: np.ndarray
     letter: np.ndarray
     word_length: np.ndarray
+    anomalies: list
     dedup_mode: str = "none"
     merged: int = 0
-    anomalies: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return int(self.norms.shape[0])
@@ -274,10 +251,8 @@ class OrbitBall:
     def n_members(self) -> int:
         return int(np.count_nonzero(self.member_mask))
 
-    def orbit_points(self, indices=None) -> np.ndarray:
+    def orbit_points(self, indices) -> np.ndarray:
         """Images of the basepoint (first matrix column) for selected rows."""
-        if indices is None:
-            return self.mats[:, :, 0]
         return self.mats[indices, :, 0]
 
     def words(self, rows) -> np.ndarray:
@@ -302,7 +277,7 @@ class OrbitBall:
     @cached_property
     def letter_labels(self):
         """Signed label of each letter index, read once per ball."""
-        return np.array([lab for lab, _, _ in self.spec.letters()], dtype=np.int64)
+        return np.array([lab for lab, _ in self.spec.letters()], dtype=np.int64)
 
     def element(self, i: int) -> Isometry:
         return Isometry(self.mats[int(i)].copy(), self.word(i))
@@ -398,8 +373,11 @@ def enumerate_ball(
     from a strided view of its (0, 0) entries, then one gather of only the
     kept blocks, with no copy of all candidates.  The operand order keeps
     the matrices bit-identical to the einsum path, which other BLAS
-    layouts do not.  Exact dedup forms the integer lifts with
-    ``np.matmul``, which is exact.
+    layouts do not.  Every dedup mode reads the gathered blocks.  Exact
+    dedup keys them as they are: entries of exact images are half-integers,
+    so each GEMM term and partial sum is a multiple of 1/4, exact while it
+    stays within 2^51.  A level whose k * max|frontier| * max|letter|
+    passes 2^51 raises :class:`EnumerationBudgetError`.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -416,63 +394,53 @@ def enumerate_ball(
     k = spec.dim + 1
     letters = spec.letters()
     n_letters = len(letters)
-    letter_mats = np.stack([m for _, m, _ in letters])
+    letter_mats = np.stack([m for _, m in letters])
     # row (j, c) holds column c of letter j: one GEMM against the transposed
     # frontier forms every product, in einsum's own operand order
     letter_rows = np.ascontiguousarray(letter_mats.transpose(0, 2, 1)).reshape(
         n_letters * k, k
     )
-    labels = [lab for lab, _, _ in letters]
+    labels = [lab for lab, _ in letters]
     # allowed[p + 1, j]: letter j may follow letter p (p = -1 at the root);
-    # a group walk never takes a step straight back
+    # a walk never takes a step straight back
     allowed = np.ones((n_letters + 1, n_letters), dtype=bool)
-    if not spec.semigroup:
-        for j, lab in enumerate(labels):
-            allowed[labels.index(-lab) + 1, j] = False
-    use_int = mode == "exact"
-    if use_int:
-        letter_ints = np.stack([lift for _, _, lift in letters]).astype(np.int64)
-        f_ints = np.eye(2, dtype=np.int64)[None]
-        seen = set(_psl_keys(f_ints))
+    for j, lab in enumerate(labels):
+        allowed[labels.index(-lab) + 1, j] = False
+    exact = mode == "exact"
+    if exact:
+        letter_max = np.max(np.abs(letter_mats))
+        seen = {np.eye(k).tobytes()}
     elif mode == "binned":
         window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
 
-    mats_levels = [np.eye(k)[None]]
+    # kept matrices land in one buffer, whose pages are touched only as
+    # levels fill them, so the ball is never held twice
+    mats = np.empty((max_elements, k, k))
+    mats[0] = np.eye(k)
+    f_mats = mats[:1]
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
     letter_levels = [np.full(1, -1, dtype=np.int16)]
     total = 1
     merged = 0
     level = 0
-    anomalies: list[str] = []
 
     while True:
         level += 1
-        # the frontier is the last level
-        f_mats = mats_levels[-1]
         m = f_mats.shape[0]
-        # every candidate product; flat index i*n_letters + j is frontier i,
-        # letter j
-        if use_int:
-            cand_int = np.matmul(f_ints[:, None], letter_ints[None]).reshape(
-                m * n_letters, 2, 2
+        if exact and k * np.max(np.abs(f_mats)) * letter_max > 2.0**51:
+            raise EnumerationBudgetError(
+                "products would pass 2^51, the exact range of exact dedup",
+                total,
+                level,
             )
-            if np.max(np.abs(cand_int)) > 2**31:
-                raise EnumerationBudgetError(
-                    "integer lifts exceeded the exact-arithmetic range",
-                    total,
-                    level,
-                )
-            product = sl2_to_so21(cand_int)
-            x00 = product[:, 0, 0]
-        else:
-            # row (j, c), column (i, r) holds entry (r, c) of frontier i
-            # times letter j
-            product = letter_rows @ f_mats.reshape(m * k, k).T
-            x00 = product[::k, ::k].T.ravel()
+        # every candidate product: row (j, c), column (i, r) holds entry
+        # (r, c) of frontier i times letter j
+        product = letter_rows @ f_mats.reshape(m * k, k).T
+        x00 = product[::k, ::k].T.ravel()
         keep = x00 <= x00_bound
-        if not spec.semigroup:
-            keep &= allowed[letter_levels[-1] + 1].ravel()
+        keep &= allowed[letter_levels[-1] + 1].ravel()
+        # flat index i*n_letters + j is frontier i, letter j
         idx = np.flatnonzero(keep)
         norms = stable_arcosh(x00[idx])
         inside = norms <= cutoff
@@ -480,34 +448,31 @@ def enumerate_ball(
         if idx.shape[0] == 0:
             break
         parents, letter = np.divmod(idx, n_letters)
+        # gather the kept blocks straight into row-major order
+        corner = letter * (k * m * k) + parents * k
+        cell = np.arange(k)[:, None] + m * k * np.arange(k)
+        cand = np.take(product, corner[:, None, None] + cell)
+        del product, x00  # free the full product before the next level forms its own
         # one row filter per level: the dedup marks which kept rows are fresh
         if mode != "none":
-            if use_int:
-                keys = _psl_keys(cand_int[idx])
-                fresh = np.ones(len(keys), dtype=bool)
-                for i, key in enumerate(keys):
+            if exact:
+                # + 0.0 folds -0.0, so equal images have equal bytes
+                keys = (cand + 0.0).reshape(cand.shape[0], k * k)
+                fresh = np.ones(cand.shape[0], dtype=bool)
+                for i, row in enumerate(keys):
+                    key = row.tobytes()
                     if key in seen:
                         fresh[i] = False
                     else:
                         seen.add(key)
             else:
-                # column 0 of each kept block is one row of the product
-                points = product.reshape(n_letters, k, m, k)[letter, 0, parents]
-                fresh, window = _binned_level(window, norms, points, DEDUP_TOL)
+                fresh, window = _binned_level(window, norms, cand[:, :, 0], DEDUP_TOL)
             merged += int(np.count_nonzero(~fresh))
-            idx, norms = idx[fresh], norms[fresh]
+            cand, norms = cand[fresh], norms[fresh]
             parents, letter = parents[fresh], letter[fresh]
-        if use_int:
-            cand = product[idx]
-            f_ints = cand_int[idx]
-        else:
-            # gather the kept blocks straight into row-major order
-            corner = letter * (k * m * k) + parents * k
-            cell = np.arange(k)[:, None] + m * k * np.arange(k)
-            cand = np.take(product, corner[:, None, None] + cell)
-        del product, x00  # free the full product before the next level forms its own
-        if not use_int and level % REORTH_EVERY == 0:
-            cand = reorthogonalize(cand, iterations=3)
+        # exact images need no correction
+        if not exact and level % REORTH_EVERY == 0:
+            cand = reorthogonalize(cand)
             norms = stable_arcosh(cand[:, 0, 0])
         n_new = cand.shape[0]
         if n_new == 0:
@@ -519,48 +484,51 @@ def enumerate_ball(
                 total,
                 level,
             )
-        mats_levels.append(cand)
+        mats[total : total + n_new] = cand
+        # the frontier is the last level
+        f_mats = cand
         norms_levels.append(norms)
         parent_levels.append(total - m + parents)
         letter_levels.append(letter.astype(np.int16))
         total += n_new
 
     sizes = [lev.shape[0] for lev in norms_levels]
-    ball = OrbitBall(
+    norms = np.concatenate(norms_levels)
+    mats = mats[:total]
+    word_length = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    return OrbitBall(
         spec=spec,
         radius=float(radius),
         prune_margin=float(prune_margin),
-        norms=np.concatenate(norms_levels),
-        mats=np.concatenate(mats_levels),
+        norms=norms,
+        mats=mats,
         parent=np.concatenate(parent_levels),
         letter=np.concatenate(letter_levels),
-        word_length=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
+        word_length=word_length,
+        anomalies=_sanity_check(norms, mats, word_length),
         dedup_mode=mode,
         merged=merged,
     )
-    _sanity_check(ball, anomalies)
-    ball.anomalies = anomalies
-    return ball
 
 
-def _sanity_check(ball: OrbitBall, anomalies: list) -> None:
-    sane = True
-    nontrivial = ball.norms[ball.word_length > 0]
+def _sanity_check(norms, mats, word_length) -> list:
+    """Anomalies of a finished walk, each also warned as a
+    :class:`DiscretenessWarning`."""
+    anomalies = []
+    nontrivial = norms[word_length > 0]
     if nontrivial.size and float(np.min(nontrivial)) < 1e-4:
         anomalies.append(
             "nontrivial element displaces the basepoint by "
             f"{float(np.min(nontrivial)):.2e}; the group may be non-discrete "
             "or the generators non-reduced"
         )
-        sane = False
-    sample = ball.mats[:: max(1, len(ball) // 64)]
+    sample = mats[:: max(1, mats.shape[0] // 64)]
     worst = float(np.max(form_residual(sample)))
     if worst > 1e-6:
         anomalies.append(f"matrix drift reached {worst:.2e}; raise reorth frequency")
-        sane = False
-    if not sane:
-        for msg in anomalies:
-            warnings.warn(msg, DiscretenessWarning, stacklevel=3)
+    for msg in anomalies:
+        warnings.warn(msg, DiscretenessWarning, stacklevel=3)
+    return anomalies
 
 
 def growth_fit(sorted_norms, radii) -> CriticalExponentEstimate:

@@ -196,7 +196,7 @@ def _free_reduce(labels) -> tuple:
 
 
 def _letter_matrices(spec: GroupSpec) -> dict:
-    return {lab: np.asarray(m, dtype=float) for lab, m, _ in spec.letters()}
+    return dict(spec.letters())
 
 
 def _word_norm(labels, letter_map: dict, dim: int) -> float:
@@ -289,7 +289,7 @@ def find_ping_pong_pair(
     bound are all ``|a| / 10``.  The branching margin is read off the
     ``BRANCH_WINDOW`` smallest members of a ball.
     """
-    letters = [Isometry(m, (lab,)) for lab, m, _ in spec.letters() if lab > 0]
+    letters = [Isometry(m, (lab,)) for lab, m in spec.letters() if lab > 0]
     loxo = [g for g in letters if _translation_length(g) > 1e-9]
     if not loxo:
         raise PairNotFoundError("no loxodromic generator")
@@ -1019,7 +1019,7 @@ def find_deep_element(
     if M < 0.0:
         raise ValueError("depth must be nonnegative")
     if M == 0.0:
-        lab, mat, _ = spec.letters()[0]
+        lab, mat = spec.letters()[0]
         g = Isometry(mat, (lab,))
         return DeepElementQuery(
             M=0.0,

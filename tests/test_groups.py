@@ -81,7 +81,7 @@ def test_punctured_torus_data():
     norms = [stable_arcosh(g.matrix[0, 0]) for g in spec.generators]
     assert np.allclose(norms, math.acosh(3.5))
     # the commutator fixes the cusp direction on the boundary
-    mats = {lab: m for lab, m, _ in spec.letters()}
+    mats = dict(spec.letters())
     comm = mats[1] @ mats[2] @ mats[-1] @ mats[-2]
     cusp = spec.metadata["cusp_direction"]
     image = boundary_action(comm, cusp)

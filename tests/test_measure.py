@@ -132,7 +132,7 @@ def ball22(spec22):
 
 @pytest.fixture(scope="module")
 def letters22(spec22):
-    return {lab: m for lab, m, _ in spec22.letters()}
+    return dict(spec22.letters())
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +394,7 @@ def test_alphabet_pair_directions_land_in_shadow(seed3, pair3):
 def test_apex_products_match_letter_reduction(spec3, pair3, seed3, atoms3):
     apex = next(w for w in atoms3.words if len(w) == 2)
     prods = apex_products(atoms3, apex)
-    mats = {lab: m for lab, m, _ in spec3.letters()}
+    mats = dict(spec3.letters())
     K = seed3.elements
     sep = pair3.separator
 
@@ -1057,7 +1057,7 @@ def test_generic_direction_drifts_away(ball22):
 
 
 def test_cusp_direction_climbs_at_unit_rate(torus, torus_ball):
-    mats = {lab: m for lab, m, _ in torus.letters()}
+    mats = dict(torus.letters())
     a, b = Isometry(mats[1], (1,)), Isometry(mats[2], (2,))
     comm = a @ b @ a.inverse() @ b.inverse()
     gap = comm.matrix - np.eye(3)

@@ -2,9 +2,11 @@
 
 A stdlib ``ast`` scan in the style of ``test_imports.py``: a parameter
 with a default, on a function or method of ``src/kleinian/``, must be set
-by at least one call in ``src/kleinian/`` or ``perfbench/``.  A call sets
-a parameter when it passes it by keyword, or by position past the
-required parameters.  Calls resolve by name, ``f(...)`` and ``x.f(...)``
+by at least one call in ``src/kleinian/`` or ``perfbench/``.  So must a
+``@dataclass`` field with a default (``init=False`` fields and
+``ClassVar`` constants are not parameters), at a constructor call.  A
+call sets a parameter when it passes it by keyword, or by position past
+the required parameters.  Calls resolve by name, ``f(...)`` and ``x.f(...)``
 alike; the benchmark's ``t.call(span, fn, *args, **kw)`` counts as a call
 of ``fn``, and a call that unpacks ``**`` sets every option.  An option
 that only the tests set is a constant in disguise: the tests monkeypatch
@@ -28,12 +30,47 @@ def caller_paths(root: Path) -> list:
     return package + sorted((root / "perfbench").glob("*.py"))
 
 
+def _is_dataclass(cls):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _fields(cls):
+    """(init field names, names of those with a default) of a dataclass."""
+    names, options = [], []
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        ann = stmt.annotation
+        if getattr(getattr(ann, "value", ann), "id", None) == "ClassVar":
+            continue
+        value = stmt.value
+        keywords = {}
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if not {"default", "default_factory"} & keywords.keys():
+                value = None
+        names.append(stmt.target.id)
+        if value is not None:
+            options.append(stmt.target.id)
+    return names, options
+
+
 def _options(tree):
-    """(function name, positional names, option names) of every def.
+    """(function name, positional names, option names) of every def, and
+    (class name, field names, option names) of every dataclass.
 
     The first parameter of a method is dropped, so positions count as
     they do at an ``x.f(...)`` call.
     """
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            yield cls.name, *_fields(cls)
     methods = {
         id(node)
         for cls in ast.walk(tree)
@@ -107,21 +144,27 @@ def test_scan_sees_an_unset_option(tmp_path):
         "def h(q=0):\n    pass\n"
         "def k(q=0):\n    pass\n"
         "def j(q=0):\n    pass\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(init=False, default=0)\n"
+        "    e: ClassVar[int] = 0\n    f: int = field(repr=False)\n"
+        "    g: int = 0\n"
     )
     files = {
         "src/kleinian/m.py": source,
         "perfbench/run.py": (
             "f(0, 5, d=4)\nK().g(1, 2)\nopts = {}\nh(**opts)\n"
-            "t.call('span', k, *rest)\n"
+            "t.call('span', k, *rest)\nD(1, 2)\nD(0, f=1, g=2)\n"
         ),
         # an option that only a test sets is still unset
-        "tests/test_m.py": "j(q=1)\nf(0, c=1)\n",
+        "tests/test_m.py": "j(q=1)\nf(0, c=1)\nD(0, c=[])\n",
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     callers = [p.read_text() for p in caller_paths(tmp_path)]
     assert unset_options({"m": source}, callers) == [
+        ("m", "D", "c"),
         ("m", "f", "c"),
         ("m", "g", "z"),
         ("m", "j", "q"),

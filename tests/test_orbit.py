@@ -58,6 +58,16 @@ def brute_words(letter_mats, max_len, *, no_backtrack_pairs=None):
     return out
 
 
+def sl2_inverse(m):
+    """Inverse of an integer SL(2) matrix."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
+
+
+def letter_lifts(spec):
+    """Integer lifts of the letters of ``spec``, in letter order."""
+    return [*spec.int_rep, *map(sl2_inverse, spec.int_rep)]
+
+
 def test_cyclic_ball_exact_counts():
     ball = enumerate_ball(cyclic(1.0), 3.5)
     assert ball.n_members == 7
@@ -73,8 +83,8 @@ def test_schottky_ball_matches_brute_force():
     radius = 10.0
     ball = enumerate_ball(spec, radius)
     letters = spec.letters()
-    mats = [m for _, m, _ in letters]
-    labels = [lab for lab, _, _ in letters]
+    mats = [m for _, m in letters]
+    labels = [lab for lab, _ in letters]
     forbidden = {
         (i, j)
         for i in range(len(labels))
@@ -103,16 +113,15 @@ def test_torus_ball_exact_dedup_matches_brute_force():
     # prunes none, and BFS levels up to 6 depend on no longer word
     ball = enumerate_ball(spec, 11.6, prune_margin=0.0, dedup="exact")
     assert 6 * spec.max_generator_norm() < 11.6
-    letters = spec.letters()
-    ints = [lift for _, _, lift in letters]
-    labels = [lab for lab, _, _ in letters]
+    ints = letter_lifts(spec)
+    labels = [lab for lab, _ in spec.letters()]
     forbidden = {
         (i, j)
         for i in range(len(labels))
         for j in range(len(labels))
         if labels[i] == -labels[j]
     }
-    brute = brute_words([m.astype(np.int64) for m in ints], 6, no_backtrack_pairs=forbidden)
+    brute = brute_words(ints, 6, no_backtrack_pairs=forbidden)
     # independent dedup: normalized integer tuples
     seen = {}
     for word, mat in brute:
@@ -145,32 +154,28 @@ def test_torus_dedup_modes_agree():
 
 def test_torus_commutator_is_parabolic():
     spec = punctured_torus()
-    a, b = spec.int_rep
-    ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-    binv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+    a, b, ainv, binv = letter_lifts(spec)
     comm = a @ b @ ainv @ binv
     assert np.array_equal(comm, [[-1, 0], [-6, -1]])
     assert np.trace(comm) == -2
     assert np.isclose(sl2_norm(a), math.acosh(3.5))
 
 
-def _ray_semigroup_ball():
-    """Three same-axis boosts 1.0, 0.5, 1.5: the semigroup they generate is
-    the 0.5-step ray."""
-    spec = GroupSpec(
-        [boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)],
-        2,
-        semigroup=True,
-    )
+def _ray_group_ball():
+    """Three same-axis boosts 1.0, 0.5, 1.5: the group they generate is
+    the 0.5-step translation group of the axis."""
+    spec = GroupSpec([boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)], 2)
     return enumerate_ball(spec, 3.0, prune_margin=0.0)
 
 
 def test_merging_enumeration():
-    """The 0.5-step ray semigroup: the walk must merge heavily."""
-    ball = _ray_semigroup_ball()
+    """The 0.5-step translation group: the walk must merge heavily."""
+    ball = _ray_group_ball()
     assert ball.dedup_mode == "binned"
-    assert ball.n_members == 7
-    assert np.allclose(np.sort(ball.norms), np.arange(7) * 0.5, atol=1e-10)
+    assert ball.n_members == 13
+    assert np.allclose(
+        np.sort(ball.norms), np.repeat(np.arange(7) * 0.5, 2)[1:], atol=1e-10
+    )
     assert ball.merged > 0
 
 
@@ -188,7 +193,7 @@ def test_dihedral_relations_handled_by_binned_dedup():
     # at this scale while distinct elements differ by ~1e-2); every element
     # within 6 has a word of length at most 4, and the walk ends at level 6
     assert int(ball.word_length.max()) <= 7
-    letters = [m for _, m, _ in spec.letters()]
+    letters = [m for _, m in spec.letters()]
     kept = []
     for word, mat in brute_words(letters, 7):
         if stable_arcosh(mat[0, 0]) > 6.0 + 1e-9:
@@ -203,24 +208,22 @@ def test_dihedral_relations_handled_by_binned_dedup():
 
 
 def test_free_semigroup_growth():
+    """Boosts of length 4 along perpendicular axes generate a free group
+    (sinh(2)^2 > 1); its reduced words enumerate it without dedup."""
     length = 4.0
-    spec = GroupSpec(
-        [boost(2, 1, length), boost(2, 2, length)],
-        2,
-        semigroup=True,
-        free=True,
-    )
+    spec = GroupSpec([boost(2, 1, length), boost(2, 2, length)], 2, free=True)
     ball = enumerate_ball(spec, 16.0)
     # distinct words stay far apart: honest evidence of freeness
     pts = ball.orbit_points(ball.members[ball.word_length[ball.members] <= 4])
     d = pairwise_distance(pts, pts)
     np.fill_diagonal(d, np.inf)
     assert float(d.min()) > 0.5
-    # two letters of length L: growth rate ~ log(2)/L (junction losses push
-    # it slightly above, by at most log(2) per letter in the denominator)
+    # three continuations of length L per reduced word: growth rate ~
+    # log(3)/L (a turn between perpendicular axes loses about log(2), which
+    # pushes it above, by at most log(2) per letter in the denominator)
     est = estimate_critical_exponent(ball)
-    lo = math.log(2.0) / length
-    hi = math.log(2.0) / (length - math.log(2.0))
+    lo = math.log(3.0) / length
+    hi = math.log(3.0) / (length - math.log(2.0))
     assert lo - 0.02 <= est.value <= hi + 0.02
 
 
@@ -299,7 +302,7 @@ def test_reorthogonalize_stack_matches_batch_copy(rng):
     far = np.stack([boost(2, 1, t).matrix for t in (14.6, 20.0)])
     drifted = ball.mats + rng.normal(scale=1e-9, size=ball.mats.shape)
     mats = np.concatenate([drifted, far])
-    got = reorthogonalize(mats, iterations=3)
+    got = reorthogonalize(mats)
     assert np.array_equal(got, _reorthogonalize_batch(mats))
     assert np.array_equal(got[-2:], far)
     assert np.array_equal(reorthogonalize(far[0]), far[0])
@@ -307,9 +310,23 @@ def test_reorthogonalize_stack_matches_batch_copy(rng):
         assert np.array_equal(reorthogonalize(mats[i]), reorthogonalize(mats[i : i + 1])[0])
 
 
+def _psl_keys(int_mats):
+    """Sign-normalized byte keys for PSL(2,Z) elements."""
+    flat = int_mats.reshape(-1, 4)
+    lead = flat[:, 0].copy()
+    for col in range(1, 4):
+        zero = lead == 0
+        if not np.any(zero):
+            break
+        lead[zero] = flat[zero, col]
+    normalized = np.where(lead[:, None] < 0, -flat, flat)
+    return [row.tobytes() for row in normalized]
+
+
 def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
     """Reference: the einsum level loop enumerate_ball ran before each
-    level became one GEMM read in place (no element budget)."""
+    level became one GEMM read in place (no element budget).  Exact dedup
+    multiplies the integer lifts and keys them by sign-normalized tuples."""
     mode = orbit._resolve_dedup(spec, dedup)
     if prune_margin is None:
         prune_margin = 2.0 * spec.max_generator_norm()
@@ -317,16 +334,14 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
     k = spec.dim + 1
     letters = spec.letters()
     n_letters = len(letters)
-    letter_mats = np.stack([m for _, m, _ in letters])
-    labels = [lab for lab, _, _ in letters]
-    inverse_of = np.array(
-        [labels.index(-lab) if -lab in labels else -1 for lab in labels]
-    )
+    letter_mats = np.stack([m for _, m in letters])
+    labels = [lab for lab, _ in letters]
+    inverse_of = np.array([labels.index(-lab) for lab in labels])
     use_int = mode == "exact"
     if use_int:
-        letter_ints = np.stack([lift for _, _, lift in letters]).astype(np.int64)
+        letter_ints = np.stack(letter_lifts(spec))
         f_ints = np.eye(2, dtype=np.int64)[None]
-        seen = set(orbit._psl_keys(f_ints))
+        seen = set(_psl_keys(f_ints))
     elif mode == "binned":
         window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
     mats_levels = [np.eye(k)[None]]
@@ -348,15 +363,13 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
             cand = np.einsum("mij,ljk->mlik", f_mats, letter_mats, optimize=True)
             cand = cand.reshape(m * n_letters, k, k)
         norms = stable_arcosh(cand[:, 0, 0])
-        keep = norms <= cutoff
-        if not spec.semigroup:
-            prev = letter_levels[-1][:, None]
-            keep &= ((prev < 0) | (inverse_of != prev)).ravel()
+        prev = letter_levels[-1][:, None]
+        keep = (norms <= cutoff) & ((prev < 0) | (inverse_of != prev)).ravel()
         idx = np.flatnonzero(keep)
         if idx.shape[0] == 0:
             break
         if use_int:
-            keys = orbit._psl_keys(cand_int[idx])
+            keys = _psl_keys(cand_int[idx])
             fresh = np.ones(len(keys), dtype=bool)
             for i, key in enumerate(keys):
                 if key in seen:
@@ -376,7 +389,7 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
         if use_int:
             f_ints = cand_int[idx]
         elif level % orbit.REORTH_EVERY == 0:
-            cand = reorthogonalize(cand, iterations=3)
+            cand = reorthogonalize(cand)
             norms = stable_arcosh(cand[:, 0, 0])
         if cand.shape[0] == 0:
             break
@@ -386,20 +399,28 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
         letter_levels.append((idx % n_letters).astype(np.int16))
         length_levels.append(np.full(cand.shape[0], level, dtype=np.int32))
         total += cand.shape[0]
-    ball = orbit.OrbitBall(
+    norms = np.concatenate(norms_levels)
+    mats = np.concatenate(mats_levels)
+    word_length = np.concatenate(length_levels)
+    return orbit.OrbitBall(
         spec=spec,
         radius=float(radius),
         prune_margin=float(prune_margin),
-        norms=np.concatenate(norms_levels),
-        mats=np.concatenate(mats_levels),
+        norms=norms,
+        mats=mats,
         parent=np.concatenate(parent_levels),
         letter=np.concatenate(letter_levels),
-        word_length=np.concatenate(length_levels),
+        word_length=word_length,
+        anomalies=orbit._sanity_check(norms, mats, word_length),
         dedup_mode=mode,
         merged=merged,
     )
-    orbit._sanity_check(ball, ball.anomalies)
-    return ball
+
+
+def _golden_cyclic():
+    """The cyclic group of [[2, 1], [1, 1]], with its integer lift."""
+    h = np.array([[2, 1], [1, 1]])
+    return GroupSpec([sl2_to_so21(h)], 2, int_rep=[h])
 
 
 GEMM_BALLS = {
@@ -409,18 +430,21 @@ GEMM_BALLS = {
     "schottky3-8": (lambda: schottky(2.0, dim=3), 8.0, {}),
     "torus-binned-5": (punctured_torus, 5.0, {"dedup": "binned"}),
     "psl2z-exact-6": (lambda: _psl2z(), 6.0, {}),
+    # words up to length 144, past the reorthogonalization level
+    "psl2z-exact-8": (lambda: _psl2z(), 8.0, {}),
+    "torus-exact-9": (punctured_torus, 9.0, {"dedup": "exact"}),
+    # near the top of the exact range: entries up to about 1e14
+    "golden-exact-30": (_golden_cyclic, 30.0, {}),
     "psl2z-binned-6": (lambda: _psl2z(), 6.0, {"dedup": "binned"}),
+    # the 0.5-step translation group of one axis
     "ray-semigroup": (
-        lambda: GroupSpec(
-            [boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)], 2, semigroup=True
-        ),
+        lambda: GroupSpec([boost(2, 1, 1.0), boost(2, 1, 0.5), boost(2, 1, 1.5)], 2),
         3.0,
         {"prune_margin": 0.0},
     ),
+    # free on boosts along perpendicular axes
     "free-semigroup": (
-        lambda: GroupSpec(
-            [boost(2, 1, 2.0), boost(2, 2, 2.0)], 2, semigroup=True, free=True
-        ),
+        lambda: GroupSpec([boost(2, 1, 2.0), boost(2, 2, 2.0)], 2, free=True),
         14.0,
         {},
     ),
@@ -438,6 +462,10 @@ def test_gemm_levels_match_einsum_reference(name, monkeypatch):
     spec = build()
     if name == "torus-reorth-3":
         monkeypatch.setattr(orbit, "REORTH_EVERY", 3)
+    if orbit._resolve_dedup(spec, options.get("dedup", "auto")) == "exact":
+        # the correction is exact on exact images, so no column shows it;
+        # an exact walk must not run it
+        monkeypatch.setattr(orbit, "reorthogonalize", None)
     with warnings.catch_warnings():
         # the S-fixed basepoint trips the discreteness check in both runs
         warnings.simplefilter("ignore", DiscretenessWarning)
@@ -448,6 +476,14 @@ def test_gemm_levels_match_einsum_reference(name, monkeypatch):
         got, ref = getattr(ball, column), getattr(want, column)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), column
     assert (ball.merged, ball.anomalies) == (want.merged, want.anomalies)
+
+
+def test_exact_dedup_range_is_refused():
+    """Exact dedup keys float images, exact while k max|frontier|
+    max|letter| stays within 2^51; past that the walk is refused rather
+    than keyed on rounded images (the R=30 ball is a gate ball)."""
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_ball(_golden_cyclic(), 40.0)
 
 
 def test_balls_past_the_float_range_are_refused():
@@ -600,19 +636,18 @@ def test_binned_dedup_matches_per_candidate_walk(case, monkeypatch):
 
 
 def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
-    """Boosts along one axis by 1, 1 + 0.6 tol and 1 + 1.2 tol: the middle
-    image merges into the first, and the last, within tol of the merged
-    middle one only, stays."""
-    tol = 1e-3
-    spec = GroupSpec(
-        [boost(2, 1, 1.0 + k * 0.6 * tol) for k in range(3)], 2, semigroup=True
-    )
+    """Boosts along one axis by 1, 1 + 0.6 tol and 1 + 1.2 tol generate the
+    translations by multiples of 0.6 tol.  At level 1 the middle image of
+    each sign merges into the first, and the last, within tol of the merged
+    middle one only, stays.  Later levels, where the group's short
+    translations merge heavily, follow the per-candidate walk."""
+    tol = 1e-2
+    spec = GroupSpec([boost(2, 1, 1.0 + k * 0.6 * tol) for k in range(3)], 2)
     monkeypatch.setattr(orbit, "DEDUP_TOL", tol)
     ball = enumerate_ball(spec, 2.1, prune_margin=0.0)
-    want = [0.0, 1.0, 1.0 + 1.2 * tol, 2.0, 2.0 + 1.2 * tol, 2.0 + 2.4 * tol]
-    assert ball.norms.shape == (len(want),)
-    assert np.allclose(ball.norms, want, rtol=0.0, atol=1e-12)
-    assert ball.merged == 4
+    want = [1.0, 1.0 + 1.2 * tol] * 2
+    assert np.allclose(ball.norms[ball.word_length == 1], want, rtol=0.0, atol=1e-12)
+    assert (len(ball), ball.merged) == (349, 896)
     monkeypatch.setattr(orbit, "_binned_level", _PerCandidateDedup())
     ref = enumerate_ball(spec, 2.1, prune_margin=0.0)
     assert np.array_equal(ball.norms, ref.norms) and ball.merged == ref.merged
@@ -620,7 +655,7 @@ def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
 
 def _walk_word(ball, i):
     """The word of row i, one parent at a time."""
-    labels = [lab for lab, _, _ in ball.spec.letters()]
+    labels = [lab for lab, _ in ball.spec.letters()]
     out = []
     while ball.parent[i] >= 0:
         out.append(labels[ball.letter[i]])
@@ -631,7 +666,7 @@ def _walk_word(ball, i):
 WORD_BALLS = {
     "torus-8": lambda: enumerate_ball(punctured_torus(), 8.0, prune_margin=2.0),
     "schottky3-6": lambda: enumerate_ball(schottky(2.0, dim=3), 6.0),
-    "ray-semigroup": _ray_semigroup_ball,
+    "ray-semigroup": _ray_group_ball,
     "psl2z-8": lambda: enumerate_ball(_psl2z(), 8.0, dedup="binned"),
 }
 

@@ -70,7 +70,7 @@ def pair3(spec3):
 
 @pytest.fixture(scope="module")
 def letters3(spec3):
-    return {lab: Isometry(m, (lab,)) for lab, m, _ in spec3.letters()}
+    return {lab: Isometry(m, (lab,)) for lab, m in spec3.letters()}
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def torus_ball(torus):
 
 
 def word_matrix(word, spec):
-    mats = {lab: m for lab, m, _ in spec.letters()}
+    mats = dict(spec.letters())
     out = np.eye(spec.dim + 1)
     for lab in word:
         out = out @ mats[lab]
