@@ -35,13 +35,18 @@ Deduplication strategies, chosen per group:
                    the stable distance kernel) are merged.
 
 Direct float comparison of far elements is hopeless (coordinates live at
-scale e^r), which is why the binned path works on sorted norms plus the
-split distance kernel rather than raw coordinates.  Each BFS level is two
-array passes: candidate pairs against earlier levels come from sorted-norm
-bands, pairs within the level from stable norm order, and one split
-distance call confirms each set.  A greedy rule over the confirmed pairs,
-in norm order, keeps a candidate unless an earlier one it is close to was
-kept.
+scale e^r), which is why the binned path confirms pairs with the split
+distance kernel rather than raw coordinates.  Candidate pairs come from
+bands of a projected key s = sinh r <u, v>, for a fixed generic unit v:
+points within tol of each other have keys within 2 tol (cosh(r + tol) + 1)
+(see ``_binned_level``), so the bands hold every close pair and few
+others, even where many norms tie exactly.  Earlier levels are kept as a
+few s-sorted runs merged like a binary counter (the logarithmic method of
+Bentley and Saxe), so no level re-sorts them all.  The norm tests filter
+the band pairs, one split distance call per level confirms them, and a
+greedy rule over the confirmed pairs, in norm order, keeps a candidate
+unless an earlier one it is close to was kept.  Exact dedup keeps its
+byte keys in the same kind of sorted runs.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -91,6 +96,11 @@ WORD_PAD = np.iinfo(np.int64).min
 # REORTH_EVERY-th BFS level is reorthogonalized
 DEDUP_TOL = 1e-7
 REORTH_EVERY = 64
+
+# a run of the dedup store shorter than this always merges into the run
+# before it: each run costs every level a search, and re-sorting a short
+# run costs little
+RUN_FLOOR = 1024
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -300,56 +310,150 @@ def _resolve_dedup(spec: GroupSpec, dedup: str) -> str:
     return "binned"
 
 
-def _band_pairs(lo, hi):
-    """Every (row, col) with lo[row] <= col < hi[row], in row-major order."""
-    counts = hi - lo
-    rows = np.repeat(np.arange(counts.shape[0]), counts)
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+def _band(keys, lo, hi):
+    """Every (row, col) with lo[row] <= keys[col] <= hi[row], for sorted
+    ``keys``, in row-major order."""
+    start = keys.searchsorted(lo, side="left")
+    counts = keys.searchsorted(hi, side="right") - start
+    rows = np.arange(counts.shape[0]).repeat(counts)
+    shift = (start - counts.cumsum() + counts).repeat(counts)
     return rows, shift + np.arange(rows.shape[0])
+
+
+def _push_run(runs, run):
+    """Add a sorted run to the store ``runs``, merging like a binary
+    counter: while the run before the last is at most twice as long as the
+    last, or shorter than :data:`RUN_FLOOR`, the two become one sorted run.
+    This is the logarithmic method of Bentley and Saxe (J. Algorithms 1,
+    1980): a store of n keys is a few runs, and each key is merged about
+    log n times in all instead of once per level.  A run is a 1-d array of
+    keys, or a 2-d array keyed by its first row."""
+    runs.append(run)
+    while len(runs) > 1 and runs[-2].shape[-1] <= max(
+        2 * runs[-1].shape[-1], RUN_FLOOR
+    ):
+        both = np.concatenate([runs[-2], runs.pop()], axis=-1)
+        key = both if both.ndim == 1 else both[0]
+        runs[-1] = both.take(key.argsort(kind="stable"), axis=-1)
+
+
+@cache
+def _key_direction(dim):
+    """The unit v of the binned key.  It is generic, off every axis and
+    diagonal, so that the mirror symmetries of a lattice group's orbit do
+    not tie keys."""
+    v = np.sqrt(np.arange(1.0, dim + 1.0))
+    v /= np.linalg.norm(v)
+    # one cached array serves every call
+    v.setflags(write=False)
+    return v
+
+
+def _key(r, u):
+    """The binned key s = sinh r <u, v> of radial splits (r, u)."""
+    return np.sinh(r) * (u @ _key_direction(u.shape[-1]))
+
+
+def _key_reach(r, tol):
+    """Half-width of the key band around radius r that holds every point
+    split_distance can find closer than ``tol`` (see :func:`_binned_level`)."""
+    return 2.0 * tol * (np.cosh(r + tol) + 1.0)
+
+
+def _keyed(norms, points):
+    """Orbit points packed as the rows [s, norm, r, u...] of a window run,
+    with (r, u) their radial split and s their key."""
+    r, u = radial_split(points)
+    out = np.empty((3 + u.shape[1], r.shape[0]))
+    out[0], out[1], out[2], out[3:] = _key(r, u), norms, r, u.T
+    return out
 
 
 def _binned_level(window, norms, points, tol):
     """Binned dedup of one BFS level: (fresh mask, window grown by the fresh).
 
-    ``window`` is the norm-sorted (norms, radii, directions) of every element
-    kept at earlier levels.  Points within ``tol`` have norms within ``tol``,
-    so sorted-norm bands generate every candidate pair and one split_distance
-    call per pass confirms them.  A candidate merges when it is within
-    ``tol`` of a window element, or, taking the level in stable norm order,
-    of an earlier candidate that is still fresh and whose norm it exceeds by
-    at most ``tol``.
+    A candidate merges when it is within ``tol`` of a window element whose
+    norm is within ``tol`` of its own, or, taking the level in stable norm
+    order, of an earlier candidate that is still fresh and whose norm it
+    exceeds by at most ``tol``.  Only pairs that can be that close reach
+    split_distance.  With X = sinh r u,
+
+        |X1 - X2|^2 = (sinh r1 - sinh r2)^2 + sinh r1 sinh r2 |u1 - u2|^2,
+        cosh d - 1 = 2 sinh^2((r1 - r2) / 2) + sinh r1 sinh r2 |u1 - u2|^2 / 2
+
+    (the second is the split distance), and |r1 - r2| <= d, so the keys
+    s = <X, v> of points within d differ by at most
+    d cosh(max r) + 2 sinh(d / 2), about d (cosh(max r) + 1), where
+    max r <= r + d.  The s band of half-width 2 tol (cosh(r + tol) + 1),
+    the 2 covering rounding, therefore holds every pair split_distance can
+    find closer than ``tol``, and the norm tests above filter the band.
+
+    ``window`` is the list of s-sorted runs (see :func:`_push_run`) of the
+    elements kept at earlier levels, packed by :func:`_keyed`; the fresh
+    candidates join it as one more run.
     """
-    w_norms, w_radii, w_dirs = window
-    r, u = radial_split(points)
-    i, j = _band_pairs(
-        np.searchsorted(w_norms, norms - tol, side="left"),
-        np.searchsorted(w_norms, norms + tol, side="right"),
-    )
+    # the level in stable norm order: a candidate's rank is its column
+    by_norm = norms.argsort(kind="stable")
+    level = _keyed(norms[by_norm], points[by_norm])
+    s, ranked, r, u = level[0], level[1], level[2], level[3:].T
+    reach = _key_reach(r, tol)
+    lo, hi = s - reach, s + reach
+    # band pairs against each run of earlier levels, then the norm test
+    rows, cols = [], []
+    for run in window:
+        i, j = _band(run[0], lo, hi)
+        rows.append(i)
+        cols.append(run[:, j])
+    i, w = np.concatenate(rows), np.concatenate(cols, axis=1)
+    at = ranked[i]
+    near = (w[1] >= at - tol) & (w[1] <= at + tol)
+    i, w = i[near], w[:, near]
+    # band pairs within the level: an earlier rank, in the 2 tol norm band
+    # and admitted by the norm test
+    by_s = s.argsort(kind="stable")
+    a, b = _band(s[by_s], lo, hi)
+    b = by_s[b]
+    at, before = ranked[a], ranked[b]
+    earlier = (b < a) & (before >= at - 2.0 * tol) & ~(at - before > tol)
+    a, b = a[earlier], b[earlier]
+    # one split distance call confirms both sets
     fresh = np.ones(norms.shape[0], dtype=bool)
-    fresh[i[split_distance(r[i], u[i], w_radii[j], w_dirs[j]) < tol]] = False
-    order = np.argsort(norms, kind="stable")
-    ranked = norms[order]
-    # the 2 tol band holds every earlier rank the exact norm test admits
-    a, b = _band_pairs(
-        np.searchsorted(ranked, ranked - 2.0 * tol, side="left"),
-        np.arange(ranked.shape[0]),
-    )
-    admitted = ~(ranked[a] - ranked[b] > tol)
-    a, b = order[a[admitted]], order[b[admitted]]
-    close = split_distance(r[a], u[a], r[b], u[b]) < tol
-    # greedy in rank order: pairs arrive sorted by the later rank, so each
-    # earlier candidate's verdict is final before it is read
-    for later, earlier in zip(a[close].tolist(), b[close].tolist()):
-        if fresh[earlier]:
-            fresh[later] = False
-    kept = np.concatenate([w_norms, norms[fresh]])
-    by_norm = np.argsort(kept, kind="stable")
-    window = (
-        kept[by_norm],
-        np.concatenate([w_radii, r[fresh]])[by_norm],
-        np.concatenate([w_dirs, u[fresh]])[by_norm],
-    )
-    return fresh, window
+    if i.shape[0] + a.shape[0]:
+        q = np.concatenate([i, a])
+        t = np.concatenate([w, level[:, b]], axis=1)
+        close = split_distance(r[q], u[q], t[2], t[3:].T) < tol
+        fresh[i[close[: i.shape[0]]]] = False
+        close = close[i.shape[0] :]
+        # greedy in rank order: the pairs arrive sorted by the later rank, so
+        # each earlier candidate's verdict is final before it is read
+        for later, first in zip(a[close].tolist(), b[close].tolist()):
+            if fresh[first]:
+                fresh[later] = False
+    _push_run(window, level[:, by_s[fresh[by_s]]])
+    out = np.empty_like(fresh)
+    out[by_norm] = fresh
+    return out, window
+
+
+def _exact_level(runs, cand):
+    """Exact dedup of one BFS level: the fresh mask, with the store ``runs``
+    grown by the fresh keys.
+
+    A row's key is the bytes of its image (``+ 0.0`` folds -0.0, so equal
+    images have equal bytes), one void item per row.  A key is fresh when no
+    run of earlier levels holds it (``searchsorted`` plus an equality
+    check) and no earlier candidate of the level has it.
+    """
+    n = cand.shape[0]
+    keys = (cand + 0.0).reshape(n, -1).view(np.dtype((np.void, cand[0].nbytes)))[:, 0]
+    uniq, first = np.unique(keys, return_index=True)
+    new = np.ones(uniq.shape[0], dtype=bool)
+    for run in runs:
+        new &= run[np.minimum(np.searchsorted(run, uniq), run.shape[0] - 1)] != uniq
+    fresh = np.zeros(n, dtype=bool)
+    fresh[first[new]] = True
+    _push_run(runs, uniq[new])
+    return fresh
 
 
 def enumerate_ball(
@@ -366,8 +470,13 @@ def enumerate_ball(
     at most ``radius + prune_margin``.  The margin covers words that dip
     outside the ball before coming back; callers can validate a choice by
     re-running with a larger margin and comparing member counts.  Binned
-    dedup merges at :data:`DEDUP_TOL`.  A cutoff that a generator carries
-    past cosh's float range (about 710.48) raises :class:`GeometryError`.
+    dedup merges at :data:`DEDUP_TOL`; only the pairs that a band of the
+    projected key s = sinh r <u, v> admits reach split_distance, and the
+    kept elements of earlier levels are a few s-sorted runs, so no level
+    re-sorts them all (see :func:`_binned_level`).  Exact dedup keeps the
+    bytes of the images as sorted keys in the same kind of runs.  A cutoff
+    that a generator carries past cosh's float range (about 710.48) raises
+    :class:`GeometryError`.
 
     A level is one GEMM in einsum's operand order, read in place: norms
     from a strided view of its (0, 0) entries, then one gather of only the
@@ -409,9 +518,11 @@ def enumerate_ball(
     exact = mode == "exact"
     if exact:
         letter_max = np.max(np.abs(letter_mats))
-        seen = {np.eye(k).tobytes()}
+        # each store starts with the identity, the root of the walk
+        seen = []
+        _exact_level(seen, np.eye(k)[None])
     elif mode == "binned":
-        window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
+        window = [_keyed(np.zeros(1), np.eye(k)[:1])]
 
     # kept matrices land in one buffer, whose pages are touched only as
     # levels fill them, so the ball is never held twice
@@ -456,15 +567,7 @@ def enumerate_ball(
         # one row filter per level: the dedup marks which kept rows are fresh
         if mode != "none":
             if exact:
-                # + 0.0 folds -0.0, so equal images have equal bytes
-                keys = (cand + 0.0).reshape(cand.shape[0], k * k)
-                fresh = np.ones(cand.shape[0], dtype=bool)
-                for i, row in enumerate(keys):
-                    key = row.tobytes()
-                    if key in seen:
-                        fresh[i] = False
-                    else:
-                        seen.add(key)
+                fresh = _exact_level(seen, cand)
             else:
                 fresh, window = _binned_level(window, norms, cand[:, :, 0], DEDUP_TOL)
             merged += int(np.count_nonzero(~fresh))

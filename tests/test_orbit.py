@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kleinian import orbit
 from kleinian.groups import punctured_torus, schottky
@@ -326,7 +328,8 @@ def _psl_keys(int_mats):
 def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
     """Reference: the einsum level loop enumerate_ball ran before each
     level became one GEMM read in place (no element budget).  Exact dedup
-    multiplies the integer lifts and keys them by sign-normalized tuples."""
+    multiplies the integer lifts and keys them by sign-normalized tuples;
+    binned dedup is the per-candidate norm-window walk."""
     mode = orbit._resolve_dedup(spec, dedup)
     if prune_margin is None:
         prune_margin = 2.0 * spec.max_generator_norm()
@@ -343,7 +346,7 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
         f_ints = np.eye(2, dtype=np.int64)[None]
         seen = set(_psl_keys(f_ints))
     elif mode == "binned":
-        window = (np.zeros(1), *radial_split(np.eye(k)[:1]))
+        binned = _PerCandidateDedup()
     mats_levels = [np.eye(k)[None]]
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
@@ -377,9 +380,7 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
                 else:
                     seen.add(key)
         elif mode == "binned":
-            fresh, window = orbit._binned_level(
-                window, norms[idx], cand[idx, :, 0], orbit.DEDUP_TOL
-            )
+            fresh, _ = binned(None, norms[idx], cand[idx, :, 0], orbit.DEDUP_TOL)
         else:
             fresh = np.ones(idx.shape[0], dtype=bool)
         merged += int(np.count_nonzero(~fresh))
@@ -566,7 +567,8 @@ class _PerCandidateDedup:
     """Stands in for ``orbit._binned_level``: one candidate at a time in
     stable norm order, each checked against the window of earlier levels,
     then back-scanned over the fresh candidates of its own level until the
-    norm gap exceeds the tolerance."""
+    norm gap exceeds the tolerance.  It keeps its own window, seeded with
+    the identity, and passes the one it is handed through untouched."""
 
     def __init__(self):
         self.index = None
@@ -574,7 +576,7 @@ class _PerCandidateDedup:
     def __call__(self, window, norms, points, tol):
         if self.index is None:
             self.index = _NormWindowIndex(tol)
-            self.index.add(window[0], np.eye(points.shape[1])[:1])
+            self.index.add(np.zeros(1), np.eye(points.shape[1])[:1])
         fresh = np.ones(points.shape[0], dtype=bool)
         batch_r, batch_u = radial_split(points)
         taken = []
@@ -608,6 +610,22 @@ def _psl2z(conjugator=None):
 
 
 GENERIC_BASEPOINT = boost(2, 1, 0.37) @ rotation(2, 1, 2, 0.61)
+GENERIC_BASEPOINT3 = (
+    boost(3, 1, 0.37) @ rotation(3, 1, 2, 0.61) @ rotation(3, 1, 3, 0.29)
+)
+
+
+def _rotation3(conjugator=None):
+    """A boost of H^3 and a rotation of order 3 about a diagonal, which
+    fixes the basepoint unless conjugated away; the rotation's entries are
+    zero only up to rounding, so its duplicates are near ties."""
+    turn = rotation(3, 1, 2, np.pi / 2) @ rotation(3, 2, 3, np.pi / 2)
+    gens = [boost(3, 1, 2.0), turn]
+    if conjugator is None:
+        return GroupSpec(gens, 3)
+    c, c_inv = conjugator.matrix, conjugator.inverse().matrix
+    return GroupSpec([c @ g.matrix @ c_inv for g in gens], 3)
+
 
 DEDUP_CASES = {
     "torus-7": (punctured_torus, 7.0, 23_941, 0),
@@ -616,6 +634,10 @@ DEDUP_CASES = {
     "psl2z-generic-6": (lambda: _psl2z(GENERIC_BASEPOINT), 6.0, 13_156, 17_116),
     "psl2z-generic-6.5": (lambda: _psl2z(GENERIC_BASEPOINT), 6.5, 21_824, 28_440),
     "schottky3-6": (lambda: schottky(2.0, dim=3), 6.0, 1_461, 0),
+    "rotation3-5": (_rotation3, 5.0, 9, 18),
+    "rotation3-generic-3.5": (
+        lambda: _rotation3(GENERIC_BASEPOINT3), 3.5, 5_802, 3_312
+    ),
 }
 
 
@@ -633,6 +655,57 @@ def test_binned_dedup_matches_per_candidate_walk(case, monkeypatch):
     assert ball.merged == want.merged
     for name in ("norms", "mats", "parent", "letter"):
         assert np.array_equal(getattr(ball, name), getattr(want, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.floats(0.0, 30.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0) | st.just(1.0),
+    st.floats(0.0, np.pi / 2),
+)
+def test_key_band_holds_every_close_pair(dim, r, seed, share, split):
+    """A point moved by share * tol, split between a radial and a
+    tangential move, keeps its key within the band of either end, the
+    smaller radius giving the narrower band: the bound binned dedup
+    relies on to hand split_distance only the band pairs."""
+    tol = orbit.DEDUP_TOL
+    rng = np.random.default_rng(seed)
+    u1 = rng.normal(size=dim)
+    u1 /= np.linalg.norm(u1)
+    w = rng.normal(size=dim)
+    w -= (w @ u1) * u1
+    w /= np.linalg.norm(w)
+    d = share * tol
+    r2 = r + d * math.cos(split)
+    # cosh d - 1 = 2 sinh^2(dr / 2) + sinh r sinh r2 |u1 - u2|^2 / 2
+    rest = 2.0 * (math.sinh(d / 2) ** 2 - math.sinh((r2 - r) / 2) ** 2)
+    scale = math.sinh(r) * math.sinh(r2)
+    gap = math.sqrt(max(rest, 0.0) * 2.0 / scale) if scale > 0 else 0.0
+    alpha = 2.0 * math.asin(min(gap / 2.0, 1.0))
+    u2 = math.cos(alpha) * u1 + math.sin(alpha) * w
+    # rounding in u2 can put the pair just past tol (at share 1, or past
+    # radius about 20, where directions resolve moves coarser than tol)
+    assume(split_distance(r, u1, r2, u2) <= tol)
+    s = orbit._key(np.array([r, r2]), np.stack([u1, u2]))
+    assert abs(s[0] - s[1]) <= orbit._key_reach(r, tol)
+
+
+def test_binned_torus_confirms_few_pairs(monkeypatch):
+    """The torus has many exact norm ties; with sorted-norm bands its R=7
+    ball handed split_distance 318,918 pairs, none of them close.  The key
+    band hands it only pairs that can be close."""
+    sizes = []
+
+    def counted(r1, u1, r2, u2):
+        sizes.append(np.size(r1))
+        return split_distance(r1, u1, r2, u2)
+
+    monkeypatch.setattr(orbit, "split_distance", counted)
+    ball = enumerate_ball(punctured_torus(), 7.0, dedup="binned")
+    assert (len(ball), ball.merged) == (23_941, 0)
+    assert sum(sizes) < 1_000
 
 
 def test_binned_dedup_does_not_chain_through_merged_candidates(monkeypatch):
