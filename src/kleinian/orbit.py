@@ -9,16 +9,20 @@ measure layers consume.
 
 Each BFS level is formed by one GEMM: the letters' transposes, stacked
 as (n_letters * k, k) rows, times the transposed (frontier * k, k)
-frontier.  The product is read in place: the norms come from a strided
-view of its (0, 0) entries (the arcosh only of those at most
-cosh(cutoff), the others being pruned), and one ``np.take`` gathers only
-the kept (parent, letter) blocks, straight into row-major order, so no
-copy of all candidates is made.  The operand order is the one
-``np.einsum("mij,ljk->mlik")`` hands to BLAS, and it is fixed because it
-keeps every matrix bit-identical to the einsum path: ``np.matmul`` over
-the broadcast stacks, one GEMM per letter, or the transposed GEMM
-(frontier times letters) changes the last bit of some chain-ball
-matrices.
+frontier.  The product is read in place: a strided view of its (0, 0)
+entries prunes the blocks above cosh(cutoff), the arcosh runs only on
+the others, and the kept (parent, letter) blocks are gathered in
+row-major order, :data:`GATHER_BLOCK` of them per ``np.take``.  Without
+dedup they go straight into the ball's buffer, so a level holds its
+product and one chunk of indices beyond the ball; with dedup they go
+into one candidate array, since the filters read the whole level.  The
+operand order is the one ``np.einsum("mij,ljk->mlik")`` hands to BLAS,
+and it is fixed because it keeps every matrix bit-identical to the
+einsum path: ``np.matmul`` over the broadcast stacks, one GEMM per
+letter, or the transposed GEMM (frontier times letters) changes the last
+bit of some chain-ball matrices.  So does splitting the GEMM into blocks
+of frontier rows, because the BLAS computes the last tile of a call by a
+path that depends on the call's size.
 
 Deduplication strategies, chosen per group:
 
@@ -101,6 +105,11 @@ REORTH_EVERY = 64
 # before it: each run costs every level a search, and re-sorting a short
 # run costs little
 RUN_FLOOR = 1024
+
+# a level's kept blocks are gathered this many at a time, so no index or
+# candidate array of a whole level is formed where the ball's buffer can
+# take the rows directly
+GATHER_BLOCK = 8192
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -456,6 +465,20 @@ def _exact_level(runs, cand):
     return fresh
 
 
+def _gather(product, corner, cell, out):
+    """Copy the k x k blocks of ``product`` whose (0, 0) entries sit at the
+    flat indices ``corner`` into ``out``, :data:`GATHER_BLOCK` blocks per
+    ``np.take``; ``cell`` holds each entry's offset from the corner.
+    ``mode="clip"`` lets ``take`` write ``out`` in place, where the default
+    mode first gathers into a buffer the size of the output (every index
+    is in range, so nothing is clipped)."""
+    for lo in range(0, corner.shape[0], GATHER_BLOCK):
+        rows = corner[lo : lo + GATHER_BLOCK, None, None] + cell
+        np.take(product, rows, out=out[lo : lo + rows.shape[0]], mode="clip")
+        del rows  # so that two chunks' indices are never held at once
+    return out
+
+
 def enumerate_ball(
     spec: GroupSpec,
     radius: float,
@@ -479,10 +502,12 @@ def enumerate_ball(
     :class:`GeometryError`.
 
     A level is one GEMM in einsum's operand order, read in place: norms
-    from a strided view of its (0, 0) entries, then one gather of only the
-    kept blocks, with no copy of all candidates.  The operand order keeps
-    the matrices bit-identical to the einsum path, which other BLAS
-    layouts do not.  Every dedup mode reads the gathered blocks.  Exact
+    from a strided view of its (0, 0) entries, then the kept blocks,
+    gathered :data:`GATHER_BLOCK` at a time straight into the ball's buffer
+    when there is no dedup, and into one candidate array that the dedup
+    filters otherwise.  The operand order keeps the matrices bit-identical
+    to the einsum path, which other BLAS layouts and row blocks of the
+    GEMM do not.  Every dedup mode reads the gathered blocks.  Exact
     dedup keys them as they are: entries of exact images are half-integers,
     so each GEMM term and partial sum is a multiple of 1/4, exact while it
     stays within 2^51.  A level whose k * max|frontier| * max|letter|
@@ -509,6 +534,9 @@ def enumerate_ball(
     letter_rows = np.ascontiguousarray(letter_mats.transpose(0, 2, 1)).reshape(
         n_letters * k, k
     )
+    # entry (r, c) of a kept block lies r + m k c past its (0, 0) entry in
+    # the product of a level with m frontier rows
+    cell_rows, cell_cols = np.arange(k)[:, None], k * np.arange(k)
     labels = [lab for lab, _ in letters]
     # allowed[p + 1, j]: letter j may follow letter p (p = -1 at the root);
     # a walk never takes a step straight back
@@ -546,40 +574,45 @@ def enumerate_ball(
                 level,
             )
         # every candidate product: row (j, c), column (i, r) holds entry
-        # (r, c) of frontier i times letter j
+        # (r, c) of frontier i times letter j.  The level stays one GEMM:
+        # OpenBLAS computes the last 4-column tile of a call by a path that
+        # depends on the call's size, so blocks of 1,024 or 4,096 frontier
+        # rows moved the last bit of matrices at two levels of the
+        # free-semigroup gate ball, and blocks of 128 moved the
+        # psl2z-generic-6.5 dedup ball
         product = letter_rows @ f_mats.reshape(m * k, k).T
-        x00 = product[::k, ::k].T.ravel()
-        keep = x00 <= x00_bound
-        keep &= allowed[letter_levels[-1] + 1].ravel()
-        # flat index i*n_letters + j is frontier i, letter j
-        idx = np.flatnonzero(keep)
-        norms = stable_arcosh(x00[idx])
-        inside = norms <= cutoff
-        idx, norms = idx[inside], norms[inside]
-        if idx.shape[0] == 0:
-            break
-        parents, letter = np.divmod(idx, n_letters)
-        # gather the kept blocks straight into row-major order
+        # keep[i, j] reads the (0, 0) entry of frontier i times letter j in
+        # place, so flat index i*n_letters + j is that product
+        keep = np.less_equal(product[::k, ::k].T, x00_bound, order="C")
+        keep &= allowed.take(letter_levels[-1] + 1, axis=0)
+        parents, letter = np.divmod(np.flatnonzero(keep), n_letters)
+        # flat index of each kept block's (0, 0) entry
         corner = letter * (k * m * k) + parents * k
-        cell = np.arange(k)[:, None] + m * k * np.arange(k)
-        cand = np.take(product, corner[:, None, None] + cell)
-        del product, x00  # free the full product before the next level forms its own
+        norms = stable_arcosh(product.take(corner))
+        # only a product within the bound's slack can lie past the cutoff
+        inside = norms <= cutoff
+        if np.count_nonzero(inside) < inside.shape[0]:
+            norms, parents = norms[inside], parents[inside]
+            letter, corner = letter[inside], corner[inside]
+        n_new = norms.shape[0]
+        if n_new == 0:
+            break
+        cell = cell_rows + m * cell_cols
         # one row filter per level: the dedup marks which kept rows are fresh
         if mode != "none":
+            cand = _gather(product, corner, cell, np.empty((n_new, k, k)))
+            del product  # free the full product before the filter runs
             if exact:
                 fresh = _exact_level(seen, cand)
             else:
                 fresh, window = _binned_level(window, norms, cand[:, :, 0], DEDUP_TOL)
             merged += int(np.count_nonzero(~fresh))
-            cand, norms = cand[fresh], norms[fresh]
-            parents, letter = parents[fresh], letter[fresh]
-        # exact images need no correction
-        if not exact and level % REORTH_EVERY == 0:
-            cand = reorthogonalize(cand)
-            norms = stable_arcosh(cand[:, 0, 0])
-        n_new = cand.shape[0]
-        if n_new == 0:
-            break
+            fresh_rows = np.flatnonzero(fresh)
+            norms, parents = norms[fresh_rows], parents[fresh_rows]
+            letter = letter[fresh_rows]
+            n_new = fresh_rows.shape[0]
+            if n_new == 0:
+                break
         if total + n_new > max_elements:
             raise EnumerationBudgetError(
                 f"ball exceeds {max_elements} elements at word length {level} "
@@ -587,9 +620,19 @@ def enumerate_ball(
                 total,
                 level,
             )
-        mats[total : total + n_new] = cand
+        new = mats[total : total + n_new]
+        if mode == "none":
+            _gather(product, corner, cell, new)
+            del product
+        else:
+            np.take(cand, fresh_rows, axis=0, out=new, mode="clip")
+            del cand
+        # exact images need no correction
+        if not exact and level % REORTH_EVERY == 0:
+            new[...] = reorthogonalize(new)
+            norms = stable_arcosh(new[:, 0, 0])
         # the frontier is the last level
-        f_mats = cand
+        f_mats = new
         norms_levels.append(norms)
         parent_levels.append(total - m + parents)
         letter_levels.append(letter.astype(np.int16))

@@ -973,26 +973,34 @@ def _certify_far(bins, nbins, bin_width, rs, phis, threshold):
     empty windows across all bands certify the sample.  False negatives
     are possible, false positives are not.
     """
-    ok = np.ones(rs.shape[0], dtype=bool)
     cosh_t = np.cosh(threshold)
+    # the samples still certified, compacted whenever a bin rejects some
+    live, r_live, phi_live = np.arange(rs.shape[0]), rs, phis
     for b in range(nbins):
         ext = bins[b]
         if ext.size == 0:
             continue
         lo_edge = b * bin_width
         hi_edge = lo_edge + bin_width
-        dr_min = np.maximum(0.0, np.maximum(lo_edge - rs, rs - hi_edge))
+        dr_min = np.maximum(0.0, np.maximum(lo_edge - r_live, r_live - hi_edge))
         num = cosh_t - np.cosh(dr_min)
-        active = ok & (num > 0.0)
-        if not active.any():
+        active = np.flatnonzero(num > 0.0)
+        if active.size == 0:
             continue
-        r_lo = np.maximum(np.maximum(lo_edge, rs[active] - threshold), 1e-9)
-        c = 1.0 - num[active] / (np.sinh(r_lo) * np.sinh(rs[active]))
+        r = r_live[active]
+        r_lo = np.maximum(np.maximum(lo_edge, r - threshold), 1e-9)
+        c = 1.0 - num[active] / (np.sinh(r_lo) * np.sinh(r))
         theta = np.where(c <= -1.0, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))
-        lo = np.searchsorted(ext, phis[active] - theta, side="left")
-        hi = np.searchsorted(ext, phis[active] + theta, side="right")
-        idx = np.flatnonzero(active)
-        ok[idx[(hi - lo) > 0]] = False
+        phi = phi_live[active]
+        lo = np.searchsorted(ext, phi - theta, side="left")
+        hi = np.searchsorted(ext, phi + theta, side="right")
+        hit = active[hi > lo]
+        if hit.size:
+            stay = np.ones(live.shape[0], dtype=bool)
+            stay[hit] = False
+            live, r_live, phi_live = live[stay], r_live[stay], phi_live[stay]
+    ok = np.zeros(rs.shape[0], dtype=bool)
+    ok[live] = True
     return ok
 
 

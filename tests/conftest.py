@@ -181,3 +181,31 @@ def golden_section_projection(x, y, points):
     if single:
         return float(t[0]), float(best[0])
     return t, best
+
+
+def certify_far_loop(bins, nbins, bin_width, rs, phis, threshold):
+    """Reference: kleinian.semigroup._certify_far as it was before it
+    compacted the samples still in play.  Every bin runs its cosh over all
+    samples, certified or not, and then its arccos and window search over
+    those still certified and radially close enough."""
+    ok = np.ones(rs.shape[0], dtype=bool)
+    cosh_t = np.cosh(threshold)
+    for b in range(nbins):
+        ext = bins[b]
+        if ext.size == 0:
+            continue
+        lo_edge = b * bin_width
+        hi_edge = lo_edge + bin_width
+        dr_min = np.maximum(0.0, np.maximum(lo_edge - rs, rs - hi_edge))
+        num = cosh_t - np.cosh(dr_min)
+        active = ok & (num > 0.0)
+        if not active.any():
+            continue
+        r_lo = np.maximum(np.maximum(lo_edge, rs[active] - threshold), 1e-9)
+        c = 1.0 - num[active] / (np.sinh(r_lo) * np.sinh(rs[active]))
+        theta = np.where(c <= -1.0, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))
+        lo = np.searchsorted(ext, phis[active] - theta, side="left")
+        hi = np.searchsorted(ext, phis[active] + theta, side="right")
+        idx = np.flatnonzero(active)
+        ok[idx[(hi - lo) > 0]] = False
+    return ok

@@ -1,6 +1,7 @@
 """Ball enumeration against brute-force word oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,6 +238,43 @@ def test_budget_error():
     assert err.value.level >= 1
 
 
+@pytest.mark.parametrize("block", [orbit.GATHER_BLOCK, 5])
+def test_budget_error_inside_a_level(block, monkeypatch):
+    """The free chain ball's level 9 holds 17,376 rows after 12,813, so a
+    budget of 20,000 runs out in the middle of it, across chunks at either
+    block size: the error counts the rows before the level, as a whole
+    level would."""
+    monkeypatch.setattr(orbit, "GATHER_BLOCK", block)
+    with pytest.raises(EnumerationBudgetError) as err:
+        enumerate_ball(schottky(1.8), 11.0, prune_margin=2.0, max_elements=20_000)
+    assert (err.value.explored, err.value.level) == (12_813, 9)
+
+
+def test_level_gathers_hold_no_whole_level_copy():
+    """Beyond the arrays it returns, a build holds at most the largest
+    level's product and one chunk of gathered blocks.  ``tracemalloc`` sees
+    numpy's allocations and counts the whole ``np.empty`` reservation, so
+    the budget is the ball's size.  A whole level's gather index or
+    candidate array, 72 bytes per kept row, would break the bound."""
+    spec = schottky(1.8)
+    size = len(enumerate_ball(spec, 11.0, prune_margin=2.0))
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(spec, 11.0, prune_margin=2.0, max_elements=size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        getattr(ball, column).nbytes
+        for column in ("norms", "mats", "parent", "letter", "word_length")
+    )
+    k, n_letters = 3, 4
+    frontier = np.bincount(ball.word_length)[:-1].max()
+    product = n_letters * k * frontier * k * 8
+    chunk = orbit.GATHER_BLOCK * k * k * 8
+    assert peak - returned < product + chunk
+
+
 def test_orbit_distance_and_censoring():
     ball = enumerate_ball(cyclic(1.0), 5.5)
     probe = boost(2, 1, 2.2).apply(np.array([1.0, 0.0, 0.0])).coords
@@ -459,6 +497,18 @@ GEMM_BALLS = {
 @pytest.mark.parametrize("name", list(GEMM_BALLS))
 def test_gemm_levels_match_einsum_reference(name, monkeypatch):
     """Every field bit for bit, dtypes included, against the einsum loop."""
+    _check_gemm_ball(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", list(GEMM_BALLS))
+def test_chunked_gather_matches_einsum_reference(name, monkeypatch):
+    """The same with chunks of 5 kept blocks: every level spans many
+    chunks, most of them with a partial last one."""
+    monkeypatch.setattr(orbit, "GATHER_BLOCK", 5)
+    _check_gemm_ball(name, monkeypatch)
+
+
+def _check_gemm_ball(name, monkeypatch):
     build, radius, options = GEMM_BALLS[name]
     spec = build()
     if name == "torus-reorth-3":
@@ -643,6 +693,17 @@ DEDUP_CASES = {
 
 @pytest.mark.parametrize("case", list(DEDUP_CASES))
 def test_binned_dedup_matches_per_candidate_walk(case, monkeypatch):
+    _check_dedup_case(case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", list(DEDUP_CASES))
+def test_chunked_gather_matches_per_candidate_walk(case, monkeypatch):
+    """The same with chunks of 5 kept blocks per gather."""
+    monkeypatch.setattr(orbit, "GATHER_BLOCK", 5)
+    _check_dedup_case(case, monkeypatch)
+
+
+def _check_dedup_case(case, monkeypatch):
     build, radius, rows, merged = DEDUP_CASES[case]
     spec = build()
     with warnings.catch_warnings():

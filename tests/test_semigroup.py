@@ -55,7 +55,7 @@ from kleinian.semigroup import (
     _first_certified,
 )
 
-from conftest import cyclic
+from conftest import certify_far_loop, cyclic
 
 
 @pytest.fixture(scope="module")
@@ -866,6 +866,37 @@ def test_deep_element_edge_cases(torus, torus_ball):
         find_deep_element(torus, 3.0, torus_ball)
     with pytest.raises(ValueError):
         find_deep_element(torus, -1.0, torus_ball)
+
+
+CERTIFY_CASES = {
+    # group, ball radius, depth M, certified ray samples
+    "torus-9-1.5": (punctured_torus, 9.0, 1.5, 36),
+    "torus-9-2": (punctured_torus, 9.0, 2.0, 0),
+    "torus-11-1.5": (punctured_torus, 11.0, 1.5, 1_404),
+    "torus-11-2": (punctured_torus, 11.0, 2.0, 88),
+    "chain-11-1": (lambda: schottky(length=1.8), 11.0, 1.0, 56),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFY_CASES))
+def test_certify_far_matches_loop_over_every_sample(case):
+    """The compacted pass gives the per-bin loop's verdict on every ray
+    sample find_deep_element certifies, on torus balls and a Schottky ball."""
+    build, radius, M, certified = CERTIFY_CASES[case]
+    ball = enumerate_ball(build(), radius, prune_margin=2.0)
+    target = 2.0 * M + semigroup.DEEP_PEAK_SLACK
+    members = ball.by_norm()
+    cand = members[ball.norms[members] >= 2.0 * target]
+    _, dirs = radial_split(ball.orbit_points(cand))
+    fractions = semigroup.DEEP_FRACTIONS
+    rs = np.concatenate([f * ball.norms[cand] for f in fractions])
+    phis = np.tile(np.arctan2(dirs[:, 1], dirs[:, 0]), len(fractions))
+    width = semigroup.DEEP_BIN_WIDTH
+    bins, nbins = semigroup._angular_bins(ball, width)
+    got = semigroup._certify_far(bins, nbins, width, rs, phis, target)
+    want = certify_far_loop(bins, nbins, width, rs, phis, target)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got) == certified
 
 
 # ---------------------------------------------------------------------------
