@@ -17,15 +17,18 @@ measurement if they fail; :func:`fellow_travel_check` compares a geodesic
 against another one with nearby endpoints.
 
 A chain is a sequence of :class:`~kleinian.hyperbolic.Isometry` steps,
-with z_0 the basepoint and z_i the image of z_{i-1} under step i.  Gaps,
-skips and the distances d(z_0, z_i), d(z_i, z_N) and d(z_0, z_N) all
-come from top-left entries of step products, whose relative error stays
-near machine precision; raw coordinates would stop resolving transverse
-angles near radius 27.  Each vertex's foot and offset on [z_0, z_N]
-follow from those three distances in closed form
-(:func:`~kleinian.hyperbolic.segment_foot`).  Chains stay measurable up
-to d(z_0, z_N) near 710, where cosh overflows and :func:`chain_shadowing`
-refuses the chain.
+with z_0 the basepoint and z_i the image of z_{i-1} under step i.  Gaps
+and the distances d(z_0, z_i), d(z_i, z_N) and d(z_0, z_N) all come
+from top-left entries of step products, whose relative error stays near
+machine precision; raw coordinates would stop resolving transverse
+angles near radius 27.  Each skip d(z_{i-1}, z_{i+1}) is a
+:func:`~kleinian.hyperbolic.split_distance` of the two gaps at z_i and
+their directions, read from row 0 of step i and column 0 of step i+1,
+so it does not cancel when a step nearly backtracks.  Each vertex's
+foot and offset on [z_0, z_N] follow from those three distances in
+closed form (:func:`~kleinian.hyperbolic.segment_foot`).  Chains stay
+measurable up to d(z_0, z_N) near 710, where cosh overflows and
+:func:`chain_shadowing` refuses the chain.
 """
 
 from __future__ import annotations
@@ -133,31 +136,19 @@ def _step_matrices(chain) -> np.ndarray:
     return np.stack([s.matrix for s in chain])
 
 
-def _skips(stack) -> np.ndarray:
-    """d(z_{i-1}, z_{i+1}) = arcosh (M_i M_{i+1})_00 for consecutive steps.
+def _skips(stack, gaps) -> np.ndarray:
+    """d(z_{i-1}, z_{i+1}) for consecutive steps, as a split distance.
 
-    The entry is row 0 of M_i against column 0 of M_{i+1}.  Where the sum
-    overflows, as it does once the two gaps add up past about 710, both
-    are first scaled by their top entries and the skip is formed from the
-    log of the entry, as
-    :func:`~kleinian.hyperbolic.split_distance` does for far point
-    pairs.  A scaled entry that rounds below zero gives NaN, which
-    :func:`check_chain` flags as indeterminate.
+    Seen from z_i, z_{i-1} sits at distance gap_i in the direction of
+    M_i^-1 x0 (row 0 of M_i, spatial part negated) and z_{i+1} at
+    gap_{i+1} in the direction of M_{i+1} x0 (column 0 of M_{i+1}).
+    :func:`~kleinian.hyperbolic.split_distance` sums nonnegative terms,
+    so a step that nearly backtracks over the previous one does not
+    cancel, and it stays finite past cosh's overflow.
     """
-    row, col = stack[:-1, 0, :], stack[1:, :, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.sum(row * col, axis=-1)
-    skips = stable_arcosh(w)
-    far = ~np.isfinite(w)
-    if np.count_nonzero(far):
-        a, b = row[far, 0], col[far, 0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = np.sum(row[far] / a[:, None] * (col[far] / b[:, None]), axis=-1)
-            log_w = np.maximum(np.log(a) + np.log(b) + np.log(scaled), 0.0)
-            # arcosh w = log w + log(1 + sqrt(1 - w^-2)), w clamped at 1 as
-            # stable_arcosh clamps it
-            skips[far] = log_w + np.log1p(np.sqrt(-np.expm1(-2.0 * log_w)))
-    return skips
+    _, back = radial_split(stack[:-1, 0, :])
+    _, ahead = radial_split(stack[1:, :, 0])
+    return split_distance(gaps[:-1], -back, gaps[1:], ahead)
 
 
 def _gaps_products(chain):
@@ -167,7 +158,7 @@ def _gaps_products(chain):
     # gaps past cosh's range are inf, and inf - inf marks the product as
     # indeterminate for check_chain to flag
     with np.errstate(invalid="ignore"):
-        return gaps, 0.5 * (gaps[:-1] + gaps[1:] - _skips(stack))
+        return gaps, 0.5 * (gaps[:-1] + gaps[1:] - _skips(stack, gaps))
 
 
 def check_chain(chain, params: ChainParams) -> ChainCertificate:

@@ -55,7 +55,6 @@ __all__ = [
     "ray_coordinates",
     "segment_foot",
     "ray_distance",
-    "boundary_action",
     "basepoint",
     "form_matrix",
     "validate_isometry",
@@ -363,22 +362,6 @@ def ray_distance(h, t, s):
     """
     e = np.eye(2)
     return split_distance(h, e[0], np.abs(s - t), e[1])
-
-
-def boundary_action(matrix: np.ndarray, directions):
-    """Induced action of an isometry on boundary directions.
-
-    Lifts each unit direction u to the light ray (1, u), pushes it through
-    the matrix, and rescales; works on a single direction or a stack.
-    """
-    dirs = np.asarray(directions, dtype=float)
-    single = dirs.ndim == 1
-    if single:
-        dirs = dirs[None]
-    cone = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
-    img = cone @ np.asarray(matrix, dtype=float).T
-    out = img[:, 1:] / img[:, :1]
-    return out[0] if single else out
 
 
 def geodesic_point(x, y, t):

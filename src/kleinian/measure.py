@@ -93,9 +93,6 @@ __all__ = [
 # atoms below this weight cannot move any statistic reported at TOL_SERIES
 W_MIN = 1e-12
 TOL_SERIES = 1e-6
-# spacing of the samples of [x0, g x0] that a Myrberg witness must carry
-# into the tube
-MYRBERG_STEP = 0.5
 # the principle report measures shadows at every index word up to this length
 PREFIX_DEPTH = 2
 # the quasi-invariance report transports the shadows of this many letters
@@ -807,24 +804,22 @@ def myrberg_witness(
 ) -> Isometry | None:
     """First ball element (shortlex) dragging [x0, g x0] into the ray tube.
 
-    A witness h places every sample of h [x0, g x0], taken every
-    ``MYRBERG_STEP``, within ``K_nbhd`` of the ray window [x0, xi) cut at
-    ``t_max``.  Distances to the window come in closed form from
-    :func:`~kleinian.hyperbolic.ray_coordinates`, with the foot clamped to
-    [0, t_max].  Both endpoints of every member's translate form a
-    vectorized prefilter; the samples of the survivors are checked in one
-    array pass and the shortlex-first passing member is returned.
-    Returning none only means no witness exists in this ball at this tube
-    width.  ``t_max`` must not exceed ``ref_ball.radius -
-    ref_ball.prune_margin`` (else ``HorizonError``), the horizon inside
-    which distances below ``prune_margin`` are uncensored everywhere in
-    the window.
+    A witness h places every point of h [x0, g x0] within ``K_nbhd`` of
+    the ray window [x0, xi) cut at ``t_max``.  Distances to the window
+    come in closed form from :func:`~kleinian.hyperbolic.ray_coordinates`,
+    with the foot clamped to [0, t_max].  The window is a geodesic
+    segment, so the distance to it is convex along h [x0, g x0]
+    (Bridson-Haefliger II.2) and stays within ``K_nbhd`` there exactly
+    when it does at both endpoints: one vectorized test of both
+    endpoints of every member's translate decides, and the
+    shortlex-first passing member is returned.  Returning none only
+    means no witness exists in this ball at this tube width.  ``t_max``
+    must not exceed ``ref_ball.radius - ref_ball.prune_margin`` (else
+    ``HorizonError``), the horizon inside which distances below
+    ``prune_margin`` are uncensored everywhere in the window.
     """
     _check_horizon(ref_ball, t_max)
     gx0 = g.orbit_point().coords
-    seg_len = float(g.norm())
-    n_samples = max(int(math.ceil(seg_len / MYRBERG_STEP)) + 1, 2)
-    seg = ray_points(radial_split(gx0)[1], np.linspace(0.0, seg_len, n_samples))
 
     def in_tube(points):
         h, t = ray_coordinates(*radial_split(points), xi.direction)
@@ -832,9 +827,7 @@ def myrberg_witness(
 
     members = ref_ball.members
     mats = ref_ball.mats[members]
-    ok = in_tube(mats[:, :, 0]) & in_tube(mats @ gx0)
-    moved = np.einsum("nij,sj->nsi", mats[ok], seg)
-    inside = members[ok][in_tube(moved).all(axis=1)]
+    inside = members[in_tube(mats[:, :, 0]) & in_tube(mats @ gx0)]
     if inside.size == 0:
         return None
     words = ref_ball.words(inside)

@@ -351,9 +351,9 @@ def test_far_chain_feet_match_mpmath():
 def test_turns_between_far_steps_are_measured(length):
     """A right-angle turn between two steps of ``length`` has Gromov
     product (log 2) / 2 at any length.  Past 355 the skip entry
-    (M_1 M_2)_00 = cosh^2 ``length`` overflows, so it is formed in the
-    log domain rather than read as inf, which made the product -inf and
-    passed the chain.  A step straight back stays a violation."""
+    (M_1 M_2)_00 = cosh^2 ``length`` overflows; read as inf, it made the
+    product -inf and passed the chain.  A step straight back stays a
+    violation."""
     step = boost(2, 1, length)
     cert = check_chain([step, rotation(2, 1, 2, math.pi / 2) @ step], ChainParams(0.2, 10.0))
     assert not cert.ok
@@ -362,6 +362,16 @@ def test_turns_between_far_steps_are_measured(length):
     assert cert.products[0] == pytest.approx(LN2 / 2, abs=1e-9)
     back = check_chain([step, boost(2, 1, 1.0 - length)], ChainParams(0.2, 0.5))
     assert back.first_violation["kind"] == "gromov"
+
+
+@pytest.mark.parametrize("length", [20.0, 100.0, 300.0, 360.0, 400.0, 700.0])
+def test_backtracking_steps_measure_their_product(length):
+    """A step of ``length`` back over all but 1 of the previous one has
+    product ``length`` - 1.  The skip entry (M_1 M_2)_00 = cosh 1
+    cancels from terms near cosh^2 ``length``: read from it, the product
+    was 18.468 at 20 and ``length`` - 0.5 from 100 on."""
+    cert = check_chain([boost(2, 1, length), boost(2, 1, 1.0 - length)], ChainParams(0.2, 0.5))
+    assert cert.products[0] == pytest.approx(length - 1.0, rel=1e-14)
 
 
 def test_chain_past_float_range_is_refused():

@@ -1224,13 +1224,14 @@ def test_myrberg_matches_golden_section_across_tubes(spec22, letters22):
 @pytest.mark.parametrize("angle, word", [(math.pi / 12, (2, -1)), (-math.pi / 12, (-2, -1))])
 def test_myrberg_shortlex_among_equal_lengths(spec22, letters22, angle, word):
     """Two one-letter members pass a 2.5 tube; the witness is the
-    tuple-key minimum over the members that pass, checked one by one.
+    tuple-key minimum over the members that pass, checked one by one at
+    samples 0.5 apart.
     At pi/12 that is (-2,), which is not the first passing row."""
     ball = enumerate_ball(spec22, 10.0, prune_margin=2.0)
     xi = BoundaryPoint(np.array([math.cos(angle), math.sin(angle)]))
     g = Isometry(np.linalg.multi_dot([letters22[lab] for lab in word]), word)
     seg_len = float(g.norm())
-    n_samples = max(int(math.ceil(seg_len / measure.MYRBERG_STEP)) + 1, 2)
+    n_samples = max(int(math.ceil(seg_len / 0.5)) + 1, 2)
     seg = ray_points(radial_split(g.matrix[:, 0])[1], np.linspace(0.0, seg_len, n_samples))
     passing = []
     for row in ball.members.tolist():
