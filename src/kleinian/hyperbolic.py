@@ -13,18 +13,26 @@ broadcast over leading axes so callers can batch.  Distances run on
 closed-form offset and foot of :func:`ray_coordinates`; feet on a
 segment come in closed form from side lengths (:func:`segment_foot`).
 
-Nearest points of a set (:func:`min_distance_to_set`) go through a screen
+Nearest points of a set (:func:`nearest_in_split`, on the radial
+splits of the query points and of the set) go through a screen
 before the exact kernel: one GEMM per block gives cosh d(p, q) as the
 Minkowski pairing p_0 q_0 - p . q, and a member is dropped only when its
 pairing exceeds the row minimum by more than the roundoff of both
 pairings, at most 32 gamma_{d+1} p_0 max q_0, plus a relative 1e-9.
 Such a member is farther than the row's minimiser in exact arithmetic,
 so it cannot be nearest; the kept pairs, about one per point on orbit
-balls, get the exact split distance.
+balls, get the exact split distance.  Orbit queries hand it only the
+members in a tube round the query line: with h the offset from the line
+(:func:`ray_offset`), d(p, q) >= h_q - h_p, so a member whose offset
+passes h_p plus a known distance from p, by more than 1e-6 and the
+offsets' rounding, cannot be nearest (see
+:func:`~kleinian.orbit.orbit_distance`).  For scattered points the tube
+is every member.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,8 @@ import numpy as np
 # tolerance of isometries.
 TOL_POINT = 1e-9
 TOL_ISO = 1e-8
+# arcosh of the largest float: cosh overflows past this radius
+COSH_LIMIT = math.acosh(np.finfo(float).max)
 
 __all__ = [
     "TOL_POINT",
@@ -53,6 +63,7 @@ __all__ = [
     "geodesic_point",
     "ray_points",
     "ray_coordinates",
+    "ray_offset",
     "segment_foot",
     "ray_distance",
     "basepoint",
@@ -130,6 +141,13 @@ def stable_arcosh(w):
     return _arcosh_1p(np.maximum(w - 1.0, 0.0))
 
 
+def _norm(x):
+    """Euclidean norm over the last axis, summed left to right: the order
+    np.linalg.norm takes on axes shorter than 8, at a fraction of its cost
+    on many short rows."""
+    return np.sqrt(sum(x[..., k] * x[..., k] for k in range(x.shape[-1])))
+
+
 def radial_split(points):
     """Decompose hyperboloid points into (radius, unit direction).
 
@@ -144,14 +162,14 @@ def radial_split(points):
     r = stable_arcosh(p[..., 0])
     spatial = p[..., 1:]
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(spatial, axis=-1, keepdims=True)
+        n = _norm(spatial)[..., None]
     # squares overflow past radius about 355: only those rows are rescaled
     # by their largest entry, behind one cheap test as in _arcosh_1p
     far = np.isinf(n[..., 0])
     if np.count_nonzero(far):
         big = spatial[far]
         top = np.max(np.abs(big), axis=-1, keepdims=True)
-        n[far] = top * np.linalg.norm(big / top, axis=-1, keepdims=True)
+        n[far] = top * _norm(big / top)[..., None]
     safe = np.where(n > 0.0, n, 1.0)
     u = spatial / safe
     if np.any(n == 0.0):
@@ -284,13 +302,32 @@ def ray_points(directions, ts) -> np.ndarray:
     """Points at radius ``ts`` along basepoint rays toward unit ``directions``.
 
     Broadcasts: one direction against an array of radii, or one radius
-    per row of a direction stack.
+    per row of a direction stack.  A radius past :data:`COSH_LIMIT`, where
+    cosh overflows, raises :class:`GeometryError`.
     """
     directions = np.asarray(directions, dtype=float)
     ts, _ = np.broadcast_arrays(np.asarray(ts, dtype=float), directions[..., 0])
+    if np.max(np.abs(ts), initial=0.0) > COSH_LIMIT:
+        raise GeometryError(f"ray radius past {COSH_LIMIT:.6g}, cosh's float range")
     return np.concatenate(
         [np.cosh(ts)[..., None], np.sinh(ts)[..., None] * directions], axis=-1
     )
+
+
+def _ray_sines(r, v, direction):
+    """(sinh r, cos θ, sinh h) of (radius, direction) pairs against the
+    basepoint line toward the unit ``direction`` (see
+    :func:`ray_coordinates`); sin θ is |v - cos θ direction|, formed one
+    component at a time."""
+    cos = v @ direction
+    sin = np.sqrt(sum((v[..., k] - cos * direction[k]) ** 2 for k in range(v.shape[-1])))
+    sinh_r = np.sinh(r)
+    return sinh_r, cos, sinh_r * sin
+
+
+def ray_offset(r, v, direction):
+    """The offset h of :func:`ray_coordinates` alone."""
+    return np.arcsinh(_ray_sines(r, v, direction)[2])
 
 
 def ray_coordinates(r, v, direction):
@@ -300,12 +337,10 @@ def ray_coordinates(r, v, direction):
     The basepoint, a point and its foot on the ray span a right-angled
     triangle, so sinh h = sinh r sin θ and sinh t = sinh r cos θ / cosh h
     (Beardon, The Geometry of Discrete Groups, §7.11); t < 0 behind the
+    basepoint.  h is also the distance to the whole line through the
     basepoint.  Finite for radii below sinh's overflow near 710.
     """
-    cos = v @ direction
-    sin = np.linalg.norm(v - cos[..., None] * direction, axis=-1)
-    sinh_r = np.sinh(r)
-    sinh_h = sinh_r * sin
+    sinh_r, cos, sinh_h = _ray_sines(r, v, direction)
     return np.arcsinh(sinh_h), np.arcsinh(sinh_r * cos / np.hypot(1.0, sinh_h))
 
 
@@ -543,8 +578,9 @@ def _pairing_columns(r, u):
 SCREEN_BLOCK = 65_536
 
 
-def min_distance_to_set(points: np.ndarray, cloud: np.ndarray):
-    """For each row of ``points``, the min hyperbolic distance to ``cloud``.
+def nearest_in_split(rp, up, rq, uq):
+    """For each query point, given by its radial split (rp, up), the min
+    hyperbolic distance to the cloud of points split as (rq, uq).
 
     Returns (values, argmins); ties go to the first cloud row.  A screen
     in the cosh domain picks the candidate pairs and :func:`split_distance`
@@ -575,20 +611,16 @@ def min_distance_to_set(points: np.ndarray, cloud: np.ndarray):
     Beyond arrays of one entry per point or member, each temporary holds
     O(:data:`SCREEN_BLOCK`) pairs whatever the sizes of the two sets.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cloud = np.asarray(cloud, dtype=float)
-    m, n = points.shape[0], cloud.shape[0]
+    m, n = rp.shape[0], rq.shape[0]
     best = np.full(m, np.inf)
     arg = np.zeros(m, dtype=np.int64)
     if n == 0:
         return best, arg
-    rp, up = radial_split(points)
-    rq, uq = radial_split(cloud)
     p = _pairing_columns(rp, up)
     q = _pairing_columns(rq, uq)
     q[:, 1:] *= -1.0
     qt = np.ascontiguousarray(q.T)
-    k = points.shape[1] * np.finfo(float).eps / 2.0
+    k = p.shape[1] * np.finfo(float).eps / 2.0
     with np.errstate(over="ignore"):
         # 4 p_0 max q_0 bounds twice every partial sum of a row's pairings;
         # where it overflows the slack is inf and the row keeps every member
@@ -616,7 +648,7 @@ def min_distance_to_set(points: np.ndarray, cloud: np.ndarray):
 
 
 def _row_bound(low, slack):
-    """Pairings above this bound cannot be nearest (min_distance_to_set)."""
+    """Pairings above this bound cannot be nearest (nearest_in_split)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return low * (1.0 + 1e-9) + slack
 

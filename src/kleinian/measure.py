@@ -772,13 +772,17 @@ def conical_profile(
     outside the ball could be closer.  ``t_max`` must not exceed
     ``ref_ball.radius - ref_ball.prune_margin`` (else ``HorizonError``);
     then distances below ``prune_margin`` are uncensored everywhere in
-    the window.
+    the window.  The samples stop at ``t_max``, and the tail holds at
+    least the last one.
     """
+    if not t_max >= 0.0:
+        raise ValueError(f"window {t_max!r} must be nonnegative")
     _check_horizon(ref_ball, t_max)
-    ts = np.arange(0.0, t_max + 0.5 * PROFILE_STEP, PROFILE_STEP)
+    n = math.floor(t_max / PROFILE_STEP + 1e-9) + 1
+    ts = np.minimum(np.arange(n) * PROFILE_STEP, t_max)
     values, censored, _ = orbit_distance(ref_ball, ray_points(xi.direction, ts))
     tail_start = TAIL_FRACTION * t_max
-    tail = ts >= tail_start
+    tail = ts >= min(tail_start, ts[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(ts > 0, values / np.maximum(ts, 1e-300), 0.0)
     return ConicalProfile(
@@ -810,24 +814,26 @@ def myrberg_witness(
     with the foot clamped to [0, t_max].  The window is a geodesic
     segment, so the distance to it is convex along h [x0, g x0]
     (Bridson-Haefliger II.2) and stays within ``K_nbhd`` there exactly
-    when it does at both endpoints: one vectorized test of both
-    endpoints of every member's translate decides, and the
-    shortlex-first passing member is returned.  Returning none only
+    when it does at both endpoints.  The x0 endpoints h x0 are the
+    orbit points, tested at once from the ball's cached
+    :attr:`~kleinian.orbit.OrbitBall.member_split`; only the members
+    that pass form h g x0, whose test decides, and the shortlex-first
+    passing member is returned.  Returning none only
     means no witness exists in this ball at this tube width.  ``t_max``
     must not exceed ``ref_ball.radius - ref_ball.prune_margin`` (else
     ``HorizonError``), the horizon inside which distances below
     ``prune_margin`` are uncensored everywhere in the window.
     """
     _check_horizon(ref_ball, t_max)
-    gx0 = g.orbit_point().coords
 
-    def in_tube(points):
-        h, t = ray_coordinates(*radial_split(points), xi.direction)
+    def in_tube(r, u):
+        h, t = ray_coordinates(r, u, xi.direction)
         return ray_distance(h, t, np.clip(t, 0.0, t_max)) <= K_nbhd + 1e-9
 
-    members = ref_ball.members
-    mats = ref_ball.mats[members]
-    inside = members[in_tube(mats[:, :, 0]) & in_tube(mats @ gx0)]
+    members, r, u = ref_ball.member_split
+    near = members[in_tube(r, u)]
+    far = ref_ball.mats[near] @ g.orbit_point().coords
+    inside = near[in_tube(*radial_split(far))]
     if inside.size == 0:
         return None
     words = ref_ball.words(inside)

@@ -63,12 +63,14 @@ from functools import cache, cached_property
 import numpy as np
 
 from .hyperbolic import (
+    COSH_LIMIT,
     GeometryError,
     Isometry,
     form_matrix,
     form_residual,
-    min_distance_to_set,
+    nearest_in_split,
     radial_split,
+    ray_offset,
     reorthogonalize,
     split_distance,
     stable_arcosh,
@@ -110,6 +112,12 @@ RUN_FLOOR = 1024
 # candidate array of a whole level is formed where the ball's buffer can
 # take the rows directly
 GATHER_BLOCK = 8192
+
+# nearest-orbit queries: the first tube width around the query line, and
+# the absolute slack on top of the rounding of the offsets (see
+# orbit_distance)
+TUBE_SEED = 1.0
+TUBE_SLACK = 1e-6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -241,6 +249,9 @@ class OrbitBall:
     Rows cover every explored element: members (norm <= radius) plus the
     overshoot ring kept for ancestry (norm <= radius + margin).  ``parent``
     and ``letter`` encode the generating word; the root has parent -1.
+    :attr:`member_split` holds the member rows and the radial split of
+    their orbit points, formed once for every nearest-orbit and ray query
+    on the ball.
     """
 
     spec: GroupSpec
@@ -292,6 +303,13 @@ class OrbitBall:
     def word(self, i: int) -> tuple:
         """The word of row ``i``: the one-row form of :meth:`words`."""
         return tuple(self.words([i])[0].tolist())
+
+    @cached_property
+    def member_split(self):
+        """(members, r, u): the member rows and the (radius, direction)
+        split of their orbit points, in row order, read once per ball."""
+        members = self.members
+        return (members, *radial_split(self.orbit_points(members)))
 
     @cached_property
     def letter_labels(self):
@@ -520,7 +538,7 @@ def enumerate_ball(
         prune_margin = 2.0 * spec.max_generator_norm()
     cutoff = radius + prune_margin
     reach = cutoff + spec.max_generator_norm()
-    if reach > math.acosh(np.finfo(float).max):
+    if reach > COSH_LIMIT:
         raise GeometryError(f"products reach norm {reach:.6g}, past cosh's float range")
     # no (0, 0) entry above this bound has its norm within the cutoff, so
     # the arcosh runs only on the entries below it
@@ -717,26 +735,69 @@ def estimate_critical_exponent(ball: OrbitBall) -> CriticalExponentEstimate:
     return growth_fit(member_norms, np.linspace(lo, top, n))
 
 
+def _nearest_in_tube(rp, up, rq, uq):
+    """:func:`~kleinian.hyperbolic.nearest_in_split` of query points
+    against the members, run on the members near the query line (see
+    :func:`orbit_distance`); argmins index the members."""
+    if rp.shape[0] == 0:
+        return nearest_in_split(rp, up, rq, uq)
+    line = up[np.argmax(rp)]
+    hp = ray_offset(rp, up, line)
+    hq = ray_offset(rq, uq, line)
+    # the offsets are within 16 k eps (1 + sinh r) of the exact ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounding = 16.0 * (up.shape[1] + 1) * np.finfo(float).eps
+        slack = TUBE_SLACK + rounding * (2.0 + np.sinh(rp.max()) + np.sinh(rq.max()))
+    top = np.max(hq)
+    width = TUBE_SEED
+    # scattered points: the tube would hold every member
+    if 2.0 * np.max(hp) - width < top:
+        while width < top:
+            rows = np.flatnonzero(hq <= width)
+            vals, nearest = nearest_in_split(rp, up, rq[rows], uq[rows])
+            reach = np.max(hp + vals) + slack
+            if reach <= width:
+                return vals, rows[nearest]
+            if not reach < np.inf:
+                break
+            width = min(reach, 2.0 * width)
+    return nearest_in_split(rp, up, rq, uq)
+
+
 def orbit_distance(ball: OrbitBall, points):
     """Distance from query points to the enumerated orbit, with censoring.
 
     Returns (values, censored, argmin_rows); ties go to the first member
-    row.  One :func:`~kleinian.hyperbolic.min_distance_to_set` pass over
-    the member cloud: a cosh-domain screen drops a member only when its
-    Minkowski pairing with the point exceeds the row minimum by more than
-    the roundoff of both pairings (32 gamma_{d+1} p_0 max q_0, plus a
-    relative 1e-9), so the dropped members cannot be nearest, and the
-    exact split distance runs on the rest, about one member per point.
-    Memory stays bounded by the block size however many points are
-    queried.  A value is censored when it reaches
-    ``radius - d(x0, p)``: orbit points outside the ball could then be
-    closer, so the minimum is only a lower-bound witness.
+    row.  A value is censored when it reaches ``radius - d(x0, p)``: orbit
+    points outside the ball could then be closer, so the minimum is only
+    a lower-bound witness.
+
+    Only members that can be nearest reach the exact kernel
+    :func:`~kleinian.hyperbolic.nearest_in_split`.  With l the line
+    through x0 toward the query point farthest from x0 and h(x) = d(x, l)
+    (:func:`~kleinian.hyperbolic.ray_offset`, on the cached
+    :attr:`OrbitBall.member_split`), the triangle inequality through the
+    foot of p on l gives d(p, q) >= h_q - h_p.  So, with D0(p) the
+    distance from p to some members, a member with h_q > h_p + D0(p) can
+    neither be nearest nor tie the nearest.  The kernel runs on the
+    members with h <= w, from w = :data:`TUBE_SEED` on; once w reaches
+    max_p (h_p + D0(p)) plus the slack its answers are final, and
+    otherwise w grows to that reach, at most doubling.  The slack is
+    :data:`TUBE_SLACK` plus 16 k eps (2 + sinh max r_p + sinh max r_q),
+    which covers the rounding of the offsets (k = d + 1) and of the
+    distances.  Member order is kept, so every output equals that of the
+    pass over all members, bit for bit.  Points along one ray or line
+    have h_p near 0 and read a thin tube.  For scattered points, with
+    2 max h_p - TUBE_SEED at or past the largest member offset, the tube
+    would be every member, so they go to the kernel at once, as do
+    queries whose offsets or reach are not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    members = ball.members
-    vals, nearest = min_distance_to_set(pts, ball.orbit_points(members))
+    rp, up = radial_split(pts)
+    members, rq, uq = ball.member_split
+    vals, nearest = _nearest_in_tube(rp, up, rq, uq)
     args = members[nearest]
-    censored = vals >= ball.radius - stable_arcosh(pts[:, 0])
+    censored = vals >= ball.radius - rp
     if np.ndim(points) == 1:
         return float(vals[0]), bool(censored[0]), int(args[0])
     return vals, censored, args

@@ -950,8 +950,7 @@ class DeepElementQuery:
 
 
 def _angular_bins(ball: OrbitBall, bin_width: float):
-    pts = ball.orbit_points(ball.members)
-    r, u = radial_split(pts)
+    _, r, u = ball.member_split
     phi = np.arctan2(u[:, 1], u[:, 0])
     nbins = int(np.ceil((r.max() + 1e-9) / bin_width)) + 1
     which = np.minimum((r / bin_width).astype(int), nbins - 1)
@@ -1052,7 +1051,8 @@ def find_deep_element(
     if cand.size == 0:
         return DeepElementQuery(M=M, result=None, diagnostics=diag)
     cand_norms = ball.norms[cand]
-    _, cand_dirs = radial_split(ball.orbit_points(cand))
+    rows, r_all, u_all = ball.member_split
+    cand_dirs = u_all[rows.searchsorted(cand)]
 
     n_fractions = len(DEEP_FRACTIONS)
     rs = np.concatenate([f * cand_norms for f in DEEP_FRACTIONS])
@@ -1091,7 +1091,7 @@ def find_deep_element(
     # member m is within M of ray(t) for |t - t_m| <= arcosh(cosh M / cosh h_m),
     # taken as an arcsinh that keeps precision as h_m nears M; the horizon
     # floor is within M from radius - M on
-    h_m, t_m = ray_coordinates(*radial_split(ball.orbit_points(ball.members)), u_dir)
+    h_m, t_m = ray_coordinates(r_all, u_all, u_dir)
     near = h_m <= M
     h_m, t_m = h_m[near], t_m[near]
     gap = 2.0 * np.sinh(0.5 * (M + h_m)) * np.sinh(0.5 * (M - h_m))

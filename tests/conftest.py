@@ -13,6 +13,8 @@ from kleinian.hyperbolic import (
     geodesic_point,
     identity_isometry,
     radial_split,
+    ray_coordinates,
+    ray_distance,
     reorthogonalize,
     split_distance,
     stable_arcosh,
@@ -114,7 +116,7 @@ def pairwise_distance(a, b):
     """Reference: the (m, n) distance matrix between two stacks of
     hyperboloid points, one split_distance call over every pair.
 
-    The brute force that kleinian.hyperbolic.min_distance_to_set screens:
+    The brute force that kleinian.hyperbolic.nearest_in_split screens:
     its values and first-row argmins must equal the row minima here.
     """
     ra, ua = radial_split(np.asarray(a, dtype=float))
@@ -209,3 +211,24 @@ def certify_far_loop(bins, nbins, bin_width, rs, phis, threshold):
         idx = np.flatnonzero(active)
         ok[idx[(hi - lo) > 0]] = False
     return ok
+
+
+def myrberg_every_member(xi, g, K_nbhd, ref_ball, t_max):
+    """Reference: kleinian.measure.myrberg_witness as it was before it
+    tested the x0 endpoints first, with both endpoints of every member's
+    translate h [x0, g x0] tested against the window [x0, xi) cut at
+    ``t_max``.  Returns the witness word, or None."""
+    gx0 = g.orbit_point().coords
+
+    def in_tube(points):
+        h, t = ray_coordinates(*radial_split(points), xi.direction)
+        return ray_distance(h, t, np.clip(t, 0.0, t_max)) <= K_nbhd + 1e-9
+
+    members = ref_ball.members
+    mats = ref_ball.mats[members]
+    inside = members[in_tube(mats[:, :, 0]) & in_tube(mats @ gx0)]
+    if inside.size == 0:
+        return None
+    words = ref_ball.words(inside)
+    first = np.lexsort((*words.T[::-1], ref_ball.word_length[inside]))[0]
+    return ref_ball.word(int(inside[first]))

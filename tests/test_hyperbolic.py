@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kleinian.hyperbolic import (
     BoundaryPoint,
     DegenerateDirectionError,
+    GeometryError,
     Isometry,
     IsometryDriftError,
     OffSheetError,
@@ -23,11 +24,12 @@ from kleinian.hyperbolic import (
     geodesic_point,
     gromov_product,
     identity_isometry,
-    min_distance_to_set,
+    nearest_in_split,
     minkowski_inner,
     radial_split,
     ray_coordinates,
     ray_distance,
+    ray_offset,
     ray_points,
     reorthogonalize,
     split_distance,
@@ -251,6 +253,11 @@ def test_pairwise_distance_matches_scalar(rng):
     for i in range(7):
         for j in range(5):
             assert np.isclose(mat[i, j], distance(a[i], b[j]), atol=1e-10)
+
+
+def min_distance_to_set(points, cloud):
+    """The nearest-point kernel on hyperboloid points."""
+    return nearest_in_split(*radial_split(np.atleast_2d(points)), *radial_split(cloud))
 
 
 def test_min_distance_to_set(rng, monkeypatch):
@@ -529,6 +536,48 @@ def test_ray_points_broadcast_radii_against_directions():
     radii = np.array([0.0, 1.0, 400.0])
     fanned = ray_points(v[2], radii)
     assert np.array_equal(fanned, np.stack([ray_points(v[2], t) for t in radii]))
+
+
+def test_ray_points_refuse_radii_past_the_cosh_range():
+    """cosh overflows past arcosh of the largest float, 710.48: a radius
+    there is refused, not returned as inf coordinates."""
+    u = np.array([0.6, 0.8])
+    near = ray_points(u, 705.0)
+    assert np.isfinite(near).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (720.0, -720.0, np.array([0.0, 705.0, 720.0])):
+            with pytest.raises(GeometryError):
+                ray_points(u, t)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_split_and_ray_coordinates_match_norm_reference(rng, dim):
+    """The component-wise norms of radial_split and ray_coordinates give
+    the np.linalg.norm values bit for bit, from the basepoint out to
+    radius 700, and ray_offset is the offset of ray_coordinates."""
+    v = _unit_rows(rng.normal(size=(500, dim)))
+    r = np.concatenate([[0.0], rng.uniform(0.0, 700.0, 499)])
+    pts = ray_points(v, r)
+    spatial = pts[:, 1:]
+    with np.errstate(over="ignore"):
+        # squares overflow past radius 355, where radial_split rescales
+        norm = np.linalg.norm(spatial, axis=-1, keepdims=True)
+    finite = np.isfinite(norm[:, 0])
+    want_u = spatial[finite] / np.where(norm[finite] > 0.0, norm[finite], 1.0)
+    want_u[norm[finite, 0] == 0.0, 0] = 1.0
+    got_r, got_u = radial_split(pts)
+    assert np.array_equal(got_r, stable_arcosh(pts[:, 0]))
+    assert np.array_equal(got_u[finite], want_u)
+    u = v[1]
+    cos = got_u @ u
+    sin = np.linalg.norm(got_u - cos[..., None] * u, axis=-1)
+    sinh_h = np.sinh(got_r) * sin
+    want_t = np.arcsinh(np.sinh(got_r) * cos / np.hypot(1.0, sinh_h))
+    h, t = ray_coordinates(got_r, got_u, u)
+    assert np.array_equal(h, np.arcsinh(sinh_h))
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(ray_offset(got_r, got_u, u), h)
 
 
 def test_distance_far_points():

@@ -52,7 +52,7 @@ from kleinian.measure import (
 )
 from kleinian.semigroup import SemigroupStage, TruncatedFamily, _enumerate_family
 from test_benchmark_contract import _load
-from conftest import golden_section_projection
+from conftest import golden_section_projection, myrberg_every_member
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -1088,6 +1088,24 @@ def test_profile_respects_enumeration_horizon(ball22, torus_ball):
     assert profile.t_max == 13.0
 
 
+def test_profile_samples_stop_at_the_window(torus_ball):
+    """Samples never pass t_max, and the tail keeps at least the last
+    one, also for windows shorter than one step; windows on the step
+    grid, such as the benchmark's 9 and 7, keep their samples."""
+    xi = BoundaryPoint(np.array([0.6, 0.8]))
+    for t_max, size in ((0.0, 1), (0.05, 1), (0.09, 1), (0.3, 4), (8.97, 90)):
+        profile = conical_profile(xi, torus_ball, t_max)
+        assert profile.ts.size == size
+        assert profile.ts[0] == 0.0 and profile.ts[-1] <= t_max
+        assert profile.tail_min <= profile.values[-1]
+    for t_max in (9.0, 7.0):
+        profile = conical_profile(xi, torus_ball, t_max)
+        assert np.array_equal(profile.ts, np.arange(0.0, t_max + 0.05, 0.1))
+    for t_max in (-0.01, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            conical_profile(xi, torus_ball, t_max)
+
+
 def test_extension_checkpoints_stay_close(spec3, pair3, seed3):
     # The window 17.5 must sit inside the horizon radius - prune_margin.
     ball = enumerate_ball(spec3, 17.5 + 2.0, prune_margin=2.0)
@@ -1219,6 +1237,47 @@ def test_myrberg_matches_golden_section_across_tubes(spec22, letters22):
                 assert _word_or_none(got) == want
                 found += want is not None
     assert 0 < found < 72
+
+
+def test_myrberg_matches_every_member_test_on_benchmark_inputs(spec22):
+    """The orbit-queries Myrberg inputs of seeds 1 to 10, at tube widths
+    around the benchmark's: the same witness as testing both endpoints of
+    every member."""
+    workload = _load("workloads").WORKLOADS["orbit-queries"]
+    params = workload.sizes["full"]
+    ball = enumerate_ball(spec22, params["myrberg_radius"], prune_margin=2.0)
+    t_max = params["myrberg_t_max"]
+    found = 0
+    for seed in range(1, 11):
+        for u, label, matrix in workload.prepare("full", seed).inputs["myrberg"]:
+            xi, g = BoundaryPoint(u), Isometry(matrix, (label,))
+            for K in (0.5, 1.0, 2.0):
+                want = myrberg_every_member(xi, g, K, ball, t_max)
+                assert _word_or_none(myrberg_witness(xi, g, K, ball, t_max)) == want
+                found += want is not None
+    assert found >= 40
+
+
+def test_myrberg_matches_every_member_test_on_random_rays(spec22, torus):
+    """Random rays, segments of one to three letters and tubes from 0.2
+    to 3 on a Schottky and a torus ball."""
+    rng = np.random.default_rng(2024)
+    found = 0
+    for spec, radius in ((spec22, 11.0), (torus, 9.0)):
+        ball = enumerate_ball(spec, radius, prune_margin=2.0)
+        letters = spec.letters()
+        for _ in range(40):
+            u = rng.normal(size=2)
+            xi = BoundaryPoint(u / np.linalg.norm(u))
+            picks = rng.integers(len(letters), size=int(rng.integers(1, 4)))
+            word = tuple(letters[i][0] for i in picks)
+            g = Isometry(np.linalg.multi_dot([np.eye(3)] + [letters[i][1] for i in picks]), word)
+            K = float(rng.uniform(0.2, 3.0))
+            want = myrberg_every_member(xi, g, K, ball, radius - 2.0)
+            got = myrberg_witness(xi, g, K, ball, radius - 2.0)
+            assert _word_or_none(got) == want
+            found += want is not None
+    assert 0 < found < 80
 
 
 @pytest.mark.parametrize("angle, word", [(math.pi / 12, (2, -1)), (-math.pi / 12, (-2, -1))])

@@ -15,7 +15,9 @@ from kleinian.hyperbolic import (
     GeometryError,
     boost,
     form_residual,
+    geodesic_point,
     radial_split,
+    ray_coordinates,
     ray_points,
     reorthogonalize,
     split_distance,
@@ -843,11 +845,42 @@ def _per_query_orbit_distance(ball, points):
     return vals, vals >= ball.radius - rp, args
 
 
+TORUS_ANGLES = (0.3, 1.9, 4.4)
+
+
 def _torus_rays():
     ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
-    dirs = [np.array([np.cos(a), np.sin(a)]) for a in (0.3, 1.9, 4.4)]
+    dirs = [np.array([np.cos(a), np.sin(a)]) for a in TORUS_ANGLES]
     ts = np.linspace(0.0, 8.0, 161)
     return ball, np.concatenate([ray_points(u, ts) for u in dirs])
+
+
+def _torus_ray(i):
+    """One ray of :func:`_torus_rays` on its own."""
+    ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
+    u = np.array([np.cos(TORUS_ANGLES[i]), np.sin(TORUS_ANGLES[i])])
+    return ball, ray_points(u, np.linspace(0.0, 8.0, 161))
+
+
+def _torus_line():
+    """A whole line through x0, from t = -4 to 8."""
+    ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
+    return ball, ray_points(np.array([0.8, -0.6]), np.linspace(-4.0, 8.0, 241))
+
+
+def _ray_at_orbit_point():
+    """A ray aimed exactly at a member, which then has offset 0."""
+    ball = enumerate_ball(punctured_torus(), 9.0, prune_margin=2.0)
+    row = int(np.flatnonzero(ball.word_length == 3)[0])
+    _, u = radial_split(ball.orbit_points(row))
+    ts = np.concatenate([np.linspace(0.0, 8.0, 81), [float(ball.norms[row])]])
+    return ball, ray_points(u, ts)
+
+
+def _schottky3_ray():
+    ball = enumerate_ball(schottky(2.0, dim=3), 8.0, prune_margin=2.0)
+    u = np.array([0.48, -0.6, 0.64])
+    return ball, ray_points(u, np.linspace(0.0, 6.0, 121))
 
 
 def _schottky3_cloud():
@@ -865,7 +898,50 @@ def _cyclic_ties():
     return ball, ray_points(np.array([1.0, 0.0]), np.arange(-4.5, 5.0, 0.5))
 
 
-@pytest.mark.parametrize("build", [_torus_rays, _schottky3_cloud, _cyclic_ties])
+def _tight_tube():
+    """Points on the perpendiculars from a ray to members at offsets 2 to
+    4.5, 0.1 short of each member: there d(p, q) = h_q - h_p, so the
+    tube bound holds with equality, and the ray's own samples."""
+    ball, points = _torus_ray(0)
+    u = radial_split(points[-1])[1]
+    rows = ball.members
+    h, t = ray_coordinates(*radial_split(ball.orbit_points(rows)), u)
+    picked = np.flatnonzero((h > 2.0) & (h < 4.5) & (t > 0.0) & (t < 6.0))[::7]
+    perpendicular = [
+        geodesic_point(ray_points(u, t[i]), ball.orbit_points(rows[i]), h[i] - 0.1)
+        for i in picked
+    ]
+    return ball, np.concatenate([points, perpendicular])
+
+
+def _tube_cloud():
+    """Points at offsets up to 1.5 around a ray, which defines the line
+    with its far end: their nearest members sit on both sides of every
+    tube width."""
+    ball, points = _torus_ray(0)
+    u = radial_split(points[-1])[1]
+    rng = np.random.default_rng(3)
+    feet = ray_points(u, rng.uniform(0.0, 7.0, 2000))
+    sides = ray_points(np.array([-u[1], u[0]]) * rng.choice([-1.0, 1.0], (2000, 1)), 1.0)
+    off = [geodesic_point(f, s, h) for f, s, h in zip(feet, sides, rng.uniform(0.0, 1.5, 2000))]
+    return ball, np.concatenate([points, off])
+
+
+LINE_BUILDS = [
+    pytest.param(lambda: _torus_ray(0), id="torus_ray0"),
+    pytest.param(lambda: _torus_ray(1), id="torus_ray1"),
+    pytest.param(lambda: _torus_ray(2), id="torus_ray2"),
+    _torus_line,
+    _ray_at_orbit_point,
+    _schottky3_ray,
+    _tight_tube,
+    _tube_cloud,
+]
+
+
+@pytest.mark.parametrize(
+    "build", [_torus_rays, _schottky3_cloud, _cyclic_ties, *LINE_BUILDS]
+)
 def test_orbit_distance_matches_per_query_loop(build):
     ball, points = build()
     vals, censored, args = orbit_distance(ball, points)
@@ -892,3 +968,31 @@ def test_orbit_distance_ties_go_to_the_first_member():
     assert np.array_equal(args, members[np.argmax(at_min, axis=1)])
     # the halfway points do tie: two members at the minimum
     assert np.any(np.count_nonzero(at_min, axis=1) == 2)
+
+
+def _pass_sizes(monkeypatch):
+    """The member counts of every exact pass that orbit_distance runs."""
+    sizes = []
+    nearest = orbit.nearest_in_split
+
+    def spy(rp, up, rq, uq):
+        sizes.append(rq.shape[0])
+        return nearest(rp, up, rq, uq)
+
+    monkeypatch.setattr(orbit, "nearest_in_split", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("build", LINE_BUILDS)
+def test_line_queries_read_a_thin_tube(build, monkeypatch):
+    """Points along one line read a few members; scattered points read
+    every member in one pass."""
+    ball, points = build()
+    sizes = _pass_sizes(monkeypatch)
+    orbit_distance(ball, points)
+    assert max(sizes) < ball.n_members / 3
+    for scattered in (_torus_rays, _schottky3_cloud):
+        ball, points = scattered()
+        sizes.clear()
+        orbit_distance(ball, points)
+        assert sizes == [ball.n_members]
