@@ -170,10 +170,13 @@ def radial_split(points):
         big = spatial[far]
         top = np.max(np.abs(big), axis=-1, keepdims=True)
         n[far] = top * _norm(big / top)[..., None]
-    safe = np.where(n > 0.0, n, 1.0)
-    u = spatial / safe
+    safe = np.where(n[..., 0] > 0.0, n[..., 0], 1.0)
+    # one column at a time: a broadcast of (n, k) by (n, 1) runs inner
+    # loops only k entries long
+    u = np.empty(spatial.shape)
+    for c in range(spatial.shape[-1]):
+        np.divide(spatial[..., c], safe, out=u[..., c])
     if np.any(n == 0.0):
-        u = np.array(u, copy=True)
         u[..., 0] = np.where(n[..., 0] == 0.0, 1.0, u[..., 0])
     return r, u
 

@@ -5,7 +5,10 @@ words in the generators that keeps every element whose basepoint
 displacement is at most ``radius`` (plus a pruning margin so that words
 passing slightly outside the ball are still explored).  The result is a
 column store (norms, matrices, parent/letter links) that the growth and
-measure layers consume.
+measure layers consume.  Its rows are the members first, then the ring
+of explored rows past the radius; norms and links cover every row, and
+matrices only the members, since every reader of a matrix reads a
+member.
 
 Each BFS level is formed by one GEMM: the letters' transposes, stacked
 as (n_letters * k, k) rows, times the transposed (frontier * k, k)
@@ -13,16 +16,19 @@ frontier.  The product is read in place: a strided view of its (0, 0)
 entries prunes the blocks above cosh(cutoff), the arcosh runs only on
 the others, and the kept (parent, letter) blocks are gathered in
 row-major order, :data:`GATHER_BLOCK` of them per ``np.take``.  Without
-dedup they go straight into the ball's buffer, so a level holds its
-product and one chunk of indices beyond the ball; with dedup they go
-into one candidate array, since the filters read the whole level.  The
-operand order is the one ``np.einsum("mij,ljk->mlik")`` hands to BLAS,
-and it is fixed because it keeps every matrix bit-identical to the
-einsum path: ``np.matmul`` over the broadcast stacks, one GEMM per
-letter, or the transposed GEMM (frontier times letters) changes the last
-bit of some chain-ball matrices.  So does splitting the GEMM into blocks
-of frontier rows, because the BLAS computes the last tile of a call by a
-path that depends on the call's size.
+dedup they go straight into the level's array, so a level holds its
+product, itself and one chunk of indices (the frontier is dropped once
+its GEMM has run); with dedup they go into one candidate array first,
+since the filters read the whole level.  The level's array is the next GEMM's frontier, and its member
+rows are copied into the ball's buffer.  The operand order is the one
+``np.einsum("mij,ljk->mlik")`` hands to BLAS, and it is fixed because it
+keeps every matrix bit-identical to the einsum path: ``np.matmul`` over
+the broadcast stacks, one GEMM per letter, or the transposed GEMM
+(frontier times letters) changes the last bit of some chain-ball
+matrices.  So does splitting the GEMM into blocks of frontier rows, or
+reordering them: the BLAS computes the last tile of a call by a path
+that depends on the call's size, so a row's bits depend on where it
+sits.  The frontier is therefore each level in BFS order.
 
 Deduplication strategies, chosen per group:
 
@@ -246,12 +252,17 @@ class CriticalExponentEstimate:
 class OrbitBall:
     """Column store for an enumerated ball.
 
-    Rows cover every explored element: members (norm <= radius) plus the
-    overshoot ring kept for ancestry (norm <= radius + margin).  ``parent``
-    and ``letter`` encode the generating word; the root has parent -1.
-    :attr:`member_split` holds the member rows and the radial split of
-    their orbit points, formed once for every nearest-orbit and ray query
-    on the ball.
+    Rows cover every explored element: the ``n_members`` members (norm <=
+    radius) come first, rows ``0 .. n_members - 1``, then the overshoot
+    ring kept for ancestry (norm <= radius + margin); each part is in BFS
+    order, and the root is row 0.  ``norms``, ``parent``, ``letter`` and
+    ``word_length`` cover every row, so :meth:`words` reads any of them;
+    ``parent`` and ``letter`` encode the generating word, the root has
+    parent -1, and a member's parent may be a ring row with a larger id.
+    ``mats`` holds the members' matrices only, so :meth:`element` and
+    :meth:`orbit_points` take member rows.  :attr:`member_split` holds the
+    member rows and the radial split of their orbit points, formed once
+    for every nearest-orbit and ray query on the ball.
     """
 
     spec: GroupSpec
@@ -270,19 +281,16 @@ class OrbitBall:
         return int(self.norms.shape[0])
 
     @property
-    def member_mask(self) -> np.ndarray:
-        return self.norms <= self.radius
+    def n_members(self) -> int:
+        return int(self.mats.shape[0])
 
     @property
     def members(self) -> np.ndarray:
-        return np.flatnonzero(self.member_mask)
-
-    @property
-    def n_members(self) -> int:
-        return int(np.count_nonzero(self.member_mask))
+        return np.arange(self.n_members)
 
     def orbit_points(self, indices) -> np.ndarray:
-        """Images of the basepoint (first matrix column) for selected rows."""
+        """Images of the basepoint (first matrix column) for selected
+        member rows."""
         return self.mats[indices, :, 0]
 
     def words(self, rows) -> np.ndarray:
@@ -308,8 +316,7 @@ class OrbitBall:
     def member_split(self):
         """(members, r, u): the member rows and the (radius, direction)
         split of their orbit points, in row order, read once per ball."""
-        members = self.members
-        return (members, *radial_split(self.orbit_points(members)))
+        return (self.members, *radial_split(self.mats[:, :, 0]))
 
     @cached_property
     def letter_labels(self):
@@ -317,12 +324,12 @@ class OrbitBall:
         return np.array([lab for lab, _ in self.spec.letters()], dtype=np.int64)
 
     def element(self, i: int) -> Isometry:
+        """The member of row ``i``, with its word."""
         return Isometry(self.mats[int(i)].copy(), self.word(i))
 
     def by_norm(self) -> np.ndarray:
-        """Member indices sorted by norm (stable, so BFS order breaks ties)."""
-        members = self.members
-        return members[np.argsort(self.norms[members], kind="stable")]
+        """Member rows sorted by norm (stable, so BFS order breaks ties)."""
+        return np.argsort(self.norms[: self.n_members], kind="stable")
 
 
 def _resolve_dedup(spec: GroupSpec, dedup: str) -> str:
@@ -492,7 +499,7 @@ def _gather(product, corner, cell, out):
     is in range, so nothing is clipped)."""
     for lo in range(0, corner.shape[0], GATHER_BLOCK):
         rows = corner[lo : lo + GATHER_BLOCK, None, None] + cell
-        np.take(product, rows, out=out[lo : lo + rows.shape[0]], mode="clip")
+        product.take(rows, out=out[lo : lo + rows.shape[0]], mode="clip")
         del rows  # so that two chunks' indices are never held at once
     return out
 
@@ -521,15 +528,27 @@ def enumerate_ball(
 
     A level is one GEMM in einsum's operand order, read in place: norms
     from a strided view of its (0, 0) entries, then the kept blocks,
-    gathered :data:`GATHER_BLOCK` at a time straight into the ball's buffer
-    when there is no dedup, and into one candidate array that the dedup
-    filters otherwise.  The operand order keeps the matrices bit-identical
-    to the einsum path, which other BLAS layouts and row blocks of the
-    GEMM do not.  Every dedup mode reads the gathered blocks.  Exact
-    dedup keys them as they are: entries of exact images are half-integers,
-    so each GEMM term and partial sum is a multiple of 1/4, exact while it
-    stays within 2^51.  A level whose k * max|frontier| * max|letter|
-    passes 2^51 raises :class:`EnumerationBudgetError`.
+    gathered :data:`GATHER_BLOCK` at a time straight into the level's
+    array when there is no dedup, and into one candidate array that the
+    dedup filters otherwise, whose fresh rows then form the level's
+    array.  That array, in BFS order, is the next level's frontier; its
+    members (norm <= radius) are copied into one buffer of
+    ``max_elements`` rows, of which only the touched pages are resident.
+    The budget counts every explored row.  The operand order keeps the
+    matrices bit-identical to the einsum path, which other BLAS layouts
+    and row blocks of the GEMM do not.  Every dedup mode reads the
+    gathered blocks.  Exact dedup keys them as they are: entries of exact
+    images are half-integers, so each GEMM term and partial sum is a
+    multiple of 1/4, exact while it stays within 2^51.  A level whose
+    k * max|frontier| * max|letter| passes 2^51 raises
+    :class:`EnumerationBudgetError`.
+
+    The returned ball lists the members first and the ring past the
+    radius after them, each part in BFS order (see :class:`OrbitBall`):
+    the levels' norms, links and letters are kept in BFS order and
+    partitioned once at the end, with the parent links moved to the new
+    rows.  Member matrices keep their relative order, so norm ties,
+    nearest-orbit ties and every matrix bit are those of the BFS layout.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -570,11 +589,15 @@ def enumerate_ball(
     elif mode == "binned":
         window = [_keyed(np.zeros(1), np.eye(k)[:1])]
 
-    # kept matrices land in one buffer, whose pages are touched only as
-    # levels fill them, so the ball is never held twice
+    # member matrices land in one buffer, whose pages are touched only as
+    # levels fill them; each level's kept rows go to an array of their own,
+    # the next level's frontier, so a ring row's matrix is dropped once the
+    # next GEMM has read it
     mats = np.empty((max_elements, k, k))
     mats[0] = np.eye(k)
     f_mats = mats[:1]
+    n_members = 1
+    member_counts = [1]
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
     letter_levels = [np.full(1, -1, dtype=np.int16)]
@@ -599,17 +622,18 @@ def enumerate_ball(
         # free-semigroup gate ball, and blocks of 128 moved the
         # psl2z-generic-6.5 dedup ball
         product = letter_rows @ f_mats.reshape(m * k, k).T
+        del f_mats  # only the GEMM reads the frontier
         # keep[i, j] reads the (0, 0) entry of frontier i times letter j in
         # place, so flat index i*n_letters + j is that product
         keep = np.less_equal(product[::k, ::k].T, x00_bound, order="C")
         keep &= allowed.take(letter_levels[-1] + 1, axis=0)
-        parents, letter = np.divmod(np.flatnonzero(keep), n_letters)
+        parents, letter = np.divmod(keep.ravel().nonzero()[0], n_letters)
         # flat index of each kept block's (0, 0) entry
         corner = letter * (k * m * k) + parents * k
         norms = stable_arcosh(product.take(corner))
         # only a product within the bound's slack can lie past the cutoff
         inside = norms <= cutoff
-        if np.count_nonzero(inside) < inside.shape[0]:
+        if not inside.all():
             norms, parents = norms[inside], parents[inside]
             letter, corner = letter[inside], corner[inside]
         n_new = norms.shape[0]
@@ -638,53 +662,76 @@ def enumerate_ball(
                 total,
                 level,
             )
-        new = mats[total : total + n_new]
+        new = np.empty((n_new, k, k))
         if mode == "none":
             _gather(product, corner, cell, new)
             del product
         else:
-            np.take(cand, fresh_rows, axis=0, out=new, mode="clip")
+            cand.take(fresh_rows, axis=0, out=new, mode="clip")
             del cand
         # exact images need no correction
         if not exact and level % REORTH_EVERY == 0:
-            new[...] = reorthogonalize(new)
+            new = reorthogonalize(new)
             norms = stable_arcosh(new[:, 0, 0])
-        # the frontier is the last level
-        f_mats = new
+        # the level's members (norm <= radius) go to the buffer in BFS order
+        rows = (norms <= radius).nonzero()[0]
+        end = n_members + rows.shape[0]
+        new.take(rows, axis=0, out=mats[n_members:end], mode="clip")
+        n_members = end
+        member_counts.append(rows.shape[0])
         norms_levels.append(norms)
         parent_levels.append(total - m + parents)
         letter_levels.append(letter.astype(np.int16))
         total += n_new
+        # the frontier is the last level, held by f_mats alone
+        f_mats, new = new, None
 
     sizes = [lev.shape[0] for lev in norms_levels]
     norms = np.concatenate(norms_levels)
-    mats = mats[:total]
-    word_length = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    parent = np.concatenate(parent_levels)
+    letter = np.concatenate(letter_levels)
+    del norms_levels, parent_levels, letter_levels
+    # one stable partition, members first, each part in BFS order; the
+    # parent links follow their rows
+    member = norms <= radius
+    order = np.concatenate((member.nonzero()[0], (~member).nonzero()[0]))
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(total)
+    parent = row_of.take(parent.take(order))
+    parent[0] = -1  # the root, whose -1 the take read as a row
+    norms, letter = norms.take(order), letter.take(order)
+    word_length = np.repeat(
+        np.tile(np.arange(len(sizes), dtype=np.int32), 2),
+        member_counts + [n - c for n, c in zip(sizes, member_counts)],
+    )
+    mats = mats[:n_members]
     return OrbitBall(
         spec=spec,
         radius=float(radius),
         prune_margin=float(prune_margin),
         norms=norms,
         mats=mats,
-        parent=np.concatenate(parent_levels),
-        letter=np.concatenate(letter_levels),
+        parent=parent,
+        letter=letter,
         word_length=word_length,
-        anomalies=_sanity_check(norms, mats, word_length),
+        anomalies=_sanity_check(norms, mats),
         dedup_mode=mode,
         merged=merged,
     )
 
 
-def _sanity_check(norms, mats, word_length) -> list:
+def _sanity_check(norms, mats) -> list:
     """Anomalies of a finished walk, each also warned as a
-    :class:`DiscretenessWarning`."""
+    :class:`DiscretenessWarning`: a nontrivial row of tiny norm, among
+    every explored row (row 0, the root, is the one word of length 0),
+    and form drift in every (n // 64)-th of the n member matrices
+    ``mats``."""
     anomalies = []
-    nontrivial = norms[word_length > 0]
-    if nontrivial.size and float(np.min(nontrivial)) < 1e-4:
+    nearest = float(np.min(norms[1:], initial=np.inf))
+    if nearest < 1e-4:
         anomalies.append(
-            "nontrivial element displaces the basepoint by "
-            f"{float(np.min(nontrivial)):.2e}; the group may be non-discrete "
-            "or the generators non-reduced"
+            f"nontrivial element displaces the basepoint by {nearest:.2e}; "
+            "the group may be non-discrete or the generators non-reduced"
         )
     sample = mats[:: max(1, mats.shape[0] // 64)]
     worst = float(np.max(form_residual(sample)))
@@ -731,7 +778,7 @@ def estimate_critical_exponent(ball: OrbitBall) -> CriticalExponentEstimate:
     top = ball.radius
     lo = GROWTH_WINDOW * top
     n = max(GROWTH_MIN_POINTS, int(np.floor(top - lo)) + 1)
-    member_norms = np.sort(ball.norms[ball.member_mask])
+    member_norms = np.sort(ball.norms[: ball.n_members])
     return growth_fit(member_norms, np.linspace(lo, top, n))
 
 

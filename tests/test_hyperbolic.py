@@ -580,6 +580,39 @@ def test_split_and_ray_coordinates_match_norm_reference(rng, dim):
     assert np.array_equal(ray_offset(got_r, got_u, u), h)
 
 
+def _radial_split_broadcast(points):
+    """Reference: radial_split as it was with one broadcast division of
+    the (n, k) spatial part by the (n, 1) norms."""
+    p = np.asarray(points, dtype=float)
+    spatial = p[..., 1:]
+    with np.errstate(over="ignore"):
+        n = hyperbolic._norm(spatial)[..., None]
+    far = np.isinf(n[..., 0])
+    if np.count_nonzero(far):
+        big = spatial[far]
+        top = np.max(np.abs(big), axis=-1, keepdims=True)
+        n[far] = top * hyperbolic._norm(big / top)[..., None]
+    u = spatial / np.where(n > 0.0, n, 1.0)
+    u[..., 0] = np.where(n[..., 0] == 0.0, 1.0, u[..., 0])
+    return stable_arcosh(p[..., 0]), u
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_columnwise_split_matches_broadcast_division(rng, dim):
+    """Dividing one column at a time gives the broadcast's bits, on the
+    basepoint (zero norm), on rows past radius 355 (the rescaled norms)
+    and on one point alone."""
+    v = _unit_rows(rng.normal(size=(300, dim)))
+    r = np.concatenate([[0.0, 400.0, 700.0], rng.uniform(0.0, 700.0, 297)])
+    pts = ray_points(v, r)
+    for points in (pts, pts[0], pts[1], pts[5]):
+        got_r, got_u = radial_split(points)
+        want_r, want_u = _radial_split_broadcast(points)
+        assert np.array_equal(got_r, want_r)
+        assert got_u.dtype == want_u.dtype and np.array_equal(got_u, want_u)
+    assert np.array_equal(radial_split(pts)[1][0], np.eye(dim)[0])
+
+
 def test_distance_far_points():
     """The split kernel keeps full precision where the raw pairing cancels."""
     p = np.array([np.cosh(250.0), np.sinh(250.0), 0.0])

@@ -253,11 +253,14 @@ def test_budget_error_inside_a_level(block, monkeypatch):
 
 
 def test_level_gathers_hold_no_whole_level_copy():
-    """Beyond the arrays it returns, a build holds at most the largest
-    level's product and one chunk of gathered blocks.  ``tracemalloc`` sees
-    numpy's allocations and counts the whole ``np.empty`` reservation, so
-    the budget is the ball's size.  A whole level's gather index or
-    candidate array, 72 bytes per kept row, would break the bound."""
+    """Beyond the member buffer and the columns it returns, a build holds
+    at most the largest level's product, one level's matrices (the
+    frontier until its GEMM has run, then the new level) and one chunk of
+    gathered blocks.  ``tracemalloc`` sees numpy's allocations and counts
+    the whole ``np.empty`` reservation of the member buffer,
+    ``max_elements`` rows, here the ball's size.  A whole level's gather
+    index or candidate array, 72 bytes per kept row, or the matrices of
+    the rows past the radius would break the bound."""
     spec = schottky(1.8)
     size = len(enumerate_ball(spec, 11.0, prune_margin=2.0))
     tracemalloc.start()
@@ -266,15 +269,18 @@ def test_level_gathers_hold_no_whole_level_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    k, n_letters = 3, 4
+    assert ball.mats.shape == (ball.n_members, k, k)
+    reserved = size * k * k * 8
     returned = sum(
         getattr(ball, column).nbytes
-        for column in ("norms", "mats", "parent", "letter", "word_length")
+        for column in ("norms", "parent", "letter", "word_length")
     )
-    k, n_letters = 3, 4
-    frontier = np.bincount(ball.word_length)[:-1].max()
-    product = n_letters * k * frontier * k * 8
+    sizes = np.bincount(ball.word_length)
+    product = n_letters * k * sizes[:-1].max() * k * 8
+    level = sizes.max() * k * k * 8
     chunk = orbit.GATHER_BLOCK * k * k * 8
-    assert peak - returned < product + chunk
+    assert peak - reserved - returned < product + level + chunk
 
 
 def test_orbit_distance_and_censoring():
@@ -440,19 +446,28 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
         letter_levels.append((idx % n_letters).astype(np.int16))
         length_levels.append(np.full(cand.shape[0], level, dtype=np.int32))
         total += cand.shape[0]
+    # the members first, then the rest, each part in BFS order, with the
+    # parent links moved to the new rows; only member matrices are kept
     norms = np.concatenate(norms_levels)
-    mats = np.concatenate(mats_levels)
-    word_length = np.concatenate(length_levels)
+    member = norms <= radius
+    order = np.concatenate([np.flatnonzero(member), np.flatnonzero(~member)])
+    moved_to = np.argsort(order)
+    parent = np.concatenate(parent_levels)[order]
+    parent = np.where(parent < 0, parent, moved_to[parent])
+    n_members = int(np.count_nonzero(member))
+    mats = np.concatenate(mats_levels)[order[:n_members]]
+    norms = norms[order]
+    word_length = np.concatenate(length_levels)[order]
     return orbit.OrbitBall(
         spec=spec,
         radius=float(radius),
         prune_margin=float(prune_margin),
         norms=norms,
         mats=mats,
-        parent=np.concatenate(parent_levels),
-        letter=np.concatenate(letter_levels),
+        parent=parent,
+        letter=np.concatenate(letter_levels)[order],
         word_length=word_length,
-        anomalies=orbit._sanity_check(norms, mats, word_length),
+        anomalies=orbit._sanity_check(norms, mats),
         dedup_mode=mode,
         merged=merged,
     )
@@ -529,6 +544,9 @@ def _check_gemm_ball(name, monkeypatch):
         got, ref = getattr(ball, column), getattr(want, column)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), column
     assert (ball.merged, ball.anomalies) == (want.merged, want.anomalies)
+    n = ball.n_members
+    assert np.all(ball.norms[:n] <= radius) and np.all(ball.norms[n:] > radius)
+    assert np.array_equal(ball.members, np.arange(n))
 
 
 def test_exact_dedup_range_is_refused():
@@ -827,6 +845,29 @@ def test_words_match_per_row_walk(name):
         assert padded == list(walked[i]) + pad
     by_tuple = sorted(rows.tolist(), key=walked.get)
     assert np.array_equal(rows[np.lexsort(words.T[::-1])], by_tuple)
+
+
+@pytest.mark.parametrize("radius, count", [(9.0, 272), (12.0, 5_684)])
+def test_members_below_ring_rows(radius, count):
+    """A word that leaves the ball and comes back gives a member whose
+    parent is a ring row, past every member row.  Such a member keeps its
+    word and its matrix: the padded reader agrees with a walk up the
+    parents, and the letter product of the word is the stored matrix."""
+    spec = punctured_torus()
+    ball = enumerate_ball(spec, radius, prune_margin=2.0)
+    rows = ball.members
+    below = rows[ball.parent[rows] >= ball.n_members]
+    assert below.shape[0] == count
+    assert np.all(ball.parent[below] > below)
+    lab_to_mat = dict(spec.letters())
+    words = ball.words(below)
+    for i, padded in zip(below.tolist(), words.tolist()):
+        word = _walk_word(ball, i)
+        assert padded == list(word) + [WORD_PAD] * (words.shape[1] - len(word))
+        prod = np.eye(3)
+        for w in word:
+            prod = prod @ lab_to_mat[w]
+        assert np.max(np.abs(prod - ball.mats[i])) < 1e-9
 
 
 def _per_query_orbit_distance(ball, points):
