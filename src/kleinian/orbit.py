@@ -692,14 +692,23 @@ def enumerate_ball(
     letter = np.concatenate(letter_levels)
     del norms_levels, parent_levels, letter_levels
     # one stable partition, members first, each part in BFS order; the
-    # parent links follow their rows
+    # parent links follow their rows.  The returned columns are allocated
+    # before the index arrays, which go as soon as they are read, so that
+    # the heap those free is left where the next build's products can
+    # reuse it instead of faulting fresh pages
+    out = np.empty_like(norms), np.empty_like(parent), np.empty_like(letter)
     member = norms <= radius
     order = np.concatenate((member.nonzero()[0], (~member).nonzero()[0]))
+    del member
     row_of = np.empty_like(order)
     row_of[order] = np.arange(total)
-    parent = row_of.take(parent.take(order))
-    parent[0] = -1  # the root, whose -1 the take read as a row
-    norms, letter = norms.take(order), letter.take(order)
+    row_of.take(parent.take(order), out=out[1])
+    del row_of
+    out[1][0] = -1  # the root, whose -1 the take read as a row
+    norms.take(order, out=out[0])
+    letter.take(order, out=out[2])
+    del order
+    norms, parent, letter = out
     word_length = np.repeat(
         np.tile(np.arange(len(sizes), dtype=np.int32), 2),
         member_counts + [n - c for n, c in zip(sizes, member_counts)],
