@@ -5,10 +5,9 @@ words in the generators that keeps every element whose basepoint
 displacement is at most ``radius`` (plus a pruning margin so that words
 passing slightly outside the ball are still explored).  The result is a
 column store (norms, matrices, parent/letter links) that the growth and
-measure layers consume.  Its rows are the members first, then the ring
-of explored rows past the radius; norms and links cover every row, and
-matrices only the members, since every reader of a matrix reads a
-member.
+measure layers consume.  Its rows are the members, then the ring rows
+past the radius on some member's word; norms and links cover those rows,
+matrices only the members, and the rest of the ring is only counted.
 
 Each BFS level is formed by one GEMM: the letters' transposes, stacked
 as (n_letters * k, k) rows, times the transposed (frontier * k, k)
@@ -252,17 +251,18 @@ class CriticalExponentEstimate:
 class OrbitBall:
     """Column store for an enumerated ball.
 
-    Rows cover every explored element: the ``n_members`` members (norm <=
-    radius) come first, rows ``0 .. n_members - 1``, then the overshoot
-    ring kept for ancestry (norm <= radius + margin); each part is in BFS
-    order, and the root is row 0.  ``norms``, ``parent``, ``letter`` and
-    ``word_length`` cover every row, so :meth:`words` reads any of them;
-    ``parent`` and ``letter`` encode the generating word, the root has
-    parent -1, and a member's parent may be a ring row with a larger id.
-    ``mats`` holds the members' matrices only, so :meth:`element` and
-    :meth:`orbit_points` take member rows.  :attr:`member_split` holds the
-    member rows and the radial split of their orbit points, formed once
-    for every nearest-orbit and ray query on the ball.
+    The ``n_members`` members (norm <= radius) are rows ``0 .. n_members -
+    1``, then come the ring rows (radius < norm <= radius + margin) on some
+    member's parent chain; each part is in BFS order, and the root is row
+    0.  ``norms``, ``parent``, ``letter`` and ``word_length`` cover these
+    stored rows, so :meth:`words` reads any of them; ``parent`` and
+    ``letter`` encode the generating word, the root has parent -1, and a
+    member's parent may be a ring row with a larger id.  The rest of the
+    ring is only counted: ``level_counts`` holds the explored rows of each
+    BFS level.  ``mats`` holds the members' matrices only, so
+    :meth:`element` and :meth:`orbit_points` take member rows.
+    :attr:`member_split` holds the member rows and the radial split of
+    their orbit points, formed once for every query on the ball.
     """
 
     spec: GroupSpec
@@ -273,12 +273,14 @@ class OrbitBall:
     parent: np.ndarray
     letter: np.ndarray
     word_length: np.ndarray
+    level_counts: np.ndarray
     anomalies: list
     dedup_mode: str = "none"
     merged: int = 0
 
     def __len__(self) -> int:
-        return int(self.norms.shape[0])
+        """Explored rows, the ring rows that are not stored included."""
+        return int(self.level_counts.sum())
 
     @property
     def n_members(self) -> int:
@@ -543,12 +545,11 @@ def enumerate_ball(
     k * max|frontier| * max|letter| passes 2^51 raises
     :class:`EnumerationBudgetError`.
 
-    The returned ball lists the members first and the ring past the
-    radius after them, each part in BFS order (see :class:`OrbitBall`):
-    the levels' norms, links and letters are kept in BFS order and
-    partitioned once at the end, with the parent links moved to the new
-    rows.  Member matrices keep their relative order, so norm ties,
-    nearest-orbit ties and every matrix bit are those of the BFS layout.
+    The levels' norms, links and letters are kept in BFS order until the
+    end, where one pass takes the members and the ring rows on their
+    parent chains, in that order (see :class:`OrbitBall`), and moves the
+    links to the stored rows.  Member matrices keep their BFS order, so
+    norm ties, nearest-orbit ties and every matrix bit are kept.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -597,7 +598,6 @@ def enumerate_ball(
     mats[0] = np.eye(k)
     f_mats = mats[:1]
     n_members = 1
-    member_counts = [1]
     norms_levels = [np.zeros(1)]
     parent_levels = [np.full(1, -1, dtype=np.int64)]
     letter_levels = [np.full(1, -1, dtype=np.int16)]
@@ -678,7 +678,6 @@ def enumerate_ball(
         end = n_members + rows.shape[0]
         new.take(rows, axis=0, out=mats[n_members:end], mode="clip")
         n_members = end
-        member_counts.append(rows.shape[0])
         norms_levels.append(norms)
         parent_levels.append(total - m + parents)
         letter_levels.append(letter.astype(np.int16))
@@ -686,33 +685,32 @@ def enumerate_ball(
         # the frontier is the last level, held by f_mats alone
         f_mats, new = new, None
 
-    sizes = [lev.shape[0] for lev in norms_levels]
-    norms = np.concatenate(norms_levels)
-    parent = np.concatenate(parent_levels)
-    letter = np.concatenate(letter_levels)
-    del norms_levels, parent_levels, letter_levels
-    # one stable partition, members first, each part in BFS order; the
-    # parent links follow their rows.  The returned columns are allocated
-    # before the index arrays, which go as soon as they are read, so that
-    # the heap those free is left where the next build's products can
-    # reuse it instead of faulting fresh pages
-    out = np.empty_like(norms), np.empty_like(parent), np.empty_like(letter)
+    level_counts = np.array([lev.shape[0] for lev in norms_levels])
+    # each column's levels are dropped as soon as they are joined
+    norms, norms_levels = np.concatenate(norms_levels), None
+    parent, parent_levels = np.concatenate(parent_levels), None
+    letter, letter_levels = np.concatenate(letter_levels), None
+    nearest = float(np.min(norms[1:], initial=np.inf))
+    # the stored rows: the members, then the ring rows found by walking up
+    # from the members' parents until no new ring row appears
     member = norms <= radius
-    order = np.concatenate((member.nonzero()[0], (~member).nonzero()[0]))
-    del member
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(total)
-    row_of.take(parent.take(order), out=out[1])
+    rows = member.nonzero()[0]
+    stored = member.copy()
+    up = parent.take(rows[1:])
+    while (up := up[~stored.take(up)]).shape[0]:
+        stored[up] = True
+        up = parent.take(up)
+    stored ^= member  # now the stored ring rows alone
+    order = np.concatenate((rows, stored.nonzero()[0]))
+    del member, stored, rows, up
+    # new ids for the stored rows only, whose parents are all stored
+    row_of = np.empty_like(parent)
+    row_of[order] = np.arange(order.shape[0])
+    parent = row_of.take(parent.take(order))
+    parent[0] = -1  # the root, whose -1 the take read as a row
     del row_of
-    out[1][0] = -1  # the root, whose -1 the take read as a row
-    norms.take(order, out=out[0])
-    letter.take(order, out=out[2])
-    del order
-    norms, parent, letter = out
-    word_length = np.repeat(
-        np.tile(np.arange(len(sizes), dtype=np.int32), 2),
-        member_counts + [n - c for n, c in zip(sizes, member_counts)],
-    )
+    norms, letter = norms.take(order), letter.take(order)
+    word_length = level_counts.cumsum().searchsorted(order, side="right")
     mats = mats[:n_members]
     return OrbitBall(
         spec=spec,
@@ -722,21 +720,20 @@ def enumerate_ball(
         mats=mats,
         parent=parent,
         letter=letter,
-        word_length=word_length,
-        anomalies=_sanity_check(norms, mats),
+        word_length=word_length.astype(np.int32),
+        level_counts=level_counts,
+        anomalies=_sanity_check(nearest, mats),
         dedup_mode=mode,
         merged=merged,
     )
 
 
-def _sanity_check(norms, mats) -> list:
+def _sanity_check(nearest, mats) -> list:
     """Anomalies of a finished walk, each also warned as a
-    :class:`DiscretenessWarning`: a nontrivial row of tiny norm, among
-    every explored row (row 0, the root, is the one word of length 0),
-    and form drift in every (n // 64)-th of the n member matrices
-    ``mats``."""
+    :class:`DiscretenessWarning`: a tiny ``nearest``, the smallest norm of
+    a nontrivial explored row, taken before the ring is dropped, and form
+    drift in every (n // 64)-th of the n member matrices ``mats``."""
     anomalies = []
-    nearest = float(np.min(norms[1:], initial=np.inf))
     if nearest < 1e-4:
         anomalies.append(
             f"nontrivial element displaces the basepoint by {nearest:.2e}; "

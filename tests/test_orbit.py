@@ -253,14 +253,16 @@ def test_budget_error_inside_a_level(block, monkeypatch):
 
 
 def test_level_gathers_hold_no_whole_level_copy():
-    """Beyond the member buffer and the columns it returns, a build holds
-    at most the largest level's product, one level's matrices (the
-    frontier until its GEMM has run, then the new level) and one chunk of
-    gathered blocks.  ``tracemalloc`` sees numpy's allocations and counts
-    the whole ``np.empty`` reservation of the member buffer,
-    ``max_elements`` rows, here the ball's size.  A whole level's gather
-    index or candidate array, 72 bytes per kept row, or the matrices of
-    the rows past the radius would break the bound."""
+    """Beyond the member buffer and the norms, parent links and letters of
+    the explored rows (8 + 8 + 2 bytes a row, kept per level until the
+    stored rows are taken from them), a build holds at most the largest
+    level's product, one level's matrices (the frontier until its GEMM has
+    run, then the new level) and one chunk of gathered blocks.
+    ``tracemalloc`` sees numpy's allocations and counts the whole
+    ``np.empty`` reservation of the member buffer, ``max_elements`` rows,
+    here the ball's size.  A whole level's gather index or candidate
+    array, 72 bytes per kept row, or the matrices of the rows past the
+    radius would break the bound."""
     spec = schottky(1.8)
     size = len(enumerate_ball(spec, 11.0, prune_margin=2.0))
     tracemalloc.start()
@@ -272,15 +274,12 @@ def test_level_gathers_hold_no_whole_level_copy():
     k, n_letters = 3, 4
     assert ball.mats.shape == (ball.n_members, k, k)
     reserved = size * k * k * 8
-    returned = sum(
-        getattr(ball, column).nbytes
-        for column in ("norms", "parent", "letter", "word_length")
-    )
-    sizes = np.bincount(ball.word_length)
+    columns = size * (8 + 8 + 2)
+    sizes = ball.level_counts
     product = n_letters * k * sizes[:-1].max() * k * 8
     level = sizes.max() * k * k * 8
     chunk = orbit.GATHER_BLOCK * k * k * 8
-    assert peak - reserved - returned < product + level + chunk
+    assert peak - reserved - columns < product + level + chunk
 
 
 def test_orbit_distance_and_censoring():
@@ -300,7 +299,8 @@ def test_reorthogonalization_keeps_drift_down(monkeypatch):
     # tiny steps force long words, exercising the periodic cleanup
     monkeypatch.setattr(orbit, "REORTH_EVERY", 8)
     ball = enumerate_ball(cyclic(0.05), 2.0)
-    assert int(ball.word_length.max()) >= 40
+    # the members reach word length 39, the walk level 42
+    assert ball.level_counts.shape[0] - 1 >= 40
     assert float(np.max(form_residual(ball.mats))) < 1e-12
 
 
@@ -446,28 +446,34 @@ def _enumerate_einsum(spec, radius, *, prune_margin=None, dedup="auto"):
         letter_levels.append((idx % n_letters).astype(np.int16))
         length_levels.append(np.full(cand.shape[0], level, dtype=np.int32))
         total += cand.shape[0]
-    # the members first, then the rest, each part in BFS order, with the
-    # parent links moved to the new rows; only member matrices are kept
-    norms = np.concatenate(norms_levels)
+    # the members, then the ring rows on a member's parent chain, each part
+    # in BFS order, with the parent links moved to the kept rows; a ring row
+    # is kept when a kept row of the next level hangs below it, so the
+    # levels are marked from the deepest up.  Only member matrices are kept
+    norms, parent = np.concatenate(norms_levels), np.concatenate(parent_levels)
     member = norms <= radius
-    order = np.concatenate([np.flatnonzero(member), np.flatnonzero(~member)])
-    moved_to = np.argsort(order)
-    parent = np.concatenate(parent_levels)[order]
+    kept = member.copy()
+    ends = np.cumsum([lev.shape[0] for lev in norms_levels])
+    for lo, hi in zip(ends[-2::-1], ends[:0:-1]):
+        kept[parent[lo:hi][kept[lo:hi]]] = True
+    order = np.concatenate([np.flatnonzero(member), np.flatnonzero(kept & ~member)])
+    moved_to = np.full(norms.shape[0], -1)
+    moved_to[order] = np.arange(order.shape[0])
+    parent = parent[order]
     parent = np.where(parent < 0, parent, moved_to[parent])
     n_members = int(np.count_nonzero(member))
     mats = np.concatenate(mats_levels)[order[:n_members]]
-    norms = norms[order]
-    word_length = np.concatenate(length_levels)[order]
     return orbit.OrbitBall(
         spec=spec,
         radius=float(radius),
         prune_margin=float(prune_margin),
-        norms=norms,
+        norms=norms[order],
         mats=mats,
         parent=parent,
         letter=np.concatenate(letter_levels)[order],
-        word_length=word_length,
-        anomalies=orbit._sanity_check(norms, mats),
+        word_length=np.concatenate(length_levels)[order],
+        level_counts=np.array([lev.shape[0] for lev in norms_levels]),
+        anomalies=orbit._sanity_check(float(np.min(norms[1:], initial=np.inf)), mats),
         dedup_mode=mode,
         merged=merged,
     )
@@ -540,13 +546,25 @@ def _check_gemm_ball(name, monkeypatch):
         ball = enumerate_ball(spec, radius, **options)
         want = _enumerate_einsum(spec, radius, **options)
     assert len(ball) > 1
-    for column in ("norms", "mats", "parent", "letter", "word_length"):
+    columns = ("norms", "mats", "parent", "letter", "word_length", "level_counts")
+    for column in columns:
         got, ref = getattr(ball, column), getattr(want, column)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), column
-    assert (ball.merged, ball.anomalies) == (want.merged, want.anomalies)
-    n = ball.n_members
+    assert (len(ball), ball.merged, ball.anomalies) == (
+        len(want),
+        want.merged,
+        want.anomalies,
+    )
+    n, stored = ball.n_members, ball.norms.shape[0]
     assert np.all(ball.norms[:n] <= radius) and np.all(ball.norms[n:] > radius)
     assert np.array_equal(ball.members, np.arange(n))
+    # every stored ring row is the parent of a stored row, and every parent
+    # chain climbs one level per step inside the store, up to the root
+    assert np.all(np.isin(np.arange(n, stored), ball.parent))
+    assert ball.parent[0] == -1 and ball.word_length[0] == 0
+    up = ball.parent[1:]
+    assert np.all((up >= 0) & (up < stored))
+    assert np.array_equal(ball.word_length[up], ball.word_length[1:] - 1)
 
 
 def test_exact_dedup_range_is_refused():
@@ -834,9 +852,9 @@ def test_words_match_per_row_walk(name):
         warnings.simplefilter("ignore", DiscretenessWarning)
         ball = WORD_BALLS[name]()
     assert name in ("torus-8", "schottky3-6") or ball.merged > 0
-    rows = np.arange(len(ball))[::-1]
+    rows = np.arange(ball.norms.shape[0])[::-1]
     words = ball.words(rows)
-    assert words.shape == (len(ball), ball.word_length.max())
+    assert words.shape == (rows.shape[0], ball.word_length.max())
     walked = {}
     for i, padded in zip(rows.tolist(), words.tolist()):
         walked[i] = _walk_word(ball, i)
@@ -868,6 +886,26 @@ def test_members_below_ring_rows(radius, count):
         for w in word:
             prod = prod @ lab_to_mat[w]
         assert np.max(np.abs(prod - ball.mats[i])) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "build, radius, counts",
+    [
+        (lambda: schottky(1.8), 13.0, (592_737, 94_717, 94_717)),
+        (punctured_torus, 12.0, (558_233, 81_265, 86_949)),
+    ],
+    ids=["chain-13", "torus-12"],
+)
+def test_full_size_balls_store_members_and_their_ring_rows(build, radius, counts):
+    """The benchmark's two largest balls, at margin 2: (explored rows,
+    members, stored rows).  Every column but ``mats`` covers the stored
+    rows; the chain ball's members hang below members only."""
+    ball = enumerate_ball(build(), radius, prune_margin=2.0)
+    assert (len(ball), ball.n_members, ball.norms.shape[0]) == counts
+    stored = counts[2]
+    for column in ("parent", "letter", "word_length"):
+        assert getattr(ball, column).shape == (stored,), column
+    assert ball.mats.shape[0] == counts[1]
 
 
 def _per_query_orbit_distance(ball, points):
