@@ -494,11 +494,10 @@ def _exact_level(runs, cand):
 
 def _gather(product, corner, cell, out):
     """Copy the k x k blocks of ``product`` whose (0, 0) entries sit at the
-    flat indices ``corner`` into ``out``, :data:`GATHER_BLOCK` blocks per
-    ``np.take``; ``cell`` holds each entry's offset from the corner.
-    ``mode="clip"`` lets ``take`` write ``out`` in place, where the default
-    mode first gathers into a buffer the size of the output (every index
-    is in range, so nothing is clipped)."""
+    flat indices ``corner`` (``cell``: each entry's offset from its corner)
+    into ``out``, :data:`GATHER_BLOCK` blocks per ``np.take``, whose
+    ``mode="clip"`` writes ``out`` in place (the default mode first gathers
+    into a buffer the size of the output; no index is out of range)."""
     for lo in range(0, corner.shape[0], GATHER_BLOCK):
         rows = corner[lo : lo + GATHER_BLOCK, None, None] + cell
         product.take(rows, out=out[lo : lo + rows.shape[0]], mode="clip")
@@ -531,19 +530,17 @@ def enumerate_ball(
     A level is one GEMM in einsum's operand order, read in place: norms
     from a strided view of its (0, 0) entries, then the kept blocks,
     gathered :data:`GATHER_BLOCK` at a time straight into the level's
-    array when there is no dedup, and into one candidate array that the
-    dedup filters otherwise, whose fresh rows then form the level's
-    array.  That array, in BFS order, is the next level's frontier; its
-    members (norm <= radius) are copied into one buffer of
+    array, or into one candidate array whose fresh rows form it when a
+    dedup filters them.  That array, in BFS order, is the next level's
+    frontier; its members (norm <= radius) are copied into one buffer of
     ``max_elements`` rows, of which only the touched pages are resident.
     The budget counts every explored row.  The operand order keeps the
     matrices bit-identical to the einsum path, which other BLAS layouts
-    and row blocks of the GEMM do not.  Every dedup mode reads the
-    gathered blocks.  Exact dedup keys them as they are: entries of exact
-    images are half-integers, so each GEMM term and partial sum is a
-    multiple of 1/4, exact while it stays within 2^51.  A level whose
-    k * max|frontier| * max|letter| passes 2^51 raises
-    :class:`EnumerationBudgetError`.
+    and row blocks of the GEMM do not.  Exact dedup keys the gathered
+    blocks as they are: entries of exact images are half-integers, so
+    each GEMM term and partial sum is a multiple of 1/4, exact while it
+    stays within 2^51.  A level whose k * max|frontier| * max|letter|
+    passes 2^51 raises :class:`EnumerationBudgetError`.
 
     The levels' norms, links and letters are kept in BFS order until the
     end, where one pass takes the members and the ring rows on their
@@ -590,10 +587,9 @@ def enumerate_ball(
     elif mode == "binned":
         window = [_keyed(np.zeros(1), np.eye(k)[:1])]
 
-    # member matrices land in one buffer, whose pages are touched only as
-    # levels fill them; each level's kept rows go to an array of their own,
-    # the next level's frontier, so a ring row's matrix is dropped once the
-    # next GEMM has read it
+    # member matrices land in one buffer whose pages are touched as levels
+    # fill them; each level's kept rows, the next frontier, go to an array
+    # of their own, so a ring row's matrix goes once the next GEMM read it
     mats = np.empty((max_elements, k, k))
     mats[0] = np.eye(k)
     f_mats = mats[:1]
@@ -620,8 +616,15 @@ def enumerate_ball(
         # depends on the call's size, so blocks of 1,024 or 4,096 frontier
         # rows moved the last bit of matrices at two levels of the
         # free-semigroup gate ball, and blocks of 128 moved the
-        # psl2z-generic-6.5 dedup ball
-        product = letter_rows @ f_mats.reshape(m * k, k).T
+        # psl2z-generic-6.5 dedup ball.  A product past 24 MiB asks for 32,
+        # where glibc's sliding mmap threshold stops, so it is always mapped
+        # afresh and no heap block that happens to fit it sets the peak
+        size = n_letters * k * m * k
+        if size < 3 << 20:
+            product = letter_rows @ f_mats.reshape(m * k, k).T
+        else:
+            product = np.empty(max(size, 4 << 20))[:size].reshape(n_letters * k, -1)
+            np.matmul(letter_rows, f_mats.reshape(m * k, k).T, out=product)
         del f_mats  # only the GEMM reads the frontier
         # keep[i, j] reads the (0, 0) entry of frontier i times letter j in
         # place, so flat index i*n_letters + j is that product
