@@ -69,7 +69,7 @@ from .hyperbolic import (
     stable_arcosh,
 )
 from .orbit import OrbitBall, orbit_distance
-from .semigroup import SemigroupStage, TruncatedFamily
+from .semigroup import SemigroupStage, TruncatedFamily, WordRows
 
 __all__ = [
     "W_MIN",
@@ -137,17 +137,17 @@ class PSAtomSet:
 
     Atom f has weight e^{-s|f|} / Z with Z the truncated series, so the
     weights sum to one minus the recorded floor drop.  Atoms are the
-    family rows ``family_rows`` that kept a weight; their words, norms
+    family rows ``family_rows`` that kept a weight; their letters, norms
     and orbit columns f x0 (directions normalize them) are slices of the
-    family store, whose row arithmetic (:meth:`TruncatedFamily.rows_after`)
-    powers the stable Gromov-product machinery in :func:`apex_products`.
+    family store, and ``words`` is a view over the atom ``letters``.  Its
+    row arithmetic (:meth:`TruncatedFamily.rows_after`) powers the stable
+    Gromov-product machinery in :func:`apex_products`.
     Quotient words there may fall below the weight floor, so their
     columns and head norms |a f| are read from the whole family
     (``family_head``).
     """
 
     s: float
-    words: list
     norms: np.ndarray
     weights: np.ndarray
     columns: np.ndarray
@@ -167,6 +167,7 @@ class PSAtomSet:
         rows = self.family_rows
         self.letters = np.asfortranarray(self.family.letters[rows])
         self.lengths = self.family.lengths[rows]
+        self.words = WordRows(self.letters, self.lengths)
         # atom row of every family row, plus a final -1 for rows past the cap
         self._atom_row = np.full(len(self.family.words) + 1, -1, dtype=np.int64)
         self._atom_row[rows] = np.arange(rows.shape[0])
@@ -219,7 +220,6 @@ def ps_atoms(stage: SemigroupStage, s: float) -> PSAtomSet:
     rows = np.flatnonzero(keep)
     return PSAtomSet(
         s=float(s),
-        words=[fam.words[i] for i in rows.tolist()],
         norms=fam.norms[rows],
         weights=weights[rows],
         columns=fam.columns[rows],
@@ -548,24 +548,18 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
         "min_letter_norm": min_letter,
         "nesting_regime": bool(r < min_letter),
     }
-    rows = []
     identity_ratio = atoms.total_mass()
-    rows.append(
-        {
-            "word": [],
-            "norm": 0.0,
-            "mass": identity_ratio,
-            "ratio": identity_ratio,
-        }
-    )
+    rows = [{"word": [], "norm": 0.0, "mass": identity_ratio, "ratio": identity_ratio}]
     apexes = np.flatnonzero(atoms.lengths <= PREFIX_DEPTH)
     work = Counter()
-    for i, member in zip(apexes.tolist(), shadow_members(atoms, apexes, r, work)):
+    words = atoms.letters[apexes].tolist()  # one bulk read, not a view read per row
+    members = shadow_members(atoms, apexes, r, work)
+    for i, word, member in zip(apexes.tolist(), words, members):
         mass = float(atoms.weights[member].sum())
         ng = float(atoms.norms[i])
         rows.append(
             {
-                "word": list(atoms.words[i]),
+                "word": word[: atoms.lengths[i]],
                 "norm": ng,
                 "mass": mass,
                 "ratio": float(mass * math.exp(atoms.s * ng)),

@@ -54,8 +54,8 @@ well-conditioned matrix products to measure.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1128,6 +1128,20 @@ def find_deep_element(
 # Staged construction.
 
 
+class WordRows(Sequence):
+    """Read-only rows of a padded index table: item i is ``letters[i]``
+    cut to ``lengths[i]``, as a tuple."""
+
+    def __init__(self, letters: np.ndarray, lengths: np.ndarray):
+        self.letters, self.lengths = letters, lengths
+
+    def __len__(self) -> int:
+        return self.lengths.shape[0]
+
+    def __getitem__(self, i) -> tuple:
+        return tuple(self.letters[i, : self.lengths[i]].tolist())
+
+
 @dataclass
 class TruncatedFamily:
     """Every interleaved word up to a length cap, as one word tree.
@@ -1138,10 +1152,10 @@ class TruncatedFamily:
     word sits at row -1.  ``letters`` holds each word's indices padded
     with -1, column-major so that per-position passes read contiguous
     memory; ``columns`` holds the orbit points f x0.  ``lengths`` is read
-    off ``letters``; ``words`` is the row order in closed form, one
-    ``itertools.product`` per length.  Norms whose matrices overflow
-    become inf and drop out of every series sum (undercounting, the
-    conservative direction), with the count recorded.
+    off ``letters``, and ``words`` is a view that reads row i of both as
+    a tuple.  Norms whose matrices overflow become inf and drop out of
+    every series sum (undercounting, the conservative direction), with
+    the count recorded.
     """
 
     letters: np.ndarray
@@ -1151,7 +1165,7 @@ class TruncatedFamily:
     requested_cap: int
     overflow: int
     budget_hit: bool
-    words: list = field(init=False, repr=False)
+    words: WordRows = field(init=False, repr=False)
     lengths: np.ndarray = field(init=False, repr=False)
     n_letters: int = field(init=False)
 
@@ -1159,11 +1173,7 @@ class TruncatedFamily:
         self.letters = np.asfortranarray(self.letters, dtype=np.int64)
         self.lengths = np.count_nonzero(self.letters >= 0, axis=1)
         self.n_letters = int(np.count_nonzero(self.lengths == 1))
-        self.words = [
-            word
-            for n in range(1, self.cap + 1)
-            for word in itertools.product(range(self.n_letters), repeat=n)
-        ]
+        self.words = WordRows(self.letters, self.lengths)
 
     def rows_after(self, start: int, letters: np.ndarray) -> np.ndarray:
         """Rows of the word at row ``start`` (-1: the empty word) extended by
@@ -1230,13 +1240,13 @@ def _enumerate_family(
     max_step = max(g.norm() for g in alphabet) + separator.norm()
     # words longer than this overflow cosh; inf norms would only be
     # discarded later, so the cap is lowered up front
-    cap_eff = max(1, min(cap, int(700.0 // max_step)))
+    cap_range = max(1, min(cap, int(700.0 // max_step)))
     n_letters = len(alphabet)
-    sizes = [n_letters**n for n in range(1, cap_eff + 1)]
+    sizes = [n_letters**n for n in range(1, cap_range + 1)]
     # the longest levels whose word count fits the budget, at least one
     cap_eff = max(1, int(np.count_nonzero(np.cumsum(sizes) <= max_words)))
     sizes = sizes[:cap_eff]
-    budget_hit = cap_eff < cap
+    budget_hit = cap_eff < cap_range
     # one stacked product per level; level n is word-major, letter-minor,
     # which is the lexicographic order of its words
     letters = np.full((sum(sizes), cap_eff), -1, dtype=np.int64, order="F")

@@ -308,17 +308,23 @@ def test_word_tree_lookups_match_tuple_slicing(request, name, pair3):
     fam = atoms.family
     if name == "light3":
         assert (len(atoms), atoms.dropped_floor) == (1884, 20736)
-    family_row = {w: i for i, w in enumerate(fam.words)}
-    assert [atoms.row_of(w) for w in atoms.words] == list(range(len(atoms)))
-    assert [family_row[w] for w in atoms.words] == atoms.family_rows.tolist()
+    # the word views, read once, against the family's rows
+    fam_words, words = list(fam.words), list(atoms.words)
+    assert words == [fam_words[i] for i in atoms.family_rows]
+    assert atoms.words[-1] == words[-1] and fam.words[-1] == fam_words[-1]
+    with pytest.raises(IndexError):
+        atoms.words[len(words)]
+    family_row = {w: i for i, w in enumerate(fam_words)}
+    assert [atoms.row_of(w) for w in words] == list(range(len(atoms)))
+    assert [family_row[w] for w in words] == atoms.family_rows.tolist()
     for j in range(1, atoms.cap):
         longer = np.flatnonzero(atoms.lengths > j)
         suffix = fam.rows_after(-1, atoms.letters[longer, j:])
         prefix = fam.rows_after(-1, atoms.letters[longer, :j])
-        assert suffix.tolist() == [family_row[atoms.words[i][j:]] for i in longer]
-        assert prefix.tolist() == [family_row[atoms.words[i][:j]] for i in longer]
-    for g in atoms.words[:: len(atoms) // 40]:
-        expect = [w[: len(g)] == g for w in atoms.words]
+        assert suffix.tolist() == [family_row[words[i][j:]] for i in longer]
+        assert prefix.tolist() == [family_row[words[i][:j]] for i in longer]
+    for g in words[:: len(atoms) // 40]:
+        expect = [w[: len(g)] == g for w in words]
         assert _is_prefix(atoms, g).tolist() == expect
     checks = quasi_invariance_report(atoms, pair3)["checks"]
     oracle = _transport_oracle(atoms)
@@ -344,8 +350,9 @@ def test_prefix_runs_match_letter_scan(request, name):
     atoms = request.getfixturevalue(name)
     fam = atoms.family
     # every short word, dropped ones included, and a stride of the longest
-    words = [()] + [w for w in fam.words if len(w) < fam.cap]
-    words += fam.words[len(words) - 1 :: 97]
+    fam_words = list(fam.words)
+    words = [()] + [w for w in fam_words if len(w) < fam.cap]
+    words += fam_words[len(words) - 1 :: 97]
     for g in words:
         assert np.array_equal(_is_prefix(atoms, g), _is_prefix_scan(atoms, g)), g
 
@@ -359,6 +366,12 @@ def test_row_of_rejects_dropped_and_foreign_words(atoms3, light3):
             light3.row_of(word)
     with pytest.raises(KeyError):
         atoms3.row_of((0, n))
+
+
+def test_family_and_atoms_hold_no_word_lists(atoms3, light3):
+    # words are views over the letter tables, never lists of tuples
+    for store in (atoms3.family, atoms3, light3):
+        assert not [k for k, v in vars(store).items() if isinstance(v, list)]
 
 
 # -- shadows ----------------------------------------------------------------

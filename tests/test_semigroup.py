@@ -629,7 +629,7 @@ def test_word_tree_matches_frontier_enumeration(spec3, pair3, seed3, ball3):
     fam = build_stage(seed3, spec3, pair3, ball3, eps=0.45).truncated_F
     words, mats = _frontier_family(seed3.elements, pair3.separator, fam.cap)
     assert fam.cap == 4
-    assert fam.words == words
+    assert list(fam.words) == words
     assert fam.lengths.tolist() == [len(w) for w in words]
     padded = [list(w) + [-1] * (fam.cap - len(w)) for w in words]
     assert fam.letters.tolist() == padded
@@ -644,6 +644,19 @@ def test_word_tree_matches_frontier_enumeration(spec3, pair3, seed3, ball3):
     for r in (0, 7, 150, 1800):
         for j in (0, n - 1):
             assert fam.row_of(words[r] + (j,)) == n * (r + 1) + j
+
+
+def test_budget_hit_names_only_the_word_budget():
+    pair = find_ping_pong_pair(schottky(length=1.8), ratio=1.28)
+    a = pair.separator
+    alphabet = [a.power(40), pair.adjuster]
+    assert max(g.norm() for g in alphabet) + a.norm() == pytest.approx(295.2)
+    # the float range alone lowers the cap: 700 // 295.2 = 2 levels
+    fam = semigroup._enumerate_family(alphabet, a, 3, math.inf)
+    assert (fam.cap, fam.requested_cap, fam.budget_hit) == (2, 3, False)
+    # 5 words hold level one (2 words) but not level two (4 more)
+    fam = semigroup._enumerate_family(alphabet, a, 3, 5)
+    assert (fam.cap, fam.requested_cap, fam.budget_hit) == (1, 3, True)
 
 
 def test_family_separation_reads_the_word_tree(spec3, pair3, seed3):
