@@ -552,7 +552,7 @@ def shadow_principle_report(atoms: PSAtomSet, delta_F: float, pair) -> dict:
     rows = [{"word": [], "norm": 0.0, "mass": identity_ratio, "ratio": identity_ratio}]
     apexes = np.flatnonzero(atoms.lengths <= PREFIX_DEPTH)
     work = Counter()
-    words = atoms.letters[apexes].tolist()  # one bulk read, not a view read per row
+    words = atoms.letters[apexes].tolist()  # one bulk read beats a view read per row
     members = shadow_members(atoms, apexes, r, work)
     for i, word, member in zip(apexes.tolist(), words, members):
         mass = float(atoms.weights[member].sum())
